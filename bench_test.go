@@ -600,8 +600,9 @@ func BenchmarkCoOccurrence(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs := inc.CoOccurrence(500)
-		if len(pairs) == 0 {
+		pairs := 0
+		inc.CoOccurrence(500, func(_ int, partners, _ []int32) { pairs += len(partners) })
+		if pairs == 0 {
 			b.Fatal("no pairs")
 		}
 	}

@@ -172,11 +172,17 @@ type Report struct {
 	// PruneStats reports the noise-pruning stage.
 	PruneStats prune.Stats `json:"pruneStats"`
 	// Index is the post-preprocessing traffic index (used by evaluation
-	// and verification).
+	// and verification). It is RawIndex minus Preprocess.Removed and
+	// shares the kept servers' aggregates (*trace.ServerInfo) with it:
+	// read it, never Add or Merge into it.
 	Index *trace.Index `json:"-"`
-	// RawIndex is the pre-filter index (used by figure reproduction).
+	// RawIndex is the pre-filter index the run was handed (used by figure
+	// reproduction) — the caller's index itself, not a copy, and
+	// read-only for the same reason.
 	RawIndex *trace.Index `json:"-"`
-	// Mined keeps the per-dimension herds for diagnostics/ablations.
+	// Mined keeps the per-dimension herds and their similarity graphs for
+	// diagnostics/ablations. The report owns the graphs: they are built
+	// fresh per run, never pooled.
 	Mined *herd.Result `json:"-"`
 }
 

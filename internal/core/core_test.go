@@ -263,6 +263,34 @@ func TestPreprocessingRan(t *testing.T) {
 	}
 }
 
+// The preprocess stage builds Report.Index beside Report.RawIndex instead
+// of filtering a deep copy: a whole run must leave the raw index exactly as
+// it was handed in, and the filtered index must be the raw one minus the
+// servers the report says were removed.
+func TestRunLeavesRawIndexUntouched(t *testing.T) {
+	w := testWorld(t)
+	raw := trace.BuildIndex(w.Trace())
+	before := raw.Fingerprint()
+	report, err := New(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober)).
+		RunIndex(raw, w.Trace().ComputeStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Preprocess.Removed) == 0 {
+		t.Fatal("nothing filtered: the fixture does not exercise the stage")
+	}
+	if report.RawIndex != raw || raw.Fingerprint() != before {
+		t.Error("the run changed the raw index")
+	}
+	want := raw.Clone()
+	for _, key := range report.Preprocess.Removed {
+		want.Remove(key)
+	}
+	if report.Index.Fingerprint() != want.Fingerprint() {
+		t.Error("Report.Index is not the raw index minus Preprocess.Removed")
+	}
+}
+
 func TestExtensibilityExtraDimension(t *testing.T) {
 	// Register a trivial extra dimension (user-agent similarity) and make
 	// sure the pipeline carries it through.

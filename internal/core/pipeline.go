@@ -275,15 +275,17 @@ func (p *Pipeline) runStage(ctx context.Context, s Stage, index int, st *State, 
 	return err
 }
 
-// runPreprocess is stage 1: clone the raw index and apply the IDF
-// popularity filter (SLD aggregation happened during indexing).
+// runPreprocess is stage 1: apply the IDF popularity filter to a shallow
+// clone of the raw index (SLD aggregation happened during indexing). The
+// clone shares the per-server aggregates with the raw index, which is the
+// run's to read, never to mutate — and so, then, is the filtered one.
 func (p *Pipeline) runPreprocess(_ context.Context, st *State) error {
 	if st.Raw == nil {
 		return ErrEmptyTrace
 	}
 	r := st.report()
 	r.RawIndex = st.Raw
-	idx := st.Raw.Clone()
+	idx := st.Raw.ShallowClone()
 	st.Preprocess = preprocess.FilterIDF(idx, p.cfg.idfThreshold)
 	st.Index = idx
 	r.Preprocess = st.Preprocess

@@ -40,9 +40,27 @@ func TestLouvainAllocsBounded(t *testing.T) {
 			t.Fatal("bad labels")
 		}
 	})
-	// Observed ~120 for this graph (per-level slices + aggregation maps).
-	// A return to per-node allocation would be tens of thousands.
+	// Observed ~60 for this graph (per-level slices, the super-graph's
+	// builder). A return to per-node allocation would be tens of thousands.
 	if allocs > 600 {
 		t.Errorf("Louvain = %.0f allocs, want <= 600 (scratch reuse regressed)", allocs)
+	}
+}
+
+// Herd density is computed for every community of every dimension of every
+// window: the pooled stamp arrays must leave it nothing to allocate.
+func TestSubgraphDensityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold on production builds")
+	}
+	g, sets := densityFixture(3)
+	g.SubgraphDensity(sets[0]) // size the scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, members := range sets {
+			g.SubgraphDensity(members)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SubgraphDensity = %.0f allocs per %d calls, want 0", allocs, len(sets))
 	}
 }

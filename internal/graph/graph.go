@@ -7,7 +7,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 
 	"smash/internal/stats"
 )
@@ -54,6 +56,74 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	g.adj[v] = append(g.adj[v], edge{to: int32(u), w: w})
 	g.sumWeight += w
 	return nil
+}
+
+// builderChunk is the number of edges per Builder buffer chunk: growth
+// never copies and over-allocates by less than one chunk (64 KiB).
+const builderChunk = 4096
+
+type pendingEdge struct {
+	u, v int32
+	w    float64
+}
+
+// Builder collects a graph's edges and lays its adjacency out in one pass:
+// one flat backing array sliced per node, instead of one growing slice per
+// node. Graph returns exactly the graph that New(n) followed by the same
+// AddEdge sequence produces — same adjacency order per node (on which
+// Degree's and Louvain's float sums depend), same TotalWeight bits — at
+// two allocations for the adjacency instead of one per append-doubling.
+type Builder struct {
+	g      *Graph
+	degree []int32
+	chunks [][]pendingEdge
+}
+
+// NewBuilder returns a builder for a graph with n nodes.
+func NewBuilder(n int) *Builder {
+	return &Builder{g: New(n), degree: make([]int32, n)}
+}
+
+// AddEdge records weight w between u and v, under Graph.AddEdge's contract.
+func (b *Builder) AddEdge(u, v int, w float64) error {
+	if u == v || u < 0 || u >= len(b.degree) || v < 0 || v >= len(b.degree) || w <= 0 {
+		return b.g.AddEdge(u, v, w) // a self-loop, or the error
+	}
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == builderChunk {
+		b.chunks = append(b.chunks, make([]pendingEdge, 0, builderChunk))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], pendingEdge{u: int32(u), v: int32(v), w: w})
+	b.degree[u]++
+	b.degree[v]++
+	b.g.sumWeight += w
+	return nil
+}
+
+// Graph returns the built graph. The builder must not be used afterwards.
+func (b *Builder) Graph() *Graph {
+	g := b.g
+	total := 0
+	for _, d := range b.degree {
+		total += int(d)
+	}
+	flat := make([]edge, total)
+	off := 0
+	for u, d := range b.degree {
+		// Capacity ends with the node's own run, so a later AddEdge on the
+		// graph reallocates that node instead of overwriting its neighbour.
+		g.adj[u] = flat[off : off : off+int(d)]
+		off += int(d)
+	}
+	for _, chunk := range b.chunks {
+		for _, e := range chunk {
+			g.adj[e.u] = append(g.adj[e.u], edge{to: e.v, w: e.w})
+			g.adj[e.v] = append(g.adj[e.v], edge{to: e.u, w: e.w})
+		}
+	}
+	b.chunks = nil
+	return g
 }
 
 // Degree returns the weighted degree of node u: the sum of incident edge
@@ -269,68 +339,76 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 // aggregate builds the community super-graph: one node per community, edge
 // weights summed, intra-community weight folded into self-loops. It returns
 // the new graph and the number of communities.
+//
+// Like louvainLocal it accumulates per community into a dense scratch with
+// a sorted touched list, so every super-node's adjacency is in ascending
+// neighbour order and every float sum has one fixed order: the super-graph,
+// and with it each Louvain level past the first, is the same on every run.
 func (g *Graph) aggregate(community []int) (*Graph, int) {
-	k := 0
-	for _, c := range community {
-		if c+1 > k {
-			k = c + 1
-		}
-	}
-	agg := New(k)
-	for u := range g.adj {
-		cu := community[u]
-		if g.selfLoop[u] > 0 {
-			agg.selfLoop[cu] += g.selfLoop[u]
-			agg.sumWeight += g.selfLoop[u]
-		}
-	}
-	type pairKey struct{ a, b int }
-	acc := make(map[pairKey]float64)
-	for u := range g.adj {
-		cu := community[u]
-		for _, e := range g.adj[u] {
-			cv := community[e.to]
-			if int(e.to) < u {
-				continue // visit each undirected edge once
+	groups := Communities(community)
+	k := len(groups)
+	agg := NewBuilder(k)
+	neighW := make([]float64, k) // community -> weight from c (dense scratch)
+	var touched []int32
+	for c, members := range groups {
+		for _, u := range members {
+			if g.selfLoop[u] > 0 {
+				_ = agg.AddEdge(c, c, g.selfLoop[u]) // in range, positive
 			}
-			if cu == cv {
-				agg.selfLoop[cu] += e.w
-				agg.sumWeight += e.w
-				continue
-			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
-			}
-			acc[pairKey{a, b}] += e.w
 		}
+		for _, u := range members {
+			for _, e := range g.adj[u] {
+				// Each undirected edge once: intra-community edges from
+				// their smaller endpoint, the rest from the smaller
+				// community.
+				switch cv := community[e.to]; {
+				case cv == c:
+					if int(e.to) > u {
+						_ = agg.AddEdge(c, c, e.w)
+					}
+				case cv > c:
+					if neighW[cv] == 0 { // edge weights are positive
+						touched = append(touched, int32(cv))
+					}
+					neighW[cv] += e.w
+				}
+			}
+		}
+		slices.Sort(touched)
+		for _, cv := range touched {
+			_ = agg.AddEdge(c, int(cv), neighW[cv])
+			neighW[cv] = 0
+		}
+		touched = touched[:0]
 	}
-	for pk, w := range acc {
-		agg.adj[pk.a] = append(agg.adj[pk.a], edge{to: int32(pk.b), w: w})
-		agg.adj[pk.b] = append(agg.adj[pk.b], edge{to: int32(pk.a), w: w})
-		agg.sumWeight += w
-	}
-	return agg, k
+	return agg.Graph(), k
 }
 
-// compactLabels renumbers arbitrary labels to 0..k-1 preserving first-seen
-// order.
+// compactLabels renumbers arbitrary non-negative labels to 0..k-1
+// preserving first-seen order.
 func compactLabels(labels []int) []int {
-	remap := make(map[int]int)
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		id, ok := remap[l]
-		if !ok {
-			id = len(remap)
-			remap[l] = id
+	top := -1
+	for _, l := range labels {
+		if l > top {
+			top = l
 		}
-		out[i] = id
+	}
+	remap := make([]int32, top+1) // label -> new id + 1; 0 = unseen
+	out := make([]int, len(labels))
+	next := int32(0)
+	for i, l := range labels {
+		if remap[l] == 0 {
+			next++
+			remap[l] = next
+		}
+		out[i] = int(remap[l] - 1)
 	}
 	return out
 }
 
 // Communities groups node ids by community label; members are in ascending
-// node order, communities ordered by label.
+// node order, communities ordered by label. The groups share one backing
+// array.
 func Communities(labels []int) [][]int {
 	k := 0
 	for _, l := range labels {
@@ -338,12 +416,34 @@ func Communities(labels []int) [][]int {
 			k = l + 1
 		}
 	}
+	size := make([]int, k)
+	for _, l := range labels {
+		size[l]++
+	}
 	out := make([][]int, k)
+	flat := make([]int, len(labels))
+	off := 0
+	for l, n := range size {
+		out[l] = flat[off : off : off+n]
+		off += n
+	}
 	for v, l := range labels {
 		out[l] = append(out[l], v)
 	}
 	return out
 }
+
+// densityScratch is SubgraphDensity's pooled pair of stamp arrays over node
+// ids. A slot holds the stamp of the last use that wrote it, so nothing is
+// cleared between calls; stamps only grow, and the arrays are zeroed when
+// the counter would wrap.
+type densityScratch struct {
+	member []uint32 // stamp = in the node set (stamp+1: already swept)
+	seen   []uint32 // stamp = already counted from the node being swept
+	stamp  uint32
+}
+
+var densityPool = sync.Pool{New: func() any { return new(densityScratch) }}
 
 // SubgraphDensity computes the density of the node set within g as defined
 // by the paper's w(C): 2|e| / (|v|·(|v|-1)), where |e| counts distinct
@@ -353,24 +453,39 @@ func (g *Graph) SubgraphDensity(members []int) float64 {
 	if v < 2 {
 		return 0
 	}
-	in := make(map[int]bool, v)
-	for _, u := range members {
-		in[u] = true
+	s := densityPool.Get().(*densityScratch)
+	defer densityPool.Put(s)
+	if len(s.member) < len(g.adj) {
+		s.member = make([]uint32, len(g.adj))
+		s.seen = make([]uint32, len(g.adj))
+		s.stamp = 0
 	}
-	type pairKey struct{ a, b int }
-	seen := make(map[pairKey]bool)
+	if uint64(s.stamp)+uint64(v)+2 > math.MaxUint32 {
+		clear(s.member)
+		clear(s.seen)
+		s.stamp = 0
+	}
+	pending, swept := s.stamp+1, s.stamp+2
+	s.stamp += 2
 	for _, u := range members {
+		s.member[u] = pending
+	}
+	// Each connected pair is counted from its smaller endpoint, once: the
+	// seen stamp skips parallel edges, the swept mark a member listed twice.
+	pairs := 0
+	for _, u := range members {
+		if s.member[u] == swept {
+			continue
+		}
+		s.member[u] = swept
+		s.stamp++
 		for _, e := range g.adj[u] {
 			t := int(e.to)
-			if !in[t] || t == u {
-				continue
+			if t > u && s.member[t]-pending < 2 && s.seen[t] != s.stamp {
+				s.seen[t] = s.stamp
+				pairs++
 			}
-			a, b := u, t
-			if a > b {
-				a, b = b, a
-			}
-			seen[pairKey{a, b}] = true
 		}
 	}
-	return 2 * float64(len(seen)) / (float64(v) * float64(v-1))
+	return 2 * float64(pairs) / (float64(v) * float64(v-1))
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"smash/internal/graph"
 	"smash/internal/similarity"
 	"smash/internal/trace"
 	"smash/internal/whois"
@@ -71,13 +72,11 @@ func MineComponents(dim string, sg *similarity.ServerGraph, _ int64) []ASH {
 	return herdsFromGroups(dim, sg, labels)
 }
 
+// herdsFromGroups turns a compact labelling (0..k-1, as Louvain and
+// MineComponents produce) into herds.
 func herdsFromGroups(dim string, sg *similarity.ServerGraph, labels []int) []ASH {
-	groups := make(map[int][]int)
-	for node, l := range labels {
-		groups[l] = append(groups[l], node)
-	}
 	var herds []ASH
-	for _, members := range groups {
+	for _, members := range graph.Communities(labels) {
 		if len(members) < 2 {
 			continue
 		}

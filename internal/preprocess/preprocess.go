@@ -8,6 +8,7 @@ package preprocess
 
 import (
 	"fmt"
+	"sort"
 
 	"smash/internal/stats"
 	"smash/internal/trace"
@@ -62,11 +63,12 @@ func FilterIDF(idx *trace.Index, threshold int) Result {
 		ServersBefore:  len(idx.Servers),
 		RequestsBefore: idx.RequestCount,
 	}
-	for _, key := range idx.ServerKeys() {
-		if idx.Servers[key].IDF() > threshold {
+	for key, info := range idx.Servers {
+		if info.IDF() > threshold {
 			res.Removed = append(res.Removed, key)
 		}
 	}
+	sort.Strings(res.Removed)
 	for _, key := range res.Removed {
 		idx.Remove(key)
 	}

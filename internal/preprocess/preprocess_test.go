@@ -2,9 +2,11 @@ package preprocess
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"smash/internal/synth"
 	"smash/internal/trace"
 )
 
@@ -48,6 +50,38 @@ func TestFilterIDF(t *testing.T) {
 	}
 	if res.Render() == "" {
 		t.Error("empty render")
+	}
+}
+
+// The pipeline filters a ShallowClone of the raw index instead of a deep
+// copy. That must yield exactly the index and the report that filtering a
+// Clone does, and leave the raw index as it was.
+func TestFilterIDFOnShallowClone(t *testing.T) {
+	world, err := synth.Generate(synth.Config{Seed: 3, Clients: 150, BenignServers: 300, MeanRequests: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := trace.BuildIndex(world.Trace())
+	rawBefore := raw.Fingerprint()
+	for _, threshold := range []int{0, 30, 5, 1 << 20} {
+		want, got := raw.Clone(), raw.ShallowClone()
+		wantRes, gotRes := FilterIDF(want, threshold), FilterIDF(got, threshold)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("threshold %d: result %+v, want %+v", threshold, gotRes, wantRes)
+		}
+		if threshold == 5 && (len(wantRes.Removed) < 10 || wantRes.ServersAfter == 0) {
+			t.Fatalf("threshold 5 removed %d of %d servers: the fixture does not exercise the filter",
+				len(wantRes.Removed), wantRes.ServersBefore)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("threshold %d: filtered shallow clone differs from filtered Clone", threshold)
+		}
+		if got.ComputeStats("x") != want.ComputeStats("x") {
+			t.Errorf("threshold %d: stats %+v, want %+v", threshold, got.ComputeStats("x"), want.ComputeStats("x"))
+		}
+		if raw.Fingerprint() != rawBefore {
+			t.Fatalf("threshold %d: filtering the shallow clone changed the raw index", threshold)
+		}
 	}
 }
 

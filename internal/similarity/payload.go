@@ -16,25 +16,7 @@ const DimPayload = "payload"
 // similar (eq. 1 form over digests). Digests served by more than MaxFanout
 // servers (shared CDN assets, common libraries) are skipped.
 func BuildPayloadGraph(idx *trace.Index, opts Options) *ServerGraph {
-	opts = opts.normalized()
-	sg, nodes := newServerGraph(idx)
-	inc := sparse.Get(len(nodes.Infos))
-	defer inc.Release()
-	for id, info := range nodes.Infos {
-		for d := range info.Payloads {
-			inc.Set(id, uint64(d))
-		}
-	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count),
-			len(nodes.Infos[a].Payloads),
-			len(nodes.Infos[b].Payloads))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
-	return sg
+	return setGraph(idx, opts.normalized(), 1, func(s *trace.ServerInfo) trace.Counts { return s.Payloads })
 }
 
 // DimTemporal names the optional temporal co-occurrence secondary dimension
@@ -74,12 +56,8 @@ func BuildTemporalGraph(t *trace.Trace, idx *trace.Index, opts Options) *ServerG
 		windows[id][token] = struct{}{}
 		inc.Set(id, token)
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(windows[a]), len(windows[b]))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
+		return SetSim(shared, len(windows[a]), len(windows[b]))
+	})
 	return sg
 }

@@ -1,9 +1,6 @@
 package similarity
 
-import (
-	"smash/internal/sparse"
-	"smash/internal/trace"
-)
+import "smash/internal/trace"
 
 // DimQuery names the optional query-parameter-pattern secondary dimension.
 // The paper's false-negative analysis (§V-A2) finds 40 missed servers
@@ -17,23 +14,5 @@ const DimQuery = "querypattern"
 // similar (eq. 1 form over patterns such as "e&id&p"). Patterns seen on
 // more than MaxFanout servers are ignored as too generic.
 func BuildQueryGraph(idx *trace.Index, opts Options) *ServerGraph {
-	opts = opts.normalized()
-	sg, nodes := newServerGraph(idx)
-	inc := sparse.Get(len(nodes.Infos))
-	defer inc.Release()
-	for id, info := range nodes.Infos {
-		for q := range info.Queries {
-			inc.Set(id, uint64(q))
-		}
-	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count),
-			len(nodes.Infos[a].Queries),
-			len(nodes.Infos[b].Queries))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
-	return sg
+	return setGraph(idx, opts.normalized(), 1, func(s *trace.ServerInfo) trace.Counts { return s.Queries })
 }

@@ -205,10 +205,53 @@ type ServerGraph struct {
 
 // newServerGraph allocates a ServerGraph over the index's cached node
 // table, so node ids are deterministic (sorted server keys) and the sort
-// happens once per index rather than once per dimension.
+// happens once per index rather than once per dimension. G is left for the
+// builder to set (pairGraph).
 func newServerGraph(idx *trace.Index) (*ServerGraph, *trace.NodeTable) {
 	nodes := idx.Nodes()
-	return &ServerGraph{G: graph.New(len(nodes.Names)), Names: nodes.Names, IDs: nodes.IDs}, nodes
+	return &ServerGraph{Names: nodes.Names, IDs: nodes.IDs}, nodes
+}
+
+// pairGraph is the one candidate-scoring loop behind every dimension: it
+// streams the co-occurrence product of inc, hands score each candidate
+// pair (a < b, in (a, b) order) with its shared-feature count, and builds
+// the graph of the pairs scoring above zero and at least minSim in one
+// pass. Scoring inside the sweep means neither the pair list nor a growing
+// per-node adjacency is ever materialized.
+func pairGraph(inc *sparse.Incidence, maxFanout int, minSim float64, score func(a, b, shared int) float64) *graph.Graph {
+	b := graph.NewBuilder(inc.Rows())
+	inc.CoOccurrence(maxFanout, func(a int, partners, counts []int32) {
+		for _, p := range partners {
+			if sim := score(a, int(p), int(counts[p])); sim > 0 && sim >= minSim {
+				_ = b.AddEdge(a, int(p), sim) // a < p in range, sim > 0: cannot fail
+			}
+		}
+	})
+	return b.Graph()
+}
+
+// setGraph builds a dimension whose similarity is SetSim (the eq. 1 / eq. 8
+// form) over one id-keyed feature set per server; pairs sharing fewer than
+// minShared features get no edge. opts must be normalized.
+func setGraph(idx *trace.Index, opts Options, minShared int, set func(*trace.ServerInfo) trace.Counts) *ServerGraph {
+	sg, nodes := newServerGraph(idx)
+	inc := sparse.Get(len(nodes.Infos))
+	defer inc.Release()
+	sizes := make([]int, len(nodes.Infos))
+	for id, info := range nodes.Infos {
+		features := set(info)
+		sizes[id] = len(features)
+		for f := range features {
+			inc.Set(id, uint64(f))
+		}
+	}
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
+		if shared < minShared {
+			return 0
+		}
+		return SetSim(shared, sizes[a], sizes[b])
+	})
+	return sg
 }
 
 // Options tunes the similarity graph builders.
@@ -276,46 +319,12 @@ func (o Options) normalized() Options {
 // connected with weight Client(Si,Sj) from eq. (1) when they share clients.
 func BuildClientGraph(idx *trace.Index, opts Options) *ServerGraph {
 	opts = opts.normalized()
-	sg, nodes := newServerGraph(idx)
-	inc := sparse.Get(len(nodes.Infos))
-	defer inc.Release()
-	for id, info := range nodes.Infos {
-		for c := range info.Clients {
-			inc.Set(id, uint64(c))
-		}
-	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		if int(p.Count) < opts.MinSharedFeatures {
-			continue
-		}
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(nodes.Infos[a].Clients), len(nodes.Infos[b].Clients))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
-	return sg
+	return setGraph(idx, opts, opts.MinSharedFeatures, func(s *trace.ServerInfo) trace.Counts { return s.Clients })
 }
 
 // BuildIPGraph builds the IP-address-set secondary dimension graph (eq. 8).
 func BuildIPGraph(idx *trace.Index, opts Options) *ServerGraph {
-	opts = opts.normalized()
-	sg, nodes := newServerGraph(idx)
-	inc := sparse.Get(len(nodes.Infos))
-	defer inc.Release()
-	for id, info := range nodes.Infos {
-		for ip := range info.IPs {
-			inc.Set(id, uint64(ip))
-		}
-	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(nodes.Infos[a].IPs), len(nodes.Infos[b].IPs))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
-	return sg
+	return setGraph(idx, opts.normalized(), 1, func(s *trace.ServerInfo) trace.Counts { return s.IPs })
 }
 
 // longGroupBase offsets the synthetic long-name group tokens past the file
@@ -324,9 +333,10 @@ const longGroupBase = uint64(1) << 40
 
 // BuildFileGraph builds the URI-file secondary dimension graph. Candidate
 // server pairs are generated from shared file tokens (the interned file id
-// for short names, a distribution bucket for long names); each candidate
-// pair is then scored with the full eq. (7) similarity over file sets
-// prepared once per server.
+// for short names, a distribution bucket for long names) and scored with
+// eq. (7). Unless both servers carry long names that is O(1) per pair,
+// straight from the product's count; only long-name pairs go through file
+// sets, prepared once per server.
 func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 	opts = opts.normalized()
 	sg, nodes := newServerGraph(idx)
@@ -337,11 +347,15 @@ func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 	// Long (possibly obfuscated) filenames: cluster them by cosine
 	// similarity so that similar-but-unequal names map to one token.
 	longNames := make(map[string][]int) // long file -> server node ids
+	hasLong := make([]bool, len(nodes.Infos))
+	nFiles := make([]float64, len(nodes.Infos)) // |F| of eq. (7)
 	for id, info := range nodes.Infos {
+		nFiles[id] = float64(len(info.Files))
 		for f := range info.Files {
 			name := fileNames[f]
 			if len(name) > opts.LenThreshold {
 				longNames[name] = append(longNames[name], id)
+				hasLong[id] = true
 				continue
 			}
 			inc.Set(id, uint64(f))
@@ -364,25 +378,32 @@ func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 		}
 	}
 
-	// File sets are prepared lazily: only servers that appear in candidate
-	// pairs pay the sort.
-	fileSets := make([]fileSet, len(nodes.Infos))
-	prepared := make([]bool, len(nodes.Infos))
+	// File sets are prepared lazily: only long-name servers that meet
+	// another one in a candidate pair pay the name resolution and sort.
+	var fileSets []fileSet
 	setOf := func(id int) fileSet {
-		if !prepared[id] {
+		if fileSets == nil {
+			fileSets = make([]fileSet, len(nodes.Infos))
+		}
+		if fileSets[id].sorted == nil {
 			fileSets[id] = newFileSet(nodes.Infos[id].FileList(), opts.LenThreshold)
-			prepared[id] = true
 		}
 		return fileSets[id]
 	}
 
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := serverFileSimSets(setOf(a), setOf(b), opts.LenThreshold, opts.CosineThreshold)
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
+		if hasLong[a] && hasLong[b] {
+			return serverFileSimSets(setOf(a), setOf(b), opts.LenThreshold, opts.CosineThreshold)
 		}
-	}
+		// With long names on at most one side the cosine fallback has
+		// nothing to match against, so eq. (7) counts exact matches only —
+		// the shared file ids: the product's count (such a pair shares no
+		// long-name group token) plus the hub files its fan-out cap
+		// skipped. Same float expression as serverFileSimSets, so the
+		// weight is bit-identical to the string walk's.
+		exact := float64(shared + inc.SharedSkipped(a, b))
+		return (exact / nFiles[a]) * (exact / nFiles[b])
+	})
 	return sg
 }
 
@@ -444,6 +465,7 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 	opts = opts.normalized()
 	sg, nodes := newServerGraph(idx)
 	if reg == nil {
+		sg.G = graph.New(len(nodes.Names))
 		return sg
 	}
 	records := make(map[int]whois.Record)
@@ -459,12 +481,8 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 			inc.SetString(id, token)
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := whois.Similarity(records[a], records[b])
-		if sim > 0 {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = pairGraph(inc, opts.MaxFanout, 0, func(a, b, _ int) float64 {
+		return whois.Similarity(records[a], records[b])
+	})
 	return sg
 }

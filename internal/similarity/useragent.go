@@ -1,9 +1,6 @@
 package similarity
 
-import (
-	"smash/internal/sparse"
-	"smash/internal/trace"
-)
+import "smash/internal/trace"
 
 // DimUserAgent names the optional User-Agent secondary dimension. It is not
 // part of the paper's three built-in secondary dimensions but demonstrates
@@ -17,23 +14,5 @@ const DimUserAgent = "useragent"
 // ubiquitous browser UAs, leaving the rare malware-specific strings as the
 // discriminating features.
 func BuildUserAgentGraph(idx *trace.Index, opts Options) *ServerGraph {
-	opts = opts.normalized()
-	sg, nodes := newServerGraph(idx)
-	inc := sparse.Get(len(nodes.Infos))
-	defer inc.Release()
-	for id, info := range nodes.Infos {
-		for ua := range info.UserAgents {
-			inc.Set(id, uint64(ua))
-		}
-	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count),
-			len(nodes.Infos[a].UserAgents),
-			len(nodes.Infos[b].UserAgents))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
-	return sg
+	return setGraph(idx, opts.normalized(), 1, func(s *trace.ServerInfo) trace.Counts { return s.UserAgents })
 }

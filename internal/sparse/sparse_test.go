@@ -5,6 +5,23 @@ import (
 	"testing/quick"
 )
 
+// pair is one co-occurring row pair with its intersection count.
+type pair struct {
+	A, B  int32 // row ids, A < B
+	Count int32 // number of shared features
+}
+
+// pairsOf materializes the streamed product, in arrival order.
+func pairsOf(m *Incidence, maxFanout int) []pair {
+	var pairs []pair
+	m.CoOccurrence(maxFanout, func(a int, partners, counts []int32) {
+		for _, b := range partners {
+			pairs = append(pairs, pair{A: int32(a), B: b, Count: counts[b]})
+		}
+	})
+	return pairs
+}
+
 func TestCoOccurrenceBasic(t *testing.T) {
 	m := NewIncidence(3)
 	// Rows 0 and 1 share features 1, 2; row 2 shares only feature 2.
@@ -13,7 +30,7 @@ func TestCoOccurrenceBasic(t *testing.T) {
 	m.Set(1, 1)
 	m.Set(1, 2)
 	m.Set(2, 2)
-	pairs := m.CoOccurrence(0)
+	pairs := pairsOf(m, 0)
 	if len(pairs) != 3 {
 		t.Fatalf("got %d pairs, want 3: %+v", len(pairs), pairs)
 	}
@@ -34,12 +51,9 @@ func TestCoOccurrenceDedup(t *testing.T) {
 	m.Set(0, 1)
 	m.Set(0, 1) // duplicate must not double-count
 	m.Set(1, 1)
-	pairs := m.CoOccurrence(0)
+	pairs := pairsOf(m, 0)
 	if len(pairs) != 1 || pairs[0].Count != 1 {
 		t.Fatalf("pairs = %+v, want one pair with count 1", pairs)
-	}
-	if m.RowDegree(0) != 1 {
-		t.Errorf("row 0 degree = %d, want 1", m.RowDegree(0))
 	}
 }
 
@@ -51,60 +65,73 @@ func TestFanoutCap(t *testing.T) {
 	}
 	m.Set(0, 200)
 	m.Set(1, 200)
-	if got := len(m.CoOccurrence(0)); got != 10 {
+	if got := len(pairsOf(m, 0)); got != 10 {
 		t.Errorf("uncapped pairs = %d, want 10", got)
 	}
-	capped := m.CoOccurrence(4)
+	capped := pairsOf(m, 4)
 	if len(capped) != 1 {
 		t.Fatalf("capped pairs = %+v, want only the rare pair", capped)
 	}
-	if m.SkippedFeatures(4) != 1 {
-		t.Errorf("SkippedFeatures = %d, want 1", m.SkippedFeatures(4))
+	// What the cap skipped is still countable per pair: every pair shares
+	// the one hub feature, so count + SharedSkipped is the exact size.
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			if got := m.SharedSkipped(a, b); got != 1 {
+				t.Errorf("SharedSkipped(%d,%d) = %d, want 1", a, b, got)
+			}
+		}
 	}
-	if m.SkippedFeatures(0) != 0 {
-		t.Errorf("SkippedFeatures(0) = %d, want 0", m.SkippedFeatures(0))
+	pairsOf(m, 0)
+	if got := m.SharedSkipped(0, 1); got != 0 {
+		t.Errorf("uncapped SharedSkipped = %d, want 0", got)
 	}
 }
 
 func TestCoOccurrenceMatchesBruteForce(t *testing.T) {
-	// Property: the sparse product must equal the brute-force pairwise
-	// set-intersection computation on random incidence relations.
+	// Property: on random incidence relations, under any fan-out cap, the
+	// streamed count plus what SharedSkipped reports for the pair equals
+	// the brute-force set intersection; uncapped, the count alone does, and
+	// exactly the intersecting pairs are streamed.
 	f := func(edges []uint16) bool {
-		m := NewIncidence(8)
 		sets := make(map[int]map[int]bool)
+		fanout := make(map[int]int)
 		for _, e := range edges {
 			r := int(e>>8) % 8
 			c := int(e & 0xff % 32)
-			m.Set(r, uint64(c))
 			if sets[r] == nil {
 				sets[r] = make(map[int]bool)
 			}
+			if !sets[r][c] {
+				fanout[c]++
+			}
 			sets[r][c] = true
 		}
-		want := make(map[[2]int32]int32)
-		for a := 0; a < 8; a++ {
-			for b := a + 1; b < 8; b++ {
-				n := int32(0)
-				for c := range sets[a] {
-					if sets[b][c] {
-						n++
+		for _, maxFanout := range []int{0, 2, 3} {
+			m := NewIncidence(8)
+			for _, e := range edges {
+				m.Set(int(e>>8)%8, uint64(e&0xff%32))
+			}
+			got := make(map[[2]int32]int32)
+			for _, p := range pairsOf(m, maxFanout) {
+				got[[2]int32{p.A, p.B}] = p.Count
+			}
+			for a := 0; a < 8; a++ {
+				for b := a + 1; b < 8; b++ {
+					exact, underCap := 0, 0
+					for c := range sets[a] {
+						if sets[b][c] {
+							exact++
+							if maxFanout == 0 || fanout[c] <= maxFanout {
+								underCap++
+							}
+						}
+					}
+					count, streamed := got[[2]int32{int32(a), int32(b)}]
+					if int(count) != underCap || streamed != (underCap > 0) ||
+						int(count)+m.SharedSkipped(a, b) != exact {
+						return false
 					}
 				}
-				if n > 0 {
-					want[[2]int32{int32(a), int32(b)}] = n
-				}
-			}
-		}
-		got := make(map[[2]int32]int32)
-		for _, p := range m.CoOccurrence(0) {
-			got[[2]int32{p.A, p.B}] = p.Count
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
 			}
 		}
 		return true
@@ -114,37 +141,37 @@ func TestCoOccurrenceMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCoOccurrenceFunc(t *testing.T) {
-	m := NewIncidence(2)
-	m.Set(0, 1)
-	m.Set(1, 1)
-	m.Set(0, 2)
-	m.Set(1, 2)
-	total := 0
-	m.CoOccurrenceFunc(0, func(a, b int32) { total++ })
-	if total != 2 {
-		t.Errorf("visits = %d, want 2 (one per shared feature)", total)
-	}
-}
-
 func TestCoOccurrenceSorted(t *testing.T) {
-	m := NewIncidence(3)
+	dense := NewIncidence(3) // partners contiguous: ordered by the sweep
 	for r := 2; r >= 0; r-- {
-		m.Set(r, 1)
-		m.Set(r, 2)
+		dense.Set(r, 1)
+		dense.Set(r, 2)
 	}
-	pairs := m.CoOccurrence(0)
-	for i := 1; i < len(pairs); i++ {
-		prev, cur := pairs[i-1], pairs[i]
-		if prev.A > cur.A || (prev.A == cur.A && prev.B >= cur.B) {
-			t.Fatalf("pairs not sorted: %+v", pairs)
+	// Row 0's partners 5, 20, 150, 190 are met out of order (feature by
+	// feature) and lie far apart: ordered by the comparison sort.
+	scattered := NewIncidence(200)
+	for f, rows := range [][]int{{0, 150, 20}, {0, 190}, {0, 5}} {
+		for _, r := range rows {
+			scattered.Set(r, uint64(f))
+		}
+	}
+	for name, m := range map[string]*Incidence{"dense": dense, "scattered": scattered} {
+		pairs := pairsOf(m, 0)
+		if len(pairs) < 3 {
+			t.Fatalf("%s: pairs = %+v", name, pairs)
+		}
+		for i := 1; i < len(pairs); i++ {
+			prev, cur := pairs[i-1], pairs[i]
+			if prev.A > cur.A || (prev.A == cur.A && prev.B >= cur.B) {
+				t.Fatalf("%s: pairs not sorted: %+v", name, pairs)
+			}
 		}
 	}
 }
 
 func TestEmptyIncidence(t *testing.T) {
 	m := NewIncidence(0)
-	if got := m.CoOccurrence(0); len(got) != 0 {
+	if got := pairsOf(m, 0); len(got) != 0 {
 		t.Errorf("empty incidence produced pairs: %v", got)
 	}
 	if m.Rows() != 0 || m.Features() != 0 {
@@ -158,7 +185,7 @@ func TestSetStringFeatures(t *testing.T) {
 	m.SetString(1, "tok-a")
 	m.Set(1, 7)
 	m.Set(2, 7)
-	pairs := m.CoOccurrence(0)
+	pairs := pairsOf(m, 0)
 	byPair := make(map[[2]int32]int32)
 	for _, p := range pairs {
 		byPair[[2]int32{p.A, p.B}] = p.Count
@@ -178,7 +205,7 @@ func TestPoolReuse(t *testing.T) {
 	m.Set(0, 1)
 	m.Set(1, 1)
 	m.SetString(2, "x")
-	if got := len(m.CoOccurrence(0)); got != 1 {
+	if got := len(pairsOf(m, 0)); got != 1 {
 		t.Fatalf("first use pairs = %d, want 1", got)
 	}
 	m.Release()
@@ -187,12 +214,12 @@ func TestPoolReuse(t *testing.T) {
 	if m2.Features() != 0 || m2.Rows() != 2 {
 		t.Fatalf("pooled incidence not reset: %d features, %d rows", m2.Features(), m2.Rows())
 	}
-	if got := len(m2.CoOccurrence(0)); got != 0 {
+	if got := len(pairsOf(m2, 0)); got != 0 {
 		t.Fatalf("pooled incidence leaked pairs: %d", got)
 	}
 	m2.Set(0, 99)
 	m2.Set(1, 99)
-	pairs := m2.CoOccurrence(0)
+	pairs := pairsOf(m2, 0)
 	if len(pairs) != 1 || pairs[0].Count != 1 {
 		t.Fatalf("pooled incidence after reuse: %+v", pairs)
 	}

@@ -190,6 +190,42 @@ func TestIndexClone(t *testing.T) {
 	}
 }
 
+func TestIndexShallowClone(t *testing.T) {
+	tr := &Trace{Requests: []Request{
+		req("c1", "a.com", "1.1.1.1", "/x"),
+		req("c1", "b.com", "1.1.1.2", "/y"),
+		req("c2", "a.com", "1.1.1.1", "/x"),
+		req("c3", "c.com", "1.1.1.3", "/z"),
+	}}
+	idx := BuildIndex(tr)
+	before := idx.Fingerprint()
+	cl := idx.ShallowClone()
+	if cl.Fingerprint() != before {
+		t.Errorf("shallow clone differs:\n%s\nwant\n%s", cl.Fingerprint(), before)
+	}
+	if cl.Syms != idx.Syms || cl.Servers["b.com"] != idx.Servers["b.com"] {
+		t.Error("ShallowClone must share the symbols and the servers' aggregates, not copy them")
+	}
+	// What the clone owns is its own: filtering it leaves the source alone.
+	cl.Remove("a.com")
+	cl.Remove("b.com")
+	if got := idx.Fingerprint(); got != before {
+		t.Errorf("source index changed:\n%s\nwant\n%s", got, before)
+	}
+	want := idx.Clone()
+	want.Remove("a.com")
+	want.Remove("b.com")
+	if cl.Fingerprint() != want.Fingerprint() {
+		t.Errorf("filtered shallow clone:\n%s\nwant\n%s", cl.Fingerprint(), want.Fingerprint())
+	}
+	if got := cl.ServersOfClient("c2"); got != nil {
+		t.Errorf("c2 contacted only a removed server, got %v", got)
+	}
+	if got := cl.Nodes().Names; len(got) != 1 || got[0] != "c.com" {
+		t.Errorf("nodes = %v, want [c.com]", got)
+	}
+}
+
 func TestFileListSorted(t *testing.T) {
 	sy := NewSymbols()
 	info := newServerInfo(sy, "a.com")
