@@ -225,8 +225,8 @@ func BenchmarkPipeline(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det := core.New(core.WithSeed(1), core.WithWhois(world.Whois), core.WithProber(world.Prober))
-				if _, err := det.Run(world.Trace()); err != nil {
+				det := core.NewPipeline(core.WithSeed(1), core.WithWhois(world.Whois), core.WithProber(world.Prober))
+				if _, err := det.RunTrace(context.Background(), world.Trace()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +244,7 @@ func BenchmarkPipelineParallelMining(b *testing.B) {
 	raw, stats := trace.BuildIndex(tr), tr.ComputeStats()
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			det := core.New(
+			det := core.NewPipeline(
 				core.WithSeed(1),
 				core.WithWhois(world.Whois),
 				core.WithProber(world.Prober),
@@ -253,7 +253,7 @@ func BenchmarkPipelineParallelMining(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := det.RunIndex(raw, stats); err != nil {
+				if _, err := det.Run(context.Background(), raw, stats); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -635,8 +635,8 @@ func ablationMetrics(b *testing.B, opts ...core.Option) {
 	var recall, fps float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det := core.New(all...)
-		report, err := det.Run(w1.Trace())
+		det := core.NewPipeline(all...)
+		report, err := det.RunTrace(context.Background(), w1.Trace())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *verbose {
 		opts = append(opts, core.WithObserver(&core.LogObserver{W: os.Stderr, Prefix: "smash: "}))
 	}
-	report, err := core.New(opts...).RunContext(ctx, tr)
+	report, err := core.NewPipeline(opts...).RunTrace(ctx, tr)
 	if err != nil {
 		return err
 	}

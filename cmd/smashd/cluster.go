@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"smash/internal/cluster"
-	"smash/internal/core"
 	"smash/internal/serve"
 	"smash/internal/store"
 	"smash/internal/stream"
@@ -209,10 +208,6 @@ func runAggregate(ctx context.Context, o *options, out io.Writer) error {
 		return fmt.Errorf("the aggregator takes no trace files; ingest nodes do the reading")
 	}
 
-	detOpts := o.detectorOptions()
-	timing := core.NewTimingObserver()
-	detOpts = append(detOpts, core.WithObserver(timing))
-
 	st, err := openStore(o)
 	if err != nil {
 		return err
@@ -241,7 +236,7 @@ func runAggregate(ctx context.Context, o *options, out io.Writer) error {
 		Stride:         o.stride,
 		Expect:         o.expect,
 		Straggler:      o.straggler,
-		Detector:       detOpts,
+		Detector:       o.detectorOptions(),
 		Tracker:        st.Restore(),
 		Sinks:          []stream.Sink{st},
 		FragDir:        fragDir,
@@ -260,7 +255,6 @@ func runAggregate(ctx context.Context, o *options, out io.Writer) error {
 
 	shutdown, err := serveHTTP(ctx, o.clusterListen, serve.NewHandler(serve.Config{
 		Store:      st,
-		Timing:     timing,
 		Aggregator: agg,
 		Node:       o.node,
 		Role:       "aggregate",

@@ -669,13 +669,6 @@ func runStandalone(ctx context.Context, o *options, stdin io.Reader, out io.Writ
 		onSource(o)
 	}
 
-	detOpts := o.detectorOptions()
-	var timing *core.TimingObserver
-	if o.listen != "" {
-		timing = core.NewTimingObserver()
-		detOpts = append(detOpts, core.WithObserver(timing))
-	}
-
 	// The store is the durability layer and the HTTP read model: with
 	// -state-dir it restores lineage state from snapshot + WAL and keeps
 	// persisting; with only -listen it mirrors state in memory for serving.
@@ -686,7 +679,7 @@ func runStandalone(ctx context.Context, o *options, stdin io.Reader, out io.Writ
 		Watermark: o.watermark,
 		Workers:   o.workers,
 		Shards:    o.shards,
-		Detector:  detOpts,
+		Detector:  o.detectorOptions(),
 		Metrics:   o.reg,
 		Tracer:    o.tracer,
 		Logger:    o.logger.With("component", "engine"),
@@ -728,7 +721,6 @@ func runStandalone(ctx context.Context, o *options, stdin io.Reader, out io.Writ
 		pushOpts, _ := o.sourceOptions()
 		shutdown, err := serveHTTP(ctx, o.listen, serve.NewHandler(serve.Config{
 			Store:       st,
-			Timing:      timing,
 			EngineStats: eng.Stats,
 			Push:        o.pushQueue,
 			PushOptions: pushOpts,

@@ -245,7 +245,7 @@ func TestRunListenServesLiveState(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"smash_store_windows_total 1", "smash_pipeline_stage_runs_total"} {
+	for _, want := range []string{"smash_store_windows_total 1", `smash_pipeline_stage_seconds_count{stage="mine"} 1`} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("live metrics missing %q", want)
 		}

@@ -16,7 +16,7 @@
 //
 //   - internal/core        — the staged detection pipeline (public API):
 //     core.Pipeline with five first-class stages, context cancellation,
-//     parallel dimension mining, Observer hooks; core.Detector wraps it
+//     parallel dimension mining, Observer hooks
 //   - internal/stream      — streaming ingestion engine: sliding windows,
 //     sharded incremental indexing, watermark, worker pool, lineage
 //     deltas, pluggable result sinks
@@ -48,8 +48,8 @@
 //     rotation-following file tailer with byte-offset checkpoints, and
 //     the bounded queue behind the HTTP push intake
 //   - internal/trace       — HTTP traffic model, TSV codec, interned-ID
-//     server index (shared symbol tables, counted aggregates with exact
-//     Merge/Unmerge)
+//     server index (shared symbol tables, counted aggregates that Merge
+//     exactly)
 //   - internal/intern      — dense string↔uint32 interning tables
 //   - internal/similarity  — the four dimension metrics and graph builders
 //   - internal/graph       — weighted graphs + Louvain community detection

@@ -5,7 +5,7 @@
 // windows: the engine rotates windows, detects each sealed window on a
 // worker pool, and emits campaign lineage deltas (appear / persist /
 // rotate) as each window closes. The same days are then run through the
-// classic batch Detector + tracker loop to show the two paths agree
+// classic batch Pipeline + tracker loop to show the two paths agree
 // exactly.
 //
 //	go run ./examples/streaming
@@ -88,9 +88,9 @@ func run() error {
 	// The proof of equivalence: the batch loop over the same days grows
 	// identical lineages.
 	batch := tracker.New()
-	det := core.New(detOpts...)
+	det := core.NewPipeline(detOpts...)
 	for _, day := range world.Days {
-		report, err := det.Run(day)
+		report, err := det.RunTrace(context.Background(), day)
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -34,7 +33,7 @@ type AggregatorConfig struct {
 	// fragments are then counted and dropped. 0 waits for every node
 	// indefinitely — exact, but a dead node stalls the cluster.
 	Straggler int
-	// Detector configures the core.Detector run on every merged window.
+	// Detector configures the core.Pipeline run on every merged window.
 	Detector []core.Option
 	// Tracker overrides the lineage tracker (default tracker.New()).
 	Tracker *tracker.Tracker
@@ -75,8 +74,8 @@ type AggregatorConfig struct {
 
 // Aggregator receives window fragments from ingest nodes, aligns them on
 // epoch-derived window ids, merges each window's fragments (remap-merge
-// across foreign symbol tables) and drives the detection pipeline,
-// tracker and sinks exactly like a standalone stream engine. Create with
+// across foreign symbol tables) and commits the merged index through the
+// same stream.Committer a standalone stream engine drives. Create with
 // NewAggregator, feed with Submit (typically via internal/serve's
 // /v1/ingest), consume the Start channel. With FragDir set it survives
 // kill -9: see AggregatorConfig.FragDir and the package comment's fault
@@ -84,15 +83,9 @@ type AggregatorConfig struct {
 type Aggregator struct {
 	*assembler
 
-	cfg AggregatorConfig
-	det *core.Detector
-	tk  *tracker.Tracker
-
-	// Latency instruments; all nil (and so no-ops) without Metrics.
-	mDetect       *obs.Histogram
-	mStage, mSink map[string]*obs.Histogram
-
-	out chan stream.WindowResult
+	cfg    AggregatorConfig
+	commit *stream.Committer
+	out    chan stream.WindowResult
 }
 
 // NewAggregator validates the config and builds an aggregator.
@@ -122,15 +115,11 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		cfg.Buffer = 64
 	}
 	a := &Aggregator{
-		cfg: cfg,
-		det: core.New(cfg.Detector...),
-		tk:  cfg.Tracker,
-		out: make(chan stream.WindowResult, 1),
+		cfg:    cfg,
+		commit: stream.NewCommitter(cfg.Name, cfg.Detector, cfg.Tracker, cfg.Sinks, cfg.Metrics, cfg.Tracer, cfg.Logger),
+		out:    make(chan stream.WindowResult, 1),
 	}
 	var mWait, mSealCommit, mHop, mE2E *obs.Histogram
-	// Histogram families shared with the stream engine keep the engine's
-	// help text: registering the same name twice with one registry must
-	// agree on metadata.
 	if reg := cfg.Metrics; reg != nil {
 		mWait = reg.Histogram("smash_cluster_fragment_wait_seconds",
 			"Wall-clock from a cluster window's first fragment arrival to its seal.")
@@ -138,21 +127,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			"Per-hop send-to-accept transit of incoming fragments (clamped at zero under clock skew).")
 		mE2E = reg.Histogram("smash_e2e_event_to_seal_seconds",
 			"Wall-clock from a window's event-time end to its seal here; live windows only (crash-recovery replays are excluded).")
-		a.mDetect = reg.Histogram("smash_window_detect_seconds",
-			"Wall-clock running the detection pipeline, per window.")
 		mSealCommit = reg.Histogram("smash_seal_commit_seconds",
 			"Wall-clock from a window's sealed index to its committed result (sinks done, result published).")
-		a.mStage = make(map[string]*obs.Histogram)
-		for _, s := range core.StageNames() {
-			a.mStage[s] = reg.Histogram("smash_pipeline_stage_seconds",
-				"Wall-clock per detection pipeline stage run.", "stage", s)
-		}
-		a.mSink = make(map[string]*obs.Histogram)
-		for _, s := range cfg.Sinks {
-			name := clusterSinkName(s)
-			a.mSink[name] = reg.Histogram("smash_sink_consume_seconds",
-				"Wall-clock per sink consume on the window commit path.", "sink", name)
-		}
 	}
 	var flog *FragLog
 	if cfg.FragDir != "" {
@@ -185,15 +161,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	return a, nil
 }
 
-// clusterSinkName labels a sink for spans and metrics (see
-// stream.NamedSink).
-func clusterSinkName(s stream.Sink) string {
-	if n, ok := s.(stream.NamedSink); ok {
-		return n.SinkName()
-	}
-	return "sink"
-}
-
 // Start launches the aggregation loop and returns the result channel. The
 // channel closes once every expected node has sent its final marker and
 // all pending windows have been flushed, or after Stop.
@@ -214,13 +181,13 @@ func (a *Aggregator) Start(ctx context.Context) <-chan stream.WindowResult {
 
 // Tracker exposes the cross-window lineage tracker (for end-of-run
 // summaries). Valid once the output channel has closed.
-func (a *Aggregator) Tracker() *tracker.Tracker { return a.tk }
+func (a *Aggregator) Tracker() *tracker.Tracker { return a.cfg.Tracker }
 
-// sealWindow is the aggregator's half of a seal: detection on the merged
-// index, tracker observation, delta derivation, sinks, and result
-// publication — the same commit path a standalone stream engine drives.
-// The hop trail was already folded into spans by the assembler; the
-// aggregator is the tree's root, so it forwards the trail nowhere.
+// sealWindow is the aggregator's half of a seal: it commits the merged
+// index — detection unless the window is empty or the run is aborting,
+// then tracker, deltas and sinks — and publishes the result. The hop trail
+// was already folded into spans by the assembler; the aggregator is the
+// tree's root, so it forwards the trail nowhere.
 func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, _ []wire.Hop, aborted bool) {
 	res := stream.WindowResult{
 		Seq:      seq,
@@ -230,52 +197,15 @@ func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start tim
 		Index:    merged,
 	}
 	if merged.RequestCount > 0 && !aborted && ctx.Err() == nil {
-		name := fmt.Sprintf("%s-w%d", a.cfg.Name, seq)
-		var extra []core.Observer
-		if a.tr != nil || a.mStage != nil {
-			extra = append(extra, stream.StageTraceObserver(a.tr, a.mStage, int64(seq)))
-		}
-		t0 := time.Now()
-		report, err := a.det.RunIndexContext(ctx, merged, merged.ComputeStats(name), extra...)
-		d := time.Since(t0)
-		if a.tr != nil {
-			attrs := []string(nil)
-			if err != nil {
-				attrs = []string{"error", err.Error()}
-			}
-			a.tr.Record(int64(seq), "detect", t0, d, attrs...)
-		}
-		a.mDetect.Observe(d.Seconds())
-		switch {
-		case err == nil:
-			res.Report = report
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			a.setErr(err)
-		default:
-			a.setErr(fmt.Errorf("cluster: window %d: %w", seq, err))
-			a.log.Error("window detection failed", "window", seq, "err", err)
-		}
-	}
-	report := res.Report
-	if report == nil {
-		report = &core.Report{}
-	}
-	res.Matches = a.tk.Observe(report)
-	// Retire deltas lead, mirroring the standalone engine's emit path
-	// so cluster runs stay byte-identical to single-node runs.
-	res.Deltas = append(stream.RetireDeltas(res.Seq, a.tk.RetiredNow()),
-		stream.DeltasFor(res.Seq, report.AllCampaigns(), res.Matches)...)
-	for _, s := range a.cfg.Sinks {
-		name := clusterSinkName(s)
-		t0 := time.Now()
-		err := s.Consume(&res)
-		d := time.Since(t0)
-		a.tr.Record(int64(seq), name, t0, d)
-		a.mSink[name].Observe(d.Seconds())
+		report, err := a.commit.Detect(ctx, seq, merged)
 		if err != nil {
-			a.setErr(fmt.Errorf("cluster: sink: %w", err))
-			a.log.Error("sink failed", "window", seq, "sink", name, "err", err)
+			a.setErr(err)
 		}
+		res.Report = report
+	}
+	a.commit.Track(&res)
+	if err := a.commit.Sink(&res); err != nil {
+		a.setErr(err)
 	}
 	a.out <- res
 }

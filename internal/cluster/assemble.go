@@ -264,8 +264,17 @@ func (s *assembler) Submit(frag *wire.Fragment) error {
 	if frag.Node == "" {
 		return errors.New("cluster: fragment without a node name")
 	}
-	if !frag.Final && frag.Index == nil {
-		return errors.New("cluster: non-final fragment without an index")
+	if !frag.Final {
+		if frag.Index == nil {
+			return errors.New("cluster: non-final fragment without an index")
+		}
+		// A child started with another -window/-stride derives ids on a
+		// different grid; merged by id it would land in an unrelated slot.
+		if !frag.Start.Equal(WindowStart(frag.Window, s.cfg.stride)) || frag.End.Sub(frag.Start) != s.cfg.window {
+			return fmt.Errorf("cluster: fragment %d from %s spans [%s, %s), not window %d of this tier's window %v / stride %v; every node of the tree needs the same two",
+				frag.Window, frag.Node, frag.Start.Format(time.RFC3339), frag.End.Format(time.RFC3339),
+				frag.Window, s.cfg.window, s.cfg.stride)
+		}
 	}
 	select {
 	case <-s.done:

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"smash/internal/core"
+	"smash/internal/obs"
 	"smash/internal/stream"
 	"smash/internal/synth"
 	"smash/internal/trace"
@@ -100,10 +102,52 @@ func runIngestNode(t *testing.T, url, node string, shard, of int, reqs []trace.R
 	}
 }
 
+// probeSink is a named no-op sink, so both sides of the parity check have
+// a sink span and a sink-latency series to compare.
+type probeSink struct{}
+
+func (probeSink) Consume(*stream.WindowResult) error { return nil }
+func (probeSink) SinkName() string                   { return "probe" }
+
+// commitSpans returns the sorted set of commit-path span kinds in one
+// window trace: detect, detect:<stage> and the probe sink. How the window
+// was assembled (build/seal vs fragments/merge/hop) is left out.
+func commitSpans(wt *obs.WindowTrace) []string {
+	set := make(map[string]bool)
+	if wt != nil {
+		for _, sp := range wt.Spans {
+			if sp.Phase == "detect" || strings.HasPrefix(sp.Phase, "detect:") || sp.Phase == "probe" {
+				set[sp.Phase] = true
+			}
+		}
+	}
+	kinds := make([]string, 0, len(set))
+	for k := range set {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	return kinds
+}
+
+// commitCounts returns the _count lines of the three commit-path
+// histogram families from a registry's exposition.
+func commitCounts(t *testing.T, reg *obs.Registry) []string {
+	var lines []string
+	for _, line := range strings.Split(promBody(t, reg), "\n") {
+		for _, family := range []string{"smash_window_detect_seconds", "smash_pipeline_stage_seconds", "smash_sink_consume_seconds"} {
+			if strings.HasPrefix(line, family+"_count") {
+				lines = append(lines, line)
+			}
+		}
+	}
+	return lines
+}
+
 // The tentpole guarantee: a 2-ingest-node + aggregator run over a
 // client-hash-partitioned trace produces window fingerprints, reports,
 // deltas and the final lineage summary identical to a standalone
-// single-node run over the same trace.
+// single-node run over the same trace — and, both committing through one
+// stream.Committer, the same commit-path spans and latency series.
 func TestClusterMatchesStandalone(t *testing.T) {
 	const nodes = 2
 	window := 24 * time.Hour
@@ -111,9 +155,11 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	det := []core.Option{core.WithSeed(1)}
 
 	// Standalone reference run, keeping window indexes for fingerprints.
+	stdReg, stdTr := obs.NewRegistry(), obs.NewTracer(8)
 	std, err := stream.New(stream.Config{
 		Name: "eq", Window: window, Origin: Epoch,
 		KeepIndex: true, Detector: det,
+		Sinks: []stream.Sink{probeSink{}}, Metrics: stdReg, Tracer: stdTr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +176,10 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	}
 
 	// Cluster run: aggregator behind HTTP, two ingest nodes.
+	aggReg, aggTr := obs.NewRegistry(), obs.NewTracer(8)
 	agg, err := NewAggregator(AggregatorConfig{
 		Name: "eq", Window: window, Expect: nodes, Detector: det,
+		Sinks: []stream.Sink{probeSink{}}, Metrics: aggReg, Tracer: aggTr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +225,19 @@ func TestClusterMatchesStandalone(t *testing.T) {
 		dGot, _ := json.Marshal(g.Deltas)
 		if string(dGot) != string(dWant) {
 			t.Errorf("window %d deltas diverged:\ngot:  %s\nwant: %s", i, dGot, dWant)
+		}
+		kWant, kGot := commitSpans(stdTr.Trace(int64(i))), commitSpans(aggTr.Trace(int64(i)))
+		if len(kWant) != 2+len(core.StageNames()) || !reflect.DeepEqual(kGot, kWant) {
+			t.Errorf("window %d commit-path spans: cluster %v, standalone %v (want detect, every stage, probe)", i, kGot, kWant)
+		}
+	}
+	cWant, cGot := commitCounts(t, stdReg), commitCounts(t, aggReg)
+	if len(cWant) != 2+len(core.StageNames()) || !reflect.DeepEqual(cGot, cWant) {
+		t.Errorf("commit-path histogram counts:\ncluster:    %v\nstandalone: %v", cGot, cWant)
+	}
+	for _, line := range cWant {
+		if strings.HasSuffix(line, " 0") {
+			t.Errorf("commit-path series never observed: %s", line)
 		}
 	}
 	if got, want := agg.Tracker().Summary(), std.Tracker().Summary(); got != want {

@@ -1,20 +1,18 @@
 // Package core is SMASH's public pipeline: it wires preprocessing, ASH
 // mining, multi-dimension correlation, pruning and campaign inference
-// (Fig. 2 of the paper) behind a Detector with functional options.
+// (Fig. 2 of the paper) into a Pipeline built from functional options.
 //
 // Typical use:
 //
-//	det := core.New(core.WithSeed(42), core.WithWhois(registry))
-//	report, err := det.Run(dayTrace)
+//	pipe := core.NewPipeline(core.WithSeed(42), core.WithWhois(registry))
+//	report, err := pipe.RunTrace(ctx, dayTrace)
 //	for _, c := range report.Campaigns { ... }
 //
-// The staged form of the same flow is Pipeline: five first-class stages
-// with typed State artifacts, context cancellation end-to-end, parallel
-// dimension mining, and Observer hooks around every stage (see
-// pipeline.go and DESIGN.md). Detector.Run/RunIndex are thin wrappers over
-// Pipeline.Run with a background context.
+// A Pipeline is five first-class stages with typed State artifacts,
+// context cancellation end-to-end, parallel dimension mining, and Observer
+// hooks around every stage (see pipeline.go and DESIGN.md).
 //
-// The detector is deterministic for a fixed option set and input trace;
+// The pipeline is deterministic for a fixed option set and input trace;
 // mining-worker count changes wall-clock time, never output.
 package core
 
@@ -51,7 +49,7 @@ type config struct {
 	observers       []Observer
 }
 
-// Option configures a Detector.
+// Option configures a Pipeline.
 type Option func(*config)
 
 // WithSeed sets the seed for the deterministic community detection.
@@ -135,9 +133,9 @@ func defaultConfig() config {
 	}
 }
 
-// Detector runs the SMASH pipeline. It is a thin compatibility wrapper
-// over Pipeline: Run/RunIndex execute all five stages with a background
-// context, RunContext/RunIndexContext thread a caller context through.
+// Detector is the one-call form New(opts...).Run(trace) that
+// bench/smashload's tests are written against; everything in this module
+// builds a Pipeline and calls RunTrace or Run.
 type Detector struct {
 	pipe *Pipeline
 }
@@ -147,9 +145,10 @@ func New(opts ...Option) *Detector {
 	return &Detector{pipe: NewPipeline(opts...)}
 }
 
-// Pipeline exposes the detector's staged pipeline for per-stage control
-// (observers are shared; both views run the same configuration).
-func (d *Detector) Pipeline() *Pipeline { return d.pipe }
+// Run is Pipeline.RunTrace with a background context.
+func (d *Detector) Run(t *trace.Trace) (*Report, error) {
+	return d.pipe.RunTrace(context.Background(), t)
+}
 
 // Report is the output of one pipeline run. The JSON shape is stable:
 // heavyweight internals (indexes, per-dimension herds) are excluded, and
@@ -212,38 +211,6 @@ func CampaignServers(campaigns []campaign.Campaign) []string {
 
 // ErrEmptyTrace is returned when the input trace has no requests.
 var ErrEmptyTrace = errors.New("core: empty trace")
-
-// Run executes the full pipeline on one trace (typically one day).
-func (d *Detector) Run(t *trace.Trace) (*Report, error) {
-	return d.RunContext(context.Background(), t)
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done the
-// pipeline stops at the next stage boundary (inside mining, at the next
-// dimension) and returns ctx.Err(). extra observers fire for this run
-// only, after the configured ones.
-func (d *Detector) RunContext(ctx context.Context, t *trace.Trace, extra ...Observer) (*Report, error) {
-	return d.pipe.RunTrace(ctx, t, extra...)
-}
-
-// RunIndex executes the pipeline on a prebuilt raw (pre-filter) index. This
-// is the streaming entry point: internal/stream accumulates each window's
-// index incrementally across shards instead of materializing a Trace, then
-// hands the merged index here. Run is equivalent to
-// RunIndex(trace.BuildIndex(t), t.ComputeStats()). stats labels the report;
-// the index itself is the unit of detection. The caller must not mutate raw
-// afterwards. A Detector is stateless, so concurrent RunIndex calls on one
-// Detector are safe.
-func (d *Detector) RunIndex(raw *trace.Index, stats trace.Stats) (*Report, error) {
-	return d.RunIndexContext(context.Background(), raw, stats)
-}
-
-// RunIndexContext is RunIndex with cooperative cancellation (see
-// RunContext for the semantics). extra observers fire for this run only,
-// after the configured ones.
-func (d *Detector) RunIndexContext(ctx context.Context, raw *trace.Index, stats trace.Stats, extra ...Observer) (*Report, error) {
-	return d.pipe.Run(ctx, raw, stats, extra...)
-}
 
 // filterByScore drops campaign members below the threshold and campaigns
 // left with fewer than two servers, renumbering ids.

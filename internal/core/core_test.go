@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"smash/internal/similarity"
@@ -34,8 +35,8 @@ func runDetector(t *testing.T, w *synth.World, opts ...Option) *Report {
 		WithWhois(w.Whois),
 		WithProber(w.Prober),
 	}, opts...)
-	det := New(all...)
-	report, err := det.Run(w.Trace())
+	det := NewPipeline(all...)
+	report, err := det.RunTrace(context.Background(), w.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func runDetector(t *testing.T, w *synth.World, opts ...Option) *Report {
 }
 
 func TestRunEmptyTrace(t *testing.T) {
-	det := New()
-	if _, err := det.Run(&trace.Trace{}); err == nil {
+	det := NewPipeline()
+	if _, err := det.RunTrace(context.Background(), &trace.Trace{}); err == nil {
 		t.Error("empty trace accepted")
 	}
-	if _, err := det.Run(nil); err == nil {
+	if _, err := det.RunTrace(context.Background(), nil); err == nil {
 		t.Error("nil trace accepted")
 	}
 }
@@ -271,8 +272,7 @@ func TestRunLeavesRawIndexUntouched(t *testing.T) {
 	w := testWorld(t)
 	raw := trace.BuildIndex(w.Trace())
 	before := raw.Fingerprint()
-	report, err := New(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober)).
-		RunIndex(raw, w.Trace().ComputeStats())
+	report, err := NewPipeline(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober)).Run(context.Background(), raw, w.Trace().ComputeStats())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestQueryDimensionRecoversParameterCampaign(t *testing.T) {
 
 	// Without the query dimension the campaign shares nothing secondary:
 	// it must be missed (the paper's false negative).
-	base := New(WithSeed(3))
-	baseReport, err := base.Run(tr)
+	base := NewPipeline(WithSeed(3))
+	baseReport, err := base.RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,8 @@ func TestQueryDimensionRecoversParameterCampaign(t *testing.T) {
 	}
 
 	// With the query-pattern extra dimension the campaign is recovered.
-	ext := New(WithSeed(3), WithExtraDimension(herd.QueryDimension(similarity.Options{})))
-	extReport, err := ext.Run(tr)
+	ext := NewPipeline(WithSeed(3), WithExtraDimension(herd.QueryDimension(similarity.Options{})))
+	extReport, err := ext.RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

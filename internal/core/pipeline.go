@@ -161,15 +161,14 @@ type Observer interface {
 	StageEnd(res StageResult)
 }
 
-// Pipeline is the staged form of the detector: the same five-stage Fig. 2
-// flow as Detector.Run, but with each stage exposed as a first-class value,
-// context cancellation between stages and inside dimension mining, and
-// observer hooks around every stage. A Pipeline is stateless and safe for
-// concurrent runs.
+// Pipeline is the detector: the five-stage Fig. 2 flow with each stage
+// exposed as a first-class value, context cancellation between stages and
+// inside dimension mining, and observer hooks around every stage. A
+// Pipeline is stateless and safe for concurrent runs.
 type Pipeline struct {
 	cfg config
 
-	// The miner is part of the pipeline's per-Detector scratch: dimensions
+	// The miner is part of the pipeline's scratch: dimensions
 	// and miner are immutable once built, so one instance serves every run
 	// (the streaming engine runs one detection per window) instead of
 	// being reconstructed per window.
@@ -178,7 +177,7 @@ type Pipeline struct {
 	mineErr  error
 }
 
-// NewPipeline builds a Pipeline from the same options as New.
+// NewPipeline builds a Pipeline from options.
 func NewPipeline(opts ...Option) *Pipeline {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -199,7 +198,12 @@ func (p *Pipeline) Stages() []Stage {
 	}
 }
 
-// Run executes all five stages over a raw (pre-filter) index. It returns
+// Run executes all five stages over a prebuilt raw (pre-filter) index —
+// the streaming entry point: internal/stream accumulates each window's
+// index incrementally across shards instead of materializing a Trace.
+// stats labels the report; the index itself is the unit of detection. The
+// caller must not mutate raw afterwards (the report shares it). A Pipeline
+// is stateless, so concurrent Runs on one Pipeline are safe. It returns
 // ctx.Err() as soon as the current stage finishes once ctx is cancelled;
 // inside StageMine cancellation is checked per dimension. extra observers,
 // if any, fire for this run only, after the configured ones — the hook
@@ -212,7 +216,8 @@ func (p *Pipeline) Run(ctx context.Context, raw *trace.Index, stats trace.Stats,
 	return p.RunFrom(ctx, &State{Raw: raw, Stats: stats}, StagePreprocess, extra...)
 }
 
-// RunTrace indexes a trace and runs all five stages.
+// RunTrace indexes a trace (typically one day) and runs all five stages:
+// Run(ctx, trace.BuildIndex(t), t.ComputeStats()).
 func (p *Pipeline) RunTrace(ctx context.Context, t *trace.Trace, extra ...Observer) (*Report, error) {
 	if t == nil || len(t.Requests) == 0 {
 		return nil, ErrEmptyTrace

@@ -38,12 +38,12 @@ func TestPipelineStagesRunIndividually(t *testing.T) {
 		t.Fatal("state artifacts missing after manual stage run")
 	}
 
-	want, err := New(opts...).Run(tr)
+	want, err := NewPipeline(opts...).RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st.Report.Summarize(), want.Summarize()) {
-		t.Error("manually staged run diverges from Detector.Run")
+		t.Error("manually staged run diverges from Pipeline.RunTrace")
 	}
 }
 
@@ -106,8 +106,8 @@ func (r *stageRecorder) StageEnd(res StageResult) {
 func TestObserverSeesEveryStage(t *testing.T) {
 	w := testWorld(t)
 	rec := &stageRecorder{}
-	det := New(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober), WithObserver(rec))
-	if _, err := det.Run(w.Trace()); err != nil {
+	det := NewPipeline(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober), WithObserver(rec))
+	if _, err := det.RunTrace(context.Background(), w.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec.starts, StageNames()) {
@@ -137,9 +137,9 @@ func TestTimingAndLogObservers(t *testing.T) {
 	w := testWorld(t)
 	timing := NewTimingObserver()
 	var logBuf bytes.Buffer
-	det := New(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober),
+	det := NewPipeline(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober),
 		WithObserver(timing), WithObserver(&LogObserver{W: &logBuf, Prefix: "test: "}))
-	if _, err := det.Run(w.Trace()); err != nil {
+	if _, err := det.RunTrace(context.Background(), w.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range StageNames() {
@@ -161,8 +161,8 @@ func TestRunContextCancelledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rec := &stageRecorder{}
-	det := New(WithSeed(7), WithObserver(rec))
-	if _, err := det.RunContext(ctx, w.Trace()); !errors.Is(err, context.Canceled) {
+	det := NewPipeline(WithSeed(7), WithObserver(rec))
+	if _, err := det.RunTrace(ctx, w.Trace()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(rec.starts) != 0 {
@@ -190,10 +190,10 @@ func TestRunContextCancelBetweenStages(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := &stageRecorder{}
-	det := New(WithSeed(7),
+	det := NewPipeline(WithSeed(7),
 		WithObserver(&cancelAfterStage{stage: StagePreprocess, cancel: cancel}),
 		WithObserver(rec))
-	if _, err := det.RunContext(ctx, w.Trace()); !errors.Is(err, context.Canceled) {
+	if _, err := det.RunTrace(ctx, w.Trace()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !reflect.DeepEqual(rec.starts, []string{StagePreprocess}) {
@@ -227,9 +227,9 @@ func TestRunContextCancelMidMining(t *testing.T) {
 
 	slow := &blockingDimension{name: "slowdim", started: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan error, 1)
-	det := New(WithSeed(7), WithMiningWorkers(1), WithExtraDimension(slow))
+	det := NewPipeline(WithSeed(7), WithMiningWorkers(1), WithExtraDimension(slow))
 	go func() {
-		_, err := det.RunContext(ctx, w.Trace())
+		_, err := det.RunTrace(ctx, w.Trace())
 		done <- err
 	}()
 
@@ -260,7 +260,7 @@ func TestParallelMiningEquivalence(t *testing.T) {
 	raw, stats := trace.BuildIndex(tr), tr.ComputeStats()
 	base := []Option{WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober)}
 
-	seq, err := New(append(base, WithMiningWorkers(1))...).RunIndex(raw, stats)
+	seq, err := NewPipeline(append(base, WithMiningWorkers(1))...).Run(context.Background(), raw, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +268,7 @@ func TestParallelMiningEquivalence(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	par, err := New(append(base, WithMiningWorkers(workers))...).
-		RunIndexContext(context.Background(), raw, stats)
+	par, err := NewPipeline(append(base, WithMiningWorkers(workers))...).Run(context.Background(), raw, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

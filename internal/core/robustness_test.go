@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -53,8 +54,8 @@ func TestRunDegenerateTraces(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			det := New(WithSeed(1))
-			report, err := det.Run(tt.tr)
+			det := NewPipeline(WithSeed(1))
+			report, err := det.RunTrace(context.Background(), tt.tr)
 			if err != nil {
 				t.Fatalf("degenerate trace errored: %v", err)
 			}
@@ -77,7 +78,7 @@ func TestRunSingleCrawlerClient(t *testing.T) {
 			fmt.Sprintf("s%d.com", i), fmt.Sprintf("1.1.%d.%d", i/250, i%250),
 			fmt.Sprintf("/page%d.html", i)))
 	}
-	report, err := New(WithSeed(1)).Run(tr)
+	report, err := NewPipeline(WithSeed(1)).RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestOptionsCoverage(t *testing.T) {
 				mkReq(bot, fmt.Sprintf("evil%d.com", i), "9.9.9.9", "/login.php"))
 		}
 	}
-	det := New(
+	det := NewPipeline(
 		WithSeed(2),
 		WithIDFThreshold(100),
 		WithSigma(4, 5.5),
@@ -103,7 +104,7 @@ func TestOptionsCoverage(t *testing.T) {
 		WithMinClients(2),
 		WithoutWhoisDimension(),
 	)
-	report, err := det.Run(tr)
+	report, err := det.RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestComponentMiningOption(t *testing.T) {
 				mkReq(bot, fmt.Sprintf("evil%d.com", i), "9.9.9.9", "/login.php"))
 		}
 	}
-	report, err := New(WithSeed(2), WithComponentMining()).Run(tr)
+	report, err := NewPipeline(WithSeed(2), WithComponentMining()).RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestSummarizeAndJSON(t *testing.T) {
 	}
 	tr.Requests = append(tr.Requests, mkReq("lone", "x1.com", "8.8.8.1", "/gate.php"))
 	tr.Requests = append(tr.Requests, mkReq("lone", "x2.com", "8.8.8.1", "/gate.php"))
-	report, err := New(WithSeed(2)).Run(tr)
+	report, err := NewPipeline(WithSeed(2)).RunTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

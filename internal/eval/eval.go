@@ -16,6 +16,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"smash/internal/campaign"
@@ -100,7 +101,7 @@ func (e *Env) Run(day int, thresh, singleThresh float64) (*core.Report, error) {
 		core.WithSingleClientThreshold(singleThresh),
 	}
 	opts = append(opts, e.ExtraOptions...)
-	report, err := core.New(opts...).Run(e.World.Days[day])
+	report, err := core.NewPipeline(opts...).RunTrace(context.Background(), e.World.Days[day])
 	if err != nil {
 		return nil, fmt.Errorf("eval: run day %d: %w", day, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -407,5 +408,71 @@ func TestClusterTreeEndpoint(t *testing.T) {
 	}
 	if leaf.Role != "standalone" || len(leaf.Children) != 0 {
 		t.Errorf("standalone view = %+v, want role standalone and no children", leaf)
+	}
+}
+
+// A child started with another -window or -stride derives its window ids
+// on a different grid. Both fragment-accepting roles must refuse such a
+// fragment permanently (400: the forwarder neither retries nor spools it)
+// before it reaches the fragment log or any counter, instead of merging an
+// hour-id into a day-id slot.
+func TestIngestRejectsMisconfiguredChild(t *testing.T) {
+	const window = 24 * time.Hour
+	aggDir, mergeDir := t.TempDir(), t.TempDir()
+	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
+		Window: window, Expect: 1, FragDir: aggDir,
+		Detector: []core.Option{core.WithSeed(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merger, err := cluster.NewMerger(cluster.MergerConfig{
+		Window: window, Expect: 1, FragDir: mergeDir,
+		Forward: cluster.ForwarderConfig{URL: "http://127.0.0.1:0", Node: "merge0"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hourly is what a `-window 1h` child sends; shifted has the right
+	// length but sits off this tier's stride grid.
+	hourStart := cluster.WindowStart(3, window).Add(5 * time.Hour)
+	hourly := windowFragment("n0", cluster.WindowID(hourStart, time.Hour), "c1")
+	hourly.Start, hourly.End = hourStart, hourStart.Add(time.Hour)
+	shifted := windowFragment("n0", 3, "c1")
+	shifted.Start, shifted.End = shifted.Start.Add(time.Hour), shifted.End.Add(time.Hour)
+
+	for _, role := range []struct {
+		name string
+		sink FragmentSink
+		dir  string
+	}{{"aggregate", agg, aggDir}, {"merge", merger, mergeDir}} {
+		t.Run(role.name, func(t *testing.T) {
+			h := NewHandler(Config{Store: memStore(t), Aggregator: role.sink, Role: role.name})
+			logged := func() int {
+				entries, err := os.ReadDir(role.dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(entries)
+			}
+			before, beforeLogged := role.sink.Stats(), logged()
+			for name, frag := range map[string]*wire.Fragment{"hourly": hourly, "shifted": shifted} {
+				if rec := postFragment(t, h, frag); rec.Code != http.StatusBadRequest {
+					t.Errorf("%s fragment: status = %d, want 400: %s", name, rec.Code, rec.Body)
+				}
+			}
+			if got := role.sink.Stats(); got != before {
+				t.Errorf("counters moved on rejected fragments: %+v -> %+v", before, got)
+			}
+			if got := logged(); got != beforeLogged {
+				t.Errorf("fragment log grew from %d to %d entries on rejected fragments", beforeLogged, got)
+			}
+			if rec := postFragment(t, h, windowFragment("n0", 3, "c1")); rec.Code != http.StatusAccepted {
+				t.Fatalf("well-formed fragment: status = %d: %s", rec.Code, rec.Body)
+			}
+			if got := logged(); got == beforeLogged {
+				t.Error("accepted fragment left no trace in the fragment log: the check above proves nothing")
+			}
+		})
 	}
 }

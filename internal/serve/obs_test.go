@@ -212,12 +212,9 @@ func labelsWithoutLe(labels string) string {
 // histogram families on /metrics.
 func TestMetricsLint(t *testing.T) {
 	st, eng, reg, tr := fixtureObserved(t)
-	timing := core.NewTimingObserver()
-	timing.StageEnd(core.StageResult{Stage: "mine", Duration: 30 * time.Millisecond})
 	h := NewHandler(Config{
 		Store:       st,
 		EngineStats: eng.Stats,
-		Timing:      timing,
 		Metrics:     reg,
 		Tracer:      tr,
 	})

@@ -69,7 +69,6 @@ import (
 	"time"
 
 	"smash/internal/cluster"
-	"smash/internal/core"
 	"smash/internal/obs"
 	"smash/internal/source"
 	"smash/internal/store"
@@ -96,9 +95,6 @@ type Config struct {
 	// Store is the campaign-state store backing every /v1 endpoint
 	// (required).
 	Store *store.Store
-	// Timing, when set, contributes per-stage pipeline totals to /metrics.
-	// Install the same observer on the detector (core.WithObserver).
-	Timing *core.TimingObserver
 	// EngineStats, when set, contributes live engine ingestion counters to
 	// /v1/stats and /metrics (use Engine.Stats).
 	EngineStats func() stream.Stats
@@ -758,27 +754,6 @@ func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.S
 					if s.LagSeconds >= 0 {
 						emit(s.LagSeconds, "source", s.Name, "format", s.Format)
 					}
-				}
-			})
-	}
-
-	if tm := cfg.Timing; tm != nil {
-		stages := core.StageNames()
-		sort.Strings(stages)
-		reg.CounterFunc("smash_pipeline_stage_seconds_total",
-			"Wall-clock per detection stage.",
-			func(emit obs.Emit) {
-				for _, stage := range stages {
-					d, _ := tm.Total(stage)
-					emit(d.Seconds(), "stage", stage)
-				}
-			})
-		reg.CounterFunc("smash_pipeline_stage_runs_total",
-			"Completed runs per detection stage.",
-			func(emit obs.Emit) {
-				for _, stage := range stages {
-					_, runs := tm.Total(stage)
-					emit(float64(runs), "stage", stage)
 				}
 			})
 	}

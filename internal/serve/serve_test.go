@@ -164,10 +164,8 @@ func TestLatestWindowAndHealth(t *testing.T) {
 }
 
 func TestMetrics(t *testing.T) {
-	st, eng := fixtureStore(t)
-	timing := core.NewTimingObserver()
-	timing.StageEnd(core.StageResult{Stage: "mine", Duration: 30 * time.Millisecond})
-	h := NewHandler(Config{Store: st, EngineStats: eng.Stats, Timing: timing})
+	st, eng, reg, _ := fixtureObserved(t)
+	h := NewHandler(Config{Store: st, EngineStats: eng.Stats, Metrics: reg})
 
 	rec := get(t, h, "/metrics")
 	body := rec.Body.String()
@@ -177,8 +175,8 @@ func TestMetrics(t *testing.T) {
 		`smash_store_deltas_total{kind="appear"} 1`,
 		`smash_lineages{state="active"} 1`,
 		"smash_engine_events_total 26",
-		`smash_pipeline_stage_seconds_total{stage="mine"} 0.03`,
-		`smash_pipeline_stage_runs_total{stage="mine"} 1`,
+		`smash_pipeline_stage_seconds_sum{stage="mine"} `,
+		`smash_pipeline_stage_seconds_count{stage="mine"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

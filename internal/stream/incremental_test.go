@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,23 +66,112 @@ func windowFingerprints(windows []WindowResult) []string {
 	return out
 }
 
-// TestIncrementalMatchesLegacyWindowing drives random stride/window/
-// lateness combinations through the incremental stride-fragment ring and
-// through the legacy per-window fragment path, and requires byte-identical
-// output: same windows, same per-window raw index (fingerprinted), same
-// lineage deltas, same late-drop accounting. Non-divisible strides (where
-// the engine itself falls back to the legacy path) ride along to keep the
-// fallback honest.
+// modelWindow is one window the sequential model predicts.
+type modelWindow struct {
+	start, end time.Time
+	events     []trace.Request
+}
+
+// windowModel is the reference the engine is held to: it replays events
+// one at a time, single-threaded, keeping a plain event list per open
+// window, under the documented rules. The origin is cfg.Origin or the
+// first event's time truncated to the stride; window s covers
+// [origin+s*stride, origin+s*stride+window); an event before the origin,
+// or whose every window has sealed, is dropped and counted late; one whose
+// earlier windows have sealed joins only the still-open ones; after each
+// accepted event every window ending at or before max event time minus
+// the watermark seals, in order; end of input seals the rest.
+func windowModel(events []trace.Request, cfg Config) ([]modelWindow, Stats) {
+	var (
+		st               Stats
+		out              []modelWindow
+		origin, maxTime  time.Time
+		open             = make(map[int64][]trace.Request)
+		nextSeal, maxSeq int64
+		started          bool
+	)
+	seal := func() {
+		start := origin.Add(cfg.Stride * time.Duration(nextSeal))
+		out = append(out, modelWindow{start, start.Add(cfg.Window), open[nextSeal]})
+		if len(open[nextSeal]) == 0 {
+			st.EmptyWindows++
+		}
+		delete(open, nextSeal)
+		st.Windows++
+		nextSeal++
+	}
+	for i, r := range events {
+		if i == 0 {
+			if origin = cfg.Origin; origin.IsZero() {
+				origin = r.Time.Truncate(cfg.Stride)
+			}
+		}
+		dt := r.Time.Sub(origin)
+		hi := int64(dt / cfg.Stride) // last window starting at or before dt
+		lo := hi
+		for lo > 0 && cfg.Stride*time.Duration(lo-1)+cfg.Window > dt {
+			lo-- // earlier windows still covering dt
+		}
+		if !started && dt >= 0 {
+			nextSeal, maxSeq, started = lo, lo, true
+		}
+		if dt < 0 || hi < nextSeal {
+			st.Late++
+			continue
+		}
+		st.Events++
+		for s := max(lo, nextSeal); s <= hi; s++ {
+			open[s] = append(open[s], r)
+		}
+		maxSeq = max(maxSeq, hi)
+		if r.Time.After(maxTime) {
+			maxTime = r.Time
+		}
+		for nextSeal <= maxSeq && !origin.Add(cfg.Stride*time.Duration(nextSeal)+cfg.Window).After(maxTime.Add(-cfg.Watermark)) {
+			seal()
+		}
+	}
+	for started && nextSeal <= maxSeq {
+		seal()
+	}
+	return out, st
+}
+
+// TestIncrementalMatchesLegacyWindowing holds the gcd-width fragment ring
+// to the sequential model (it kept its name from the days the reference
+// was a second, per-window assembly path in the engine). Random
+// window/stride/lateness combinations — stride dividing the window,
+// window = k*stride + stride/2, strides sharing only a minutes-sized or a
+// 1 ns divisor with the window, explicit origins before and after the
+// first event — with random shards, workers and symbol rotation must
+// produce the model's windows exactly: same count, Seq, bounds, request
+// counts and Stats (late drops, empty windows), and every window's index
+// fingerprint-equal to trace.BuildIndex of exactly the model's events.
 func TestIncrementalMatchesLegacyWindowing(t *testing.T) {
+	const ns = time.Nanosecond
+	// Non-divisible (window, stride) pairs; the last three are coprime in
+	// nanoseconds, so every distinct event time is its own fragment.
+	odd := [][2]time.Duration{
+		{50 * time.Minute, 30 * time.Minute}, {70 * time.Minute, 30 * time.Minute},
+		{25 * time.Minute, 10 * time.Minute}, {time.Hour, 17 * time.Minute},
+		{24 * time.Hour, 7 * time.Hour}, {90 * time.Minute, 60 * time.Minute},
+		{50*time.Minute + ns, 20 * time.Minute}, {time.Hour, 17*time.Minute + ns},
+		{45*time.Minute + 7*ns, 45*time.Minute - 4*ns},
+	}
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		stride := time.Duration(1+rng.Intn(4)) * 10 * time.Minute
 		var window time.Duration
 		if trial%4 == 3 {
-			// Non-divisible: window = k*stride + stride/2 (falls back).
+			// Non-divisible: window = k*stride + stride/2.
 			window = stride*time.Duration(1+rng.Intn(3)) + stride/2
 		} else {
 			window = stride * time.Duration(1+rng.Intn(4))
+		}
+		coprime := false
+		if trial >= 12 && trial%2 == 0 {
+			i := (trial / 2) % len(odd)
+			window, stride, coprime = odd[i][0], odd[i][1], i >= 6
 		}
 		watermark := time.Duration(rng.Intn(3)) * 7 * time.Minute
 		jitter := time.Duration(rng.Intn(3)) * 11 * time.Minute
@@ -87,31 +179,88 @@ func TestIncrementalMatchesLegacyWindowing(t *testing.T) {
 		name := fmt.Sprintf("trial%d_w%v_s%v_wm%v_j%v", trial, window, stride, watermark, jitter)
 
 		t.Run(name, func(t *testing.T) {
-			run := func(legacy bool, shards, workers int) ([]WindowResult, *Engine) {
-				eng, err := New(Config{
-					Window: window, Stride: stride, Watermark: watermark,
-					Shards: shards, Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
+			cfg := Config{
+				Window: window, Stride: stride, Watermark: watermark,
+				Shards: 1 + rng.Intn(4), Workers: 1 + rng.Intn(3),
+				RotateSymbolsEvery: rng.Intn(4) - 1, // off, default, every window, every other
+				KeepIndex:          true,
+			}
+			switch rng.Intn(3) {
+			case 1: // windows start before the data: the first emitted seq is not window 0
+				cfg.Origin = events[0].Time.Add(-stride*time.Duration(1+trial%3) - stride/3)
+			case 2: // the data starts before the windows: leading events are late
+				cfg.Origin = events[0].Time.Add(stride / 3)
+			}
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, _, _ := eng.fragGeometry(); coprime && g != ns {
+				t.Fatalf("fragment width %v, want 1ns for a coprime pair", g)
+			}
+			got := collect(t, eng, &SliceSource{Requests: events})
+			want, wantStats := windowModel(events, cfg)
+			if eng.Stats() != wantStats {
+				t.Errorf("stats diverge: engine %+v, model %+v", eng.Stats(), wantStats)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("engine emitted %d windows, model %d", len(got), len(want))
+			}
+			for i, w := range got {
+				m := want[i]
+				if w.Seq != i || !w.Start.Equal(m.start) || !w.End.Equal(m.end) || w.Requests != len(m.events) {
+					t.Fatalf("window %d: engine seq=%d [%s,%s) req=%d, model [%s,%s) req=%d",
+						i, w.Seq, w.Start, w.End, w.Requests, m.start, m.end, len(m.events))
 				}
-				eng.forceLegacy = legacy
-				return collect(t, eng, &SliceSource{Requests: events}), eng
-			}
-			gotW, gotE := run(false, 1+rng.Intn(4), 1+rng.Intn(3))
-			wantW, wantE := run(true, 1+rng.Intn(4), 1+rng.Intn(3))
-
-			if gotE.Stats() != wantE.Stats() {
-				t.Errorf("stats diverge: incremental %+v, legacy %+v", gotE.Stats(), wantE.Stats())
-			}
-			got, want := windowFingerprints(gotW), windowFingerprints(wantW)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("window streams diverge:\nincremental:\n%v\nlegacy:\n%v", got, want)
-			}
-			if !reflect.DeepEqual(deltaSummary(gotW), deltaSummary(wantW)) {
-				t.Errorf("delta streams diverge")
+				wantFP := trace.BuildIndex(&trace.Trace{Requests: m.events}).Fingerprint()
+				if gotFP := w.Index.Fingerprint(); gotFP != wantFP {
+					t.Errorf("window %d: index diverges from the model's events:\n got: %s\nwant: %s", i, gotFP, wantFP)
+				}
+				if w.Report != nil && w.Report.RawIndex != w.Index {
+					t.Errorf("window %d: detection ran on a different index than the one published", i)
+				}
 			}
 		})
+	}
+}
+
+// TestEveryEventIndexedOnce pins the cost half of the one-path claim on a
+// stride that does not divide its window: the fragments the shards hand
+// over hold each accepted event exactly once, although every event lies
+// in two or three overlapping windows.
+func TestEveryEventIndexedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	events := randomEvents(rng, 300, 10*time.Minute, 12, 5*time.Minute)
+	var logged bytes.Buffer
+	eng, err := New(Config{
+		Window: 25 * time.Minute, Stride: 10 * time.Minute, Watermark: 5 * time.Minute,
+		Shards: 3, IndexOnly: true,
+		Logger: slog.New(slog.NewJSONHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect(t, eng, &SliceSource{Requests: events})
+	// Sum the sealer's "window sealed" debug records.
+	var requests, indexed int
+	for dec := json.NewDecoder(&logged); dec.More(); {
+		var rec struct {
+			Msg               string
+			Requests, Indexed int
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Msg == "window sealed" {
+			requests, indexed = requests+rec.Requests, indexed+rec.Indexed
+		}
+	}
+	st := eng.Stats()
+	if st.Events == 0 || indexed != st.Events {
+		t.Errorf("shards indexed %d events, engine accepted %d", indexed, st.Events)
+	}
+	if requests < 2*st.Events {
+		t.Errorf("windows hold %d requests for %d events: not an overlapping configuration", requests, st.Events)
 	}
 }
 
@@ -172,36 +321,32 @@ func TestIncrementalIndexMatchesScratchBuild(t *testing.T) {
 }
 
 // TestSymbolRotationInvisible runs the same stream with aggressive
-// symbol-table rotation (every window) and with rotation disabled, on both
-// the ring and the legacy path, and requires identical output — the id
-// hygiene invariant: epochs change id assignment, never reports.
+// symbol-table rotation (every window) and with rotation disabled and
+// requires identical output — the id hygiene invariant: epochs change id
+// assignment, never reports.
 func TestSymbolRotationInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	stride := 20 * time.Minute
 	events := randomEvents(rng, 260, stride, 10, 15*time.Minute)
-	for _, legacy := range []bool{false, true} {
-		run := func(rotateEvery int) ([]WindowResult, *Engine) {
-			eng, err := New(Config{
-				Window: 3 * stride, Stride: stride, Watermark: 20 * time.Minute,
-				Shards: 3, Workers: 2, RotateSymbolsEvery: rotateEvery,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.forceLegacy = legacy
-			return collect(t, eng, &SliceSource{Requests: events}), eng
+	run := func(rotateEvery int) ([]WindowResult, *Engine) {
+		eng, err := New(Config{
+			Window: 3 * stride, Stride: stride, Watermark: 20 * time.Minute,
+			Shards: 3, Workers: 2, RotateSymbolsEvery: rotateEvery,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		rotW, rotE := run(1)
-		offW, offE := run(-1)
-		if rotE.Stats() != offE.Stats() {
-			t.Errorf("legacy=%v: stats diverge under rotation: %+v vs %+v",
-				legacy, rotE.Stats(), offE.Stats())
-		}
-		if !reflect.DeepEqual(windowFingerprints(rotW), windowFingerprints(offW)) {
-			t.Errorf("legacy=%v: symbol rotation changed window output", legacy)
-		}
-		if !reflect.DeepEqual(deltaSummary(rotW), deltaSummary(offW)) {
-			t.Errorf("legacy=%v: symbol rotation changed delta stream", legacy)
-		}
+		return collect(t, eng, &SliceSource{Requests: events}), eng
+	}
+	rotW, rotE := run(1)
+	offW, offE := run(-1)
+	if rotE.Stats() != offE.Stats() {
+		t.Errorf("stats diverge under rotation: %+v vs %+v", rotE.Stats(), offE.Stats())
+	}
+	if !reflect.DeepEqual(windowFingerprints(rotW), windowFingerprints(offW)) {
+		t.Errorf("symbol rotation changed window output")
+	}
+	if !reflect.DeepEqual(deltaSummary(rotW), deltaSummary(offW)) {
+		t.Errorf("symbol rotation changed delta stream")
 	}
 }

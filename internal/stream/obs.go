@@ -5,48 +5,28 @@ import (
 	"strconv"
 	"time"
 
-	"smash/internal/core"
 	"smash/internal/obs"
 )
 
-// NamedSink is an optional Sink refinement: a sink that names itself gets
-// its own consume-latency histogram series and lifecycle span ("store"
-// for the durable store, "forward" for the cluster forwarder) instead of
-// the generic "sink" label.
-type NamedSink interface {
-	Sink
-	// SinkName returns a short stable label for spans and metric labels.
-	SinkName() string
-}
-
-// sinkName labels a sink for spans and metrics.
-func sinkName(s Sink) string {
-	if n, ok := s.(NamedSink); ok {
-		return n.SinkName()
-	}
-	return "sink"
-}
-
-// engineObs bundles the engine's observability wiring: the lifecycle
-// tracer, the structured logger and the latency instruments registered on
-// the metrics registry. The zero value (no registry, no tracer) is fully
-// inert — every instrument method is a nil-receiver no-op — so the hot
-// path carries at most a nil check when observability is off.
+// engineObs bundles the observability wiring of the engine's window
+// assembly side (the Committer instruments detection and sinks): the
+// lifecycle tracer, the structured logger and the latency instruments
+// registered on the metrics registry. The zero value (no registry, no
+// tracer) is fully inert — every instrument method is a nil-receiver
+// no-op — so the hot path carries at most a nil check when observability
+// is off.
 type engineObs struct {
 	tr  *obs.Tracer
 	log *slog.Logger
 
 	ingestSeal *obs.Histogram // window first event -> sealed merged index
 	sealCommit *obs.Histogram // sealed index -> sinks done, result published
-	detect     *obs.Histogram // detection pipeline wall-clock per window
 	lag        *obs.Gauge     // wall clock minus max event time seen
-	stage      map[string]*obs.Histogram
-	sink       map[string]*obs.Histogram
 }
 
 // newEngineObs wires the engine instruments onto reg (nil disables
 // metrics; a nil tracer disables spans; a nil logger discards).
-func newEngineObs(reg *obs.Registry, tr *obs.Tracer, log *slog.Logger, sinks []Sink) engineObs {
+func newEngineObs(reg *obs.Registry, tr *obs.Tracer, log *slog.Logger) engineObs {
 	o := engineObs{tr: tr, log: log}
 	if o.log == nil {
 		o.log = obs.Discard()
@@ -58,21 +38,8 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer, log *slog.Logger, sinks []S
 		"Wall-clock from a window's first accepted event to its sealed, merged index.")
 	o.sealCommit = reg.Histogram("smash_seal_commit_seconds",
 		"Wall-clock from a window's sealed index to its committed result (sinks done, result published).")
-	o.detect = reg.Histogram("smash_window_detect_seconds",
-		"Wall-clock running the detection pipeline, per window.")
 	o.lag = reg.Gauge("smash_watermark_lag_seconds",
 		"Event-time lag: wall clock minus the maximum event time ingested.")
-	o.stage = make(map[string]*obs.Histogram)
-	for _, s := range core.StageNames() {
-		o.stage[s] = reg.Histogram("smash_pipeline_stage_seconds",
-			"Wall-clock per detection pipeline stage run.", "stage", s)
-	}
-	o.sink = make(map[string]*obs.Histogram)
-	for _, s := range sinks {
-		name := sinkName(s)
-		o.sink[name] = reg.Histogram("smash_sink_consume_seconds",
-			"Wall-clock per sink consume on the window commit path.", "sink", name)
-	}
 	return o
 }
 
@@ -91,9 +58,7 @@ func (o *engineObs) beginSeal(j *windowJob) {
 }
 
 // finishSeal stamps the merged index completion, records the "seal" span
-// and observes the ingest->seal latency. Called by whichever goroutine
-// assembled the window index (the sealer on the ring path, the per-window
-// merge goroutine on the legacy path).
+// and observes the ingest->seal latency. Called by the sealer.
 func (o *engineObs) finishSeal(j *windowJob) {
 	j.sealedAt = time.Now()
 	if o.tr != nil {
@@ -103,70 +68,7 @@ func (o *engineObs) finishSeal(j *windowJob) {
 	if !j.firstEvent.IsZero() {
 		o.ingestSeal.Observe(j.sealedAt.Sub(j.firstEvent).Seconds())
 	}
-	o.log.Debug("window sealed", "window", j.seq, "requests", j.idx.RequestCount)
-}
-
-// endDetect records the "detect" span and wall-clock histogram for one
-// window's pipeline run.
-func (o *engineObs) endDetect(seq int64, start time.Time, err error) {
-	d := time.Since(start)
-	if o.tr != nil {
-		attrs := []string(nil)
-		if err != nil {
-			attrs = []string{"error", err.Error()}
-		}
-		o.tr.Record(seq, "detect", start, d, attrs...)
-	}
-	o.detect.Observe(d.Seconds())
-}
-
-// stageObservers returns the per-run extra observers for one window's
-// detection, or nil when neither spans nor stage histograms are wired.
-func (o *engineObs) stageObservers(seq int64) []core.Observer {
-	if o.tr == nil && o.stage == nil {
-		return nil
-	}
-	return []core.Observer{StageTraceObserver(o.tr, o.stage, seq)}
-}
-
-// consumeSink feeds one window result to a sink, recording the consume
-// span and latency series.
-func (o *engineObs) consumeSink(s Sink, res *WindowResult) error {
-	name := sinkName(s)
-	t0 := time.Now()
-	err := s.Consume(res)
-	d := time.Since(t0)
-	o.tr.Record(int64(res.Seq), name, t0, d)
-	o.sink[name].Observe(d.Seconds())
-	return err
-}
-
-// StageTraceObserver returns a core.Observer bound to one window: every
-// finished pipeline stage is recorded as a "detect:<stage>" span on tr
-// and observed in the per-stage histogram family. Both tr and stages may
-// be nil. The aggregator reuses this to trace its merged cluster windows.
-func StageTraceObserver(tr *obs.Tracer, stages map[string]*obs.Histogram, seq int64) core.Observer {
-	return &stageTraceObserver{tr: tr, stages: stages, seq: seq}
-}
-
-type stageTraceObserver struct {
-	tr     *obs.Tracer
-	stages map[string]*obs.Histogram
-	seq    int64
-}
-
-func (o *stageTraceObserver) StageStart(string, int) {}
-
-func (o *stageTraceObserver) StageEnd(res core.StageResult) {
-	if o.tr != nil {
-		attrs := []string(nil)
-		if res.Err != nil {
-			attrs = []string{"error", res.Err.Error()}
-		}
-		o.tr.Record(o.seq, "detect:"+res.Stage,
-			time.Now().Add(-res.Duration), res.Duration, attrs...)
-	}
-	o.stages[res.Stage].Observe(res.Duration.Seconds())
+	o.log.Debug("window sealed", "window", j.seq, "requests", j.idx.RequestCount, "indexed", j.indexed)
 }
 
 // itoa keeps span attribute construction allocation-light.

@@ -1,5 +1,5 @@
 // Package stream is SMASH's streaming ingestion engine: the piece that
-// turns the batch core.Detector into a long-running detection service. The
+// turns the batch core.Pipeline into a long-running detection service. The
 // paper positions SMASH as a system that "can be run everyday to detect
 // daily malicious activities" (§I); this package generalizes "everyday" to
 // arbitrary tumbling or sliding time windows over a continuous event feed.
@@ -7,10 +7,10 @@
 // The pipeline is:
 //
 //	Source ──(bounded channel)──▶ windower ──▶ N index shards
-//	                                 │               │ (seal: merge fragments)
-//	                                 └───────────────▶ detection worker pool
-//	                                                        │
-//	                              sequencer ◀───────────────┘
+//	                                 │               │ (barrier: hand over fragments)
+//	                                 └──▶ sealer (fragment ring) ──▶ detection worker pool
+//	                                                                       │
+//	                              sequencer ◀──────────────────────────────┘
 //	                         (reorders windows, feeds tracker,
 //	                          emits WindowResults with deltas)
 //
@@ -22,26 +22,32 @@
 // build is bit-identical to a sequential one. When the watermark (max
 // event time minus Config.Watermark) passes a window's end the window is
 // sealed and its merged index is dispatched to a pool of Config.Workers
-// detector workers running core.RunIndex. Finished windows are
-// re-sequenced into window order, fed through a tracker.Tracker to link
-// campaigns across windows, and emitted on the output channel as
-// WindowResults carrying appear/persist/rotate deltas.
+// detection workers. Finished windows are re-sequenced into window order
+// and committed — tracker, deltas, sinks — by the Committer, the same
+// back half internal/cluster's aggregator runs on its merged windows, and
+// emitted on the output channel as WindowResults.
 //
 // # Incremental sliding windows
 //
-// When the stride divides the window (every tumbling config, and any
-// sliding config with window = k*stride), windows are maintained
-// incrementally: shards accumulate one fragment per *stride* — each event
-// is indexed exactly once, not once per overlapping window — and a
-// single sealer goroutine keeps a ring of the k live per-stride merged
-// fragments. Sealing window w evicts the expired fragment (which becomes
-// the window index, zero-copy) and folds in only the fragments that
-// arrived since the previous seal, instead of re-merging window/stride
-// fragments from scratch. All indexes share one trace.Symbols, so every
-// merge on this path is a pure integer-map fold. Configurations whose
-// stride does not divide the window fall back to the per-window fragment
-// path; both paths produce byte-identical output (see
-// TestIncrementalMatchesLegacyWindowing).
+// Every configuration assembles windows the same way. Time is cut into
+// fragments of width g = gcd(Window, Stride), so a window is
+// a = Window/g consecutive fragments and consecutive windows start
+// b = Stride/g fragments apart: window w is fragments [w*b, w*b+a).
+// Shards accumulate one index per fragment — each event is indexed
+// exactly once, not once per overlapping window — and a single sealer
+// goroutine keeps a ring of the live merged fragments. Sealing window w
+// folds in the fragments that arrived since the previous seal, merges the
+// ring in ascending fragment order on top of the first expiring fragment
+// (one below (w+1)*b, which no later window needs and so becomes the
+// window index zero-copy) and drops the expiring ones. When the stride
+// divides the window (every tumbling config, and any sliding config with
+// window = k*stride) g is the stride, b is 1 and the ring is the k live
+// per-stride fragments with exactly one evicted per seal. The ring and
+// the shard maps are keyed by fragment id and hold one entry per distinct
+// *non-empty* fragment, so their size is bounded by the events in a
+// window however small g is — nothing ever iterates the id range (a is
+// ~10^12 for coprime durations). All indexes of one symbol epoch share
+// one trace.Symbols, so merges on this path are pure integer-map folds.
 //
 // The engine is deterministic for a fixed input order and configuration:
 // shard and worker counts change wall-clock time, never output.
@@ -54,6 +60,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +98,7 @@ type Config struct {
 	// Buffer is the ingestion channel capacity bounding how far the source
 	// reader may run ahead of windowing (default 1024).
 	Buffer int
-	// Detector configures the core.Detector run on every sealed window.
+	// Detector configures the core.Pipeline run on every sealed window.
 	Detector []core.Option
 	// RotateSymbolsEvery is the number of sealed windows between engine
 	// symbol-table rotations. Interned symbol tables and their memo
@@ -151,12 +158,13 @@ type Stats struct {
 // Tracker.
 type Engine struct {
 	cfg Config
-	det *core.Detector
-	tk  *tracker.Tracker
-	out chan WindowResult
-	// o bundles the observability wiring (tracer, logger, instruments);
-	// its zero value is fully inert, so unwired engines pay only nil
-	// checks on the hot path.
+	// commit is the detect -> track -> sink back half shared with
+	// internal/cluster's aggregator.
+	commit *Committer
+	out    chan WindowResult
+	// o bundles the seal-side observability wiring (tracer, logger,
+	// instruments); its zero value is fully inert, so unwired engines pay
+	// only nil checks on the hot path.
 	o engineObs
 
 	// syms is the engine-wide symbol table epoch: every fragment, ring
@@ -165,9 +173,6 @@ type Engine struct {
 	// windower rotates epochs every Config.RotateSymbolsEvery windows to
 	// bound table growth on endless streams.
 	syms atomic.Pointer[trace.Symbols]
-	// forceLegacy disables the stride-fragment ring (tests compare the
-	// incremental path against this reference path).
-	forceLegacy bool
 
 	// ctx is the run context given to StartContext; its cancellation
 	// stops ingestion and aborts in-flight window detections.
@@ -223,15 +228,14 @@ func New(cfg Config) (*Engine, error) {
 		cfg.RotateSymbolsEvery = DefaultRotateSymbolsEvery
 	}
 	e := &Engine{
-		cfg:  cfg,
-		det:  core.New(cfg.Detector...),
-		tk:   cfg.Tracker,
-		out:  make(chan WindowResult, cfg.Workers),
-		done: make(chan struct{}),
-		quit: make(chan struct{}),
+		cfg:    cfg,
+		commit: NewCommitter(cfg.Name, cfg.Detector, cfg.Tracker, cfg.Sinks, cfg.Metrics, cfg.Tracer, cfg.Logger),
+		out:    make(chan WindowResult, cfg.Workers),
+		done:   make(chan struct{}),
+		quit:   make(chan struct{}),
 	}
 	e.syms.Store(trace.NewSymbols())
-	e.o = newEngineObs(cfg.Metrics, cfg.Tracer, cfg.Logger, cfg.Sinks)
+	e.o = newEngineObs(cfg.Metrics, cfg.Tracer, cfg.Logger)
 	return e, nil
 }
 
@@ -243,14 +247,15 @@ const DefaultRotateSymbolsEvery = 128
 // symbols returns the current symbol-table epoch.
 func (e *Engine) symbols() *trace.Symbols { return e.syms.Load() }
 
-// ringStrides returns the number of strides per window when the
-// incremental ring applies (stride divides window), or 0 for the
-// per-window fragment fallback.
-func (e *Engine) ringStrides() int64 {
-	if e.forceLegacy || e.cfg.Window%e.cfg.Stride != 0 {
-		return 0
+// fragGeometry returns the fragment width g = gcd(Window, Stride) and the
+// number of fragments per window (a) and per stride (b): window w is
+// fragments [w*b, w*b+a).
+func (e *Engine) fragGeometry() (g time.Duration, a, b int64) {
+	g = e.cfg.Window
+	for r := e.cfg.Stride; r != 0; {
+		g, r = r, g%r
 	}
-	return int64(e.cfg.Window / e.cfg.Stride)
+	return g, int64(e.cfg.Window / g), int64(e.cfg.Stride / g)
 }
 
 // Start launches the pipeline over src and returns the result channel. The
@@ -343,7 +348,7 @@ func (e *Engine) Stats() Stats {
 
 // Tracker exposes the cross-window lineage tracker (for end-of-run
 // summaries). Valid once the output channel has closed.
-func (e *Engine) Tracker() *tracker.Tracker { return e.tk }
+func (e *Engine) Tracker() *tracker.Tracker { return e.cfg.Tracker }
 
 func (e *Engine) setErr(err error) {
 	e.errMu.Lock()
@@ -394,6 +399,10 @@ type windowJob struct {
 	seq        int
 	start, end time.Time
 	idx        *trace.Index
+	// indexed counts the events first indexed since the previous seal (the
+	// fragments this window's barrier handed over); over a run it sums to
+	// Stats.Events, because every event is indexed exactly once.
+	indexed int
 	// Lifecycle timestamps for spans and latency histograms. firstEvent is
 	// zero for windows that never saw an event or when tracing is off.
 	firstEvent time.Time
@@ -411,60 +420,44 @@ type windowDone struct {
 	sealedAt   time.Time    // when the merged index was ready
 }
 
-// shardMsg is either an event assignment (reply fields nil) or a seal
-// barrier. Channel FIFO ordering guarantees a barrier arrives after every
-// event dispatched before it.
-//
-// Legacy path (per-window fragments): events carry the inclusive window
-// range [lo, hi] and the barrier (replyOne) hands over one window's
-// fragment. Ring path (per-stride fragments): events carry their single
-// stride seq in lo and the barrier (replyAll) hands over every fragment
-// with seq <= sealMax.
+// shardMsg is either an event assignment (replyAll nil) to fragment frag,
+// or a seal barrier asking for every fragment with id <= sealMax. Channel
+// FIFO ordering guarantees a barrier arrives after every event dispatched
+// before it.
 type shardMsg struct {
 	req      trace.Request
-	lo, hi   int64
+	frag     int64
 	sealMax  int64
-	replyOne chan<- *trace.Index
 	replyAll chan<- map[int64]*trace.Index
 }
 
-// shardLoop owns one shard's index fragments, keyed by window seq (legacy)
-// or stride seq (ring). All fragments share the engine Symbols.
+// shardLoop owns one shard's index fragments, keyed by fragment id. All
+// fragments of one symbol epoch share the engine Symbols.
 func (e *Engine) shardLoop(ch <-chan shardMsg) {
 	frags := make(map[int64]*trace.Index)
 	for m := range ch {
-		switch {
-		case m.replyOne != nil:
-			frag := frags[m.sealMax]
-			delete(frags, m.sealMax)
-			if frag == nil {
-				frag = trace.NewIndexWith(e.symbols())
-			}
-			m.replyOne <- frag
-		case m.replyAll != nil:
+		if m.replyAll != nil {
 			// Hand over (and forget) every fragment the sealer may now
 			// need. Ownership transfers: the shard never touches a
 			// handed-over fragment again; a late event for the same
-			// stride simply starts a fresh fragment that the next
-			// barrier delivers as a delta.
+			// fragment simply starts a fresh one that the next barrier
+			// delivers as a delta.
 			out := make(map[int64]*trace.Index, 4)
-			for s, frag := range frags {
-				if s <= m.sealMax {
-					out[s] = frag
-					delete(frags, s)
+			for f, frag := range frags {
+				if f <= m.sealMax {
+					out[f] = frag
+					delete(frags, f)
 				}
 			}
 			m.replyAll <- out
-		default:
-			for s := m.lo; s <= m.hi; s++ {
-				frag := frags[s]
-				if frag == nil {
-					frag = trace.NewIndexWith(e.symbols())
-					frags[s] = frag
-				}
-				frag.Add(&m.req)
-			}
+			continue
 		}
+		frag := frags[m.frag]
+		if frag == nil {
+			frag = trace.NewIndexWith(e.symbols())
+			frags[m.frag] = frag
+		}
+		frag.Add(&m.req)
 	}
 }
 
@@ -477,35 +470,53 @@ type sealReq struct {
 	replies <-chan map[int64]*trace.Index
 }
 
-// sealer is the single goroutine that owns the stride-fragment ring. For
-// every sealed window it folds the newly handed-over shard fragments into
-// the ring, evicts the expired stride fragment — which becomes the window
-// index, zero-copy — and merges the k-1 still-live fragments on top. It
-// runs strictly in window order, pipelined behind the windower.
-func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, k int64, nShards int, slots <-chan struct{}) {
+// sealer is the single goroutine that owns the fragment ring. For every
+// sealed window it folds the newly handed-over shard fragments into the
+// ring, then merges the ring in ascending fragment order: the first
+// expiring fragment — one no later window needs — becomes the window
+// index, zero-copy, the other expiring ones are merged in and dropped,
+// and the still-live ones are merged in and kept. It iterates the ring's
+// present keys, never the window's fragment id range. It runs strictly in
+// window order, pipelined behind the windower.
+func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStride int64, nShards int, slots <-chan struct{}) {
 	defer close(jobs)
 	ring := make(map[int64]*trace.Index)
+	var live []int64
 	for r := range reqs {
 		for i := 0; i < nShards; i++ {
-			for s, frag := range <-r.replies {
-				if cur := ring[s]; cur == nil {
-					ring[s] = frag
+			for f, frag := range <-r.replies {
+				r.job.indexed += frag.RequestCount
+				if cur := ring[f]; cur == nil {
+					ring[f] = frag
 				} else {
 					cur.Merge(frag)
 				}
 			}
 		}
-		// The expired fragment is exactly the part of the window no later
-		// window needs — adopt it as the window index instead of copying.
-		merged := ring[r.seq]
-		delete(ring, r.seq)
+		// Every ring entry belongs to this window: earlier seals dropped
+		// what expired, and a barrier hands over nothing past its window.
+		live = live[:0]
+		for f := range ring {
+			live = append(live, f)
+		}
+		slices.Sort(live)
+		var merged *trace.Index
+		for _, f := range live {
+			frag := ring[f]
+			if f < (r.seq+1)*fragsPerStride {
+				delete(ring, f)
+				if merged == nil {
+					merged = frag
+					continue
+				}
+			}
+			if merged == nil {
+				merged = trace.NewIndexWith(e.symbols())
+			}
+			merged.Merge(frag)
+		}
 		if merged == nil {
 			merged = trace.NewIndexWith(e.symbols())
-		}
-		for s := r.seq + 1; s < r.seq+k; s++ {
-			if frag := ring[s]; frag != nil {
-				merged.Merge(frag)
-			}
 		}
 		r.job.idx = merged
 		e.o.finishSeal(&r.job)
@@ -518,7 +529,7 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, k int64, nSh
 // windows in order. It owns all window bookkeeping; shards only aggregate.
 func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 	nShards := e.cfg.Shards
-	ringK := e.ringStrides()
+	fragWidth, fragsPerWindow, fragsPerStride := e.fragGeometry()
 	shardCh := make([]chan shardMsg, nShards)
 	var shardWG sync.WaitGroup
 	for i := range shardCh {
@@ -538,8 +549,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		base      int64 // seq of the first window; emitted as Seq 0
 		nextSeal  int64 // next window seq to seal
 		maxSeq    int64 // highest window seq holding any event
-		sealWG    sync.WaitGroup
-		sealCh    chan sealReq
+		sealCh    = make(chan sealReq, e.cfg.Workers)
 		// sealSlots bounds sealed-but-undetected windows so a slow
 		// consumer backpressures ingestion instead of growing memory.
 		sealSlots = make(chan struct{}, 2*e.cfg.Workers)
@@ -551,10 +561,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 	if e.o.tr != nil || e.o.ingestSeal != nil {
 		firstSeen = make(map[int64]time.Time)
 	}
-	if ringK > 0 {
-		sealCh = make(chan sealReq, e.cfg.Workers)
-		go e.sealer(sealCh, jobs, ringK, nShards, sealSlots)
-	}
+	go e.sealer(sealCh, jobs, fragsPerStride, nShards, sealSlots)
 
 	// afterSeal rotates the symbol-table epoch on schedule. Fragments and
 	// ring entries from the old epoch merge through the name-remap path,
@@ -580,30 +587,11 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			delete(firstSeen, seq)
 		}
 		e.o.beginSeal(&job)
-		if ringK > 0 {
-			replies := make(chan map[int64]*trace.Index, nShards)
-			for _, ch := range shardCh {
-				ch <- shardMsg{sealMax: seq + ringK - 1, replyAll: replies}
-			}
-			sealCh <- sealReq{seq: seq, job: job, replies: replies}
-			return
-		}
-		replies := make(chan *trace.Index, nShards)
+		replies := make(chan map[int64]*trace.Index, nShards)
 		for _, ch := range shardCh {
-			ch <- shardMsg{sealMax: seq, replyOne: replies}
+			ch <- shardMsg{sealMax: seq*fragsPerStride + fragsPerWindow - 1, replyAll: replies}
 		}
-		sealWG.Add(1)
-		go func() {
-			defer sealWG.Done()
-			defer func() { <-sealSlots }()
-			merged := trace.NewIndexWith(e.symbols())
-			for i := 0; i < nShards; i++ {
-				merged.Merge(<-replies)
-			}
-			job.idx = merged
-			e.o.finishSeal(&job)
-			jobs <- job
-		}()
+		sealCh <- sealReq{seq: seq, job: job, replies: replies}
 	}
 
 	handle := func(req trace.Request) {
@@ -616,7 +604,8 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			}
 			originSet = true
 		}
-		lo, hi := seqRange(t.Sub(origin), e.cfg.Window, e.cfg.Stride)
+		dt := t.Sub(origin)
+		lo, hi := seqRange(dt, e.cfg.Window, e.cfg.Stride)
 		if hi < 0 { // entirely before the window origin
 			e.ctrLate.Add(1)
 			return
@@ -647,14 +636,10 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 				}
 			}
 		}
-		shard := shardCh[shardOf(e.symbols().RequestServerKey(&req), nShards)]
-		if ringK > 0 {
-			// One fragment per stride: the event's stride is hi (the last
-			// window whose range starts at or before it). Windows
-			// [lo, hi] pick the fragment up from the ring at seal time.
-			shard <- shardMsg{req: req, lo: hi, hi: hi}
-		} else {
-			shard <- shardMsg{req: req, lo: lo, hi: hi}
+		// One index per fragment, however many windows overlap it: windows
+		// [lo, hi] pick the fragment up from the ring at seal time.
+		shardCh[shardOf(e.symbols().RequestServerKey(&req), nShards)] <- shardMsg{
+			req: req, frag: floorDiv(int64(dt), int64(fragWidth)),
 		}
 
 		if t.After(maxTime) {
@@ -717,12 +702,7 @@ ingest:
 		close(ch)
 	}
 	shardWG.Wait()
-	if ringK > 0 {
-		close(sealCh) // the sealer drains pending seals, then closes jobs
-		return
-	}
-	sealWG.Wait()
-	close(jobs)
+	close(sealCh) // the sealer drains pending seals, then closes jobs
 }
 
 // seqRange returns the inclusive range of window sequence numbers whose
@@ -778,19 +758,11 @@ func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone) {
 			// would abort before its first stage — flow through report-less.
 			e.setErr(ctx.Err())
 		case j.idx.RequestCount > 0:
-			name := fmt.Sprintf("%s-w%d", e.cfg.Name, j.seq)
-			t0 := time.Now()
-			report, err := e.det.RunIndexContext(ctx, j.idx, j.idx.ComputeStats(name), e.o.stageObservers(int64(j.seq))...)
-			e.o.endDetect(int64(j.seq), t0, err)
-			switch {
-			case err == nil:
-				d.report = report
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			report, err := e.commit.Detect(ctx, j.seq, j.idx)
+			if err != nil {
 				e.setErr(err)
-			default:
-				e.setErr(fmt.Errorf("stream: window %d: %w", j.seq, err))
-				e.o.log.Error("window detection failed", "window", j.seq, "err", err)
 			}
+			d.report = report
 		}
 		results <- d
 	}
@@ -818,39 +790,21 @@ func (e *Engine) sequence(results <-chan windowDone) {
 	}
 }
 
-// emit tracks one in-order window, feeds every sink, and publishes the
-// result.
+// emit commits one in-order window — tracker and deltas (detecting
+// engines only), then every sink — and publishes the result.
 func (e *Engine) emit(d windowDone) {
 	res := WindowResult{Seq: d.seq, Start: d.start, End: d.end, Requests: d.requests, Report: d.report, Index: d.idx}
-	if e.cfg.IndexOnly {
-		// Forward-only node: no detection ran, so there is nothing to
-		// track — sinks (the cluster forwarder) get the index as-is.
-		if d.requests == 0 {
-			e.ctrEmpty.Add(1)
-		}
-	} else {
-		report := d.report
-		if report == nil {
-			// Observe an empty report so lineage day arithmetic (FirstDay,
-			// LastDay, window gaps) stays aligned with the window sequence.
-			report = &core.Report{}
-			if d.requests == 0 {
-				// Report-less windows WITH requests are aborted, not empty.
-				e.ctrEmpty.Add(1)
-			}
-		}
-		matches := e.tk.Observe(report)
-		res.Matches = matches
-		// Retirements happened inside Observe before matching, so retire
-		// deltas lead the window's transition list.
-		res.Deltas = append(RetireDeltas(d.seq, e.tk.RetiredNow()),
-			DeltasFor(d.seq, report.AllCampaigns(), matches)...)
+	if d.requests == 0 {
+		// Report-less windows WITH requests are aborted, not empty.
+		e.ctrEmpty.Add(1)
 	}
-	for _, s := range e.cfg.Sinks {
-		if err := e.o.consumeSink(s, &res); err != nil {
-			e.setErr(fmt.Errorf("stream: sink: %w", err))
-			e.o.log.Error("sink failed", "window", d.seq, "sink", sinkName(s), "err", err)
-		}
+	if !e.cfg.IndexOnly {
+		// A forward-only node ran no detection, so there is nothing to
+		// track — its sinks (the cluster forwarder) get the index as-is.
+		e.commit.Track(&res)
+	}
+	if err := e.commit.Sink(&res); err != nil {
+		e.setErr(err)
 	}
 	if e.o.sealCommit != nil && !d.sealedAt.IsZero() {
 		e.o.sealCommit.Observe(time.Since(d.sealedAt).Seconds())

@@ -248,7 +248,7 @@ func deltaSummary(windows []WindowResult) []string {
 }
 
 // Replaying a 4-day world through the streaming engine with 1-day tumbling
-// windows must reproduce the batch Detector + tracker loop exactly — same
+// windows must reproduce the batch Pipeline + tracker loop exactly — same
 // lineage count, same per-lineage server/client histories — and the worker
 // pool size must change wall-clock only, never output.
 func TestStreamMatchesBatchPipeline(t *testing.T) {
@@ -265,11 +265,11 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 		core.WithProber(world.Prober),
 	}
 
-	// Batch reference: one Detector run per day trace, tracked across days.
+	// Batch reference: one Pipeline run per day trace, tracked across days.
 	batch := tracker.New()
-	det := core.New(detOpts...)
+	det := core.NewPipeline(detOpts...)
 	for _, day := range world.Days {
-		report, err := det.Run(day)
+		report, err := det.RunTrace(context.Background(), day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,9 +317,9 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 	}
 
 	// Per-day campaign sets must match the batch reports exactly.
-	batchDet := core.New(detOpts...)
+	batchDet := core.NewPipeline(detOpts...)
 	for i, w := range windows1 {
-		ref, err := batchDet.Run(world.Days[i])
+		ref, err := batchDet.RunTrace(context.Background(), world.Days[i])
 		if err != nil {
 			t.Fatal(err)
 		}

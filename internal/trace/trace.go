@@ -14,10 +14,7 @@
 // into a shared Symbols table and carried as a dense uint32 id from then
 // on. The per-server aggregates (ServerInfo) and the client->server
 // relation are id-keyed counted multisets (Counts): integer map operations
-// replace string re-hashing in every downstream hot loop, and because
-// membership is counted rather than boolean, Merge has an exact inverse
-// (Unmerge) for consumers that retire previously merged fragments in
-// place.
+// replace string re-hashing in every downstream hot loop.
 // Strings resurface only at API boundaries (reports, lineages, rendered
 // output), always ordered by name so that the run-dependent id assignment
 // never leaks into output.
@@ -146,8 +143,7 @@ func (s Stats) Render() string {
 }
 
 // Counts is an id-keyed counted multiset: feature id -> number of requests
-// that contributed the feature. Distinct cardinality is len; counted
-// membership is what makes Merge/Unmerge exact inverses.
+// that contributed the feature. Distinct cardinality is len.
 type Counts map[uint32]uint32
 
 // Symbols is the shared symbol table of the interned data plane: one
@@ -710,67 +706,6 @@ func (idx *Index) Merge(other *Index) {
 		}
 	}
 	idx.RequestCount += other.RequestCount
-	idx.invalidate()
-}
-
-// unmergeCounts subtracts src from dst, deleting keys that reach zero.
-func unmergeCounts(dst, src Counts) {
-	for k, n := range src {
-		if cur := dst[k]; cur > n {
-			dst[k] = cur - n
-		} else {
-			delete(dst, k)
-		}
-	}
-}
-
-// Unmerge is the exact inverse of Merge: it subtracts other's counted
-// aggregates from idx, deleting entries (and servers) whose counts reach
-// zero, so unmerging an index that was previously merged in restores idx
-// byte-for-byte (TestUnmergeInvertsMerge). The counted-multiset
-// representation exists to make this inverse exact; note the streaming
-// engine's stride-fragment ring itself does not call it — eviction there
-// adopts the expired fragment instead (see internal/stream) — Unmerge is
-// the API for rolling-aggregate consumers that must retire a previously
-// merged fragment in place. other must share idx's Symbols and must be a
-// subset of what was merged; counts clamp at zero otherwise.
-func (idx *Index) Unmerge(other *Index) {
-	if other == nil {
-		return
-	}
-	if other.Syms != idx.Syms {
-		panic("trace: Unmerge requires a shared Symbols")
-	}
-	for k, src := range other.Servers {
-		dst := idx.Servers[k]
-		if dst == nil {
-			continue
-		}
-		unmergeCounts(dst.Clients, src.Clients)
-		unmergeCounts(dst.IPs, src.IPs)
-		unmergeCounts(dst.Files, src.Files)
-		unmergeCounts(dst.Referrers, src.Referrers)
-		unmergeCounts(dst.UserAgents, src.UserAgents)
-		unmergeCounts(dst.Queries, src.Queries)
-		unmergeCounts(dst.Payloads, src.Payloads)
-		unmergeCounts(dst.Hosts, src.Hosts)
-		dst.Requests -= src.Requests
-		dst.ErrorRequests -= src.ErrorRequests
-		if dst.Requests <= 0 {
-			delete(idx.Servers, k)
-		}
-	}
-	for c, set := range other.ClientServers {
-		cs := idx.ClientServers[c]
-		if cs == nil {
-			continue
-		}
-		unmergeCounts(cs, set)
-		if len(cs) == 0 {
-			delete(idx.ClientServers, c)
-		}
-	}
-	idx.RequestCount -= other.RequestCount
 	idx.invalidate()
 }
 

@@ -360,43 +360,6 @@ func TestIndexMergeEqualsSequentialBuild(t *testing.T) {
 	}
 }
 
-// Unmerge must be the exact inverse of Merge: merging a fragment in and
-// unmerging it again restores the index byte-for-byte — the invariant the
-// incremental sliding-window path relies on.
-func TestUnmergeInvertsMerge(t *testing.T) {
-	reqs := mergeTestRequests()
-	syms := NewSymbols()
-	base := NewIndexWith(syms)
-	frag := NewIndexWith(syms)
-	for i := range reqs {
-		if i%4 == 0 {
-			frag.Add(&reqs[i])
-		} else {
-			base.Add(&reqs[i])
-		}
-	}
-	want := canonicalIndex(base)
-	base.Merge(frag)
-	if canonicalIndex(base) == want {
-		t.Fatal("merge changed nothing; fragment too small to test")
-	}
-	base.Unmerge(frag)
-	if got := canonicalIndex(base); got != want {
-		t.Errorf("Unmerge did not restore the index:\n got: %s\nwant: %s", got, want)
-	}
-
-	// Unmerging everything empties the index completely.
-	all := NewIndexWith(syms)
-	all.Merge(base)
-	all.Merge(frag)
-	all.Unmerge(base)
-	all.Unmerge(frag)
-	if len(all.Servers) != 0 || len(all.ClientServers) != 0 || all.RequestCount != 0 {
-		t.Errorf("full Unmerge left residue: %d servers, %d clients, %d requests",
-			len(all.Servers), len(all.ClientServers), all.RequestCount)
-	}
-}
-
 // Index.ComputeStats must agree with Trace.ComputeStats whenever every
 // request carries a server key (the only requests an Index retains).
 func TestIndexComputeStatsMatchesTrace(t *testing.T) {

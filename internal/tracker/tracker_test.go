@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -22,8 +23,8 @@ func weekReports(t *testing.T) (*synth.World, []*core.Report) {
 	}
 	var reports []*core.Report
 	for _, day := range w.Days {
-		det := core.New(core.WithSeed(5), core.WithWhois(w.Whois), core.WithProber(w.Prober))
-		r, err := det.Run(day)
+		det := core.NewPipeline(core.WithSeed(5), core.WithWhois(w.Whois), core.WithProber(w.Prober))
+		r, err := det.RunTrace(context.Background(), day)
 		if err != nil {
 			t.Fatal(err)
 		}
