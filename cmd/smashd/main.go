@@ -106,48 +106,56 @@
 // # Cluster roles
 //
 // A single process caps ingestion at one machine; -role splits the
-// pipeline across processes (internal/cluster):
+// pipeline across processes (internal/cluster). A role is two independent
+// choices — where sealed windows come from (the front) and where they go
+// (the back):
 //
-//   - -role ingest windows its share of the traffic without running
-//     detection and forwards each sealed window fragment (wire-encoded,
-//     with its symbol dictionary) to -forward URL, retrying transient
-//     failures with full-jitter backoff. -shard-of N/M keeps only clients
-//     hashing to partition N of M, so every node can read the same full
-//     feed; pre-partitioned inputs (tracegen -partitions) skip the
-//     filter. -node names the node; it defaults to "shardN" under
-//     -shard-of. With -state-dir the forwarder gains a durable on-disk
-//     spool: fragments that exhaust their retries during an aggregator
-//     outage spill to DIR/spool and drain in order — oldest first — when
-//     the aggregator answers again, surviving node restarts too.
-//   - -role merge is an intermediate fan-in tier: it listens on
-//     -cluster-listen for fragments from -expect children (ingest nodes
-//     or other merge tiers), combines each window's fragments into one —
-//     no detection, no tracking — and forwards the merged fragment to
-//     -forward URL under its own -node name, with the same watermark,
-//     straggler and end-of-stream semantics per tier. Merging is
-//     associative, so any tree shape produces byte-identical output.
-//   - -role aggregate listens on -cluster-listen for fragments from
-//     -expect ingest nodes, aligns them on epoch-derived window ids,
-//     merges each window and runs detection, tracking and persistence
-//     exactly like a standalone run — byte-identical output for the same
-//     traffic. -straggler N force-seals windows once the lead node runs N
-//     windows ahead; late fragments are counted and dropped. The HTTP API
-//     (including POST /v1/ingest and cluster metrics) serves on
-//     -cluster-listen; the process exits once every expected node has
-//     sent its end-of-stream marker.
+//	                     back: detect → track → store   back: forward the index
+//	front: events        standalone                     ingest
+//	front: fragments     aggregate                      merge
 //
-// Window boundaries in cluster roles are anchored at the Unix epoch, not
-// at the first event, so all nodes agree on window ids without
-// coordination.
+// The events front reads a source (files, stdin, -follow, -push) into a
+// stream engine and serves the ops API on -listen. Under a forwarding
+// back its windows anchor at the Unix epoch, not at the first event, so
+// all nodes of a tree agree on window ids without coordination, and
+// -shard-of N/M keeps only clients hashing to partition N of M, so every
+// node can read the same full feed (pre-partitioned inputs — tracegen
+// -partitions — skip the filter). With -state-dir and -follow it keeps
+// the tail offset in DIR/source.ckpt.
 //
-// With -state-dir, aggregate and merge roles are crash-recoverable: every
-// accepted fragment is appended to a fragment log (DIR/fragments) before
-// it is acknowledged, and a restarted process — even one killed with
-// SIGKILL mid-stream — replays the log, reconciles the one window a
-// crash can interrupt against the store, and resumes with continuous
-// window numbering and byte-identical output. /v1/stats shows the
-// membership view: per-node fragment counts, watermark, last-seen time,
-// and whether a node is overdue for its final marker.
+// The fragments front listens on -cluster-listen (ops API, POST
+// /v1/ingest and cluster metrics included) for wire fragments from
+// -expect children — ingest nodes or merge tiers — aligns them on
+// epoch-derived window ids and merges each window once every child has
+// forwarded or passed it. -straggler N force-seals windows once the lead
+// child runs N windows ahead; late fragments are counted and dropped.
+// The process exits once every expected child has sent its end-of-stream
+// marker. With -state-dir it is crash-recoverable: every accepted
+// fragment is appended to a fragment log (DIR/fragments) before it is
+// acknowledged, and a restarted process — even one killed with SIGKILL
+// mid-stream — replays the log and resumes with continuous window
+// numbering and byte-identical output. /v1/stats shows the membership
+// view: per-node fragment counts, watermark, last-seen time, and whether
+// a node is overdue for its final marker.
+//
+// The detecting back runs detection, tracking and persistence on every
+// sealed window, whichever front sealed it — an aggregate run's output is
+// byte-identical to a standalone run over the same traffic. -state-dir
+// holds the store (snapshot, WAL, DIR/history); a restarted fragments
+// front reconciles the one window a crash can interrupt against it.
+//
+// The forwarding back runs no detection and keeps no lineage state: it
+// ships each sealed window's index (wire-encoded, with its symbol
+// dictionary) to -forward URL as a fragment under the node's -node name
+// (default "shardN" under -shard-of), retrying transient failures with
+// full-jitter backoff, and sends an end-of-stream marker when the front
+// drains. With -state-dir it gains a durable spool: fragments that
+// exhaust their retries during a parent outage spill to DIR/spool and
+// drain in order — oldest first — when the parent answers again,
+// surviving node restarts too. A restarted merge tier re-forwards the
+// one window a crash can interrupt; the parent drops the duplicate.
+// Merging is associative, so any tree shape produces byte-identical
+// output.
 //
 // Text mode prints one line per window plus its deltas; -json emits one
 // JSON object per window (NDJSON) for downstream tooling. The first
@@ -171,10 +179,12 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"smash/internal/cluster"
 	"smash/internal/core"
 	"smash/internal/obs"
 	"smash/internal/profiling"
@@ -248,6 +258,10 @@ type options struct {
 	straggler     int
 
 	paths []string
+
+	// part of parts is -shard-of N/M, parsed by validate; parts == 0
+	// without the flag.
+	part, parts int
 
 	// Shared observability plane, built once per process in run().
 	logger *slog.Logger
@@ -329,9 +343,18 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		return nil
 	}
 	o.paths = fs.Args()
+	r, err := o.validate()
+	if err != nil {
+		return err
+	}
 	logger, err := obs.NewLogger(os.Stderr, o.logFormat, o.logLevel)
 	if err != nil {
 		return err
+	}
+	// A forwarding node is one of many feeding the same parent: every
+	// component's log lines say which.
+	if r.forwards {
+		logger = logger.With("node", o.node)
 	}
 	o.logger = logger
 	o.reg = obs.NewRegistry()
@@ -356,18 +379,89 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	}
 	defer stopProfiles()
 
-	switch o.role {
-	case "standalone":
-		return runStandalone(ctx, &o, stdin, out)
-	case "ingest":
-		return runIngest(ctx, &o, stdin, out)
-	case "aggregate":
-		return runAggregate(ctx, &o, out)
-	case "merge":
-		return runMerge(ctx, &o, out)
-	default:
-		return fmt.Errorf("unknown -role %q (want standalone, ingest, merge or aggregate)", o.role)
+	return serveRole(ctx, &o, r, stdin, out)
+}
+
+// role is a smashd process shape — two independent choices. The front is
+// where sealed windows come from: events off a source windowed by a
+// stream.Engine, or (fragments) wire fragments from -expect children
+// assembled by a cluster.Aggregator. The back is where they go: detection
+// → tracker → store, or (forwards) the bare index to the -forward parent.
+type role struct{ fragments, forwards bool }
+
+var roles = map[string]role{
+	"standalone": {},
+	"ingest":     {forwards: true},
+	"aggregate":  {fragments: true},
+	"merge":      {fragments: true, forwards: true},
+}
+
+// validate checks the flags the role's front and back need, before
+// anything is opened, and fills in what they imply (-shard-of's
+// partition and default node name). Flags the role has no use for are
+// ignored, not refused: one command line can drive every node of a tree.
+func (o *options) validate() (role, error) {
+	r, ok := roles[o.role]
+	if !ok {
+		return r, fmt.Errorf("unknown -role %q (want standalone, ingest, merge or aggregate)", o.role)
 	}
+	switch {
+	case r.fragments && o.clusterListen == "":
+		return r, fmt.Errorf("-role %s requires -cluster-listen ADDR", o.role)
+	case r.fragments && o.expect <= 0:
+		return r, fmt.Errorf("-role %s requires -expect N (the child node count)", o.role)
+	case r.fragments && o.listen != "":
+		return r, fmt.Errorf("-role %s serves its ops API on -cluster-listen; drop -listen", o.role)
+	case r.fragments && len(o.paths) > 0:
+		return r, fmt.Errorf("-role %s takes no trace files; ingest nodes do the reading", o.role)
+	case !r.fragments && o.push && o.listen == "":
+		return r, errors.New("-push needs -listen (events arrive on POST /v1/ingest)")
+	case r.forwards && o.forward == "":
+		return r, fmt.Errorf("-role %s requires -forward URL (the parent's base URL)", o.role)
+	}
+	if r.forwards && !r.fragments && o.shardOf != "" {
+		var err error
+		if o.part, o.parts, err = parseShardOf(o.shardOf); err != nil {
+			return r, err
+		}
+		if o.node == "" {
+			o.node = fmt.Sprintf("shard%d", o.part)
+		}
+	}
+	if r.forwards && o.node == "" {
+		return r, fmt.Errorf("-role %s requires -node, its name in the parent's fragments (ingest: or -shard-of to derive one)", o.role)
+	}
+	return r, nil
+}
+
+// parseShardOf parses "-shard-of N/M" into (shard, of).
+func parseShardOf(s string) (int, int, error) {
+	lhs, rhs, ok := strings.Cut(s, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("-shard-of must be N/M (e.g. 0/2), got %q", s)
+	}
+	shard, err1 := strconv.Atoi(lhs)
+	of, err2 := strconv.Atoi(rhs)
+	if err1 != nil || err2 != nil || of <= 0 || shard < 0 || shard >= of {
+		return 0, 0, fmt.Errorf("-shard-of must be N/M with 0 <= N < M, got %q", s)
+	}
+	return shard, of, nil
+}
+
+// statePath names an entry under -state-dir; empty — the feature it backs
+// is off — without one.
+func (o *options) statePath(name string) string {
+	if o.stateDir == "" {
+		return ""
+	}
+	return filepath.Join(o.stateDir, name)
+}
+
+// newTracker builds a lineage tracker under the -retire-after policy.
+func (o *options) newTracker() *tracker.Tracker {
+	tk := tracker.New()
+	tk.RetireAfter = o.retireAfter
+	return tk
 }
 
 // parseJSONLMap parses -jsonl-map's "field=key,field=key" syntax.
@@ -443,16 +537,12 @@ func openSource(o *options, stdin io.Reader) (stream.Source, []io.Closer, error)
 		if len(o.paths) != 1 || o.paths[0] == "-" {
 			return nil, nil, fmt.Errorf("-follow needs exactly one file argument (a path, not stdin)")
 		}
-		ck := ""
-		if o.stateDir != "" {
-			ck = filepath.Join(o.stateDir, "source.ckpt")
-		}
 		ctrs := source.NewCounters(o.paths[0], o.format)
 		t, err := source.NewTailer(source.TailerConfig{
 			Path:       o.paths[0],
 			Format:     f,
 			Counters:   ctrs,
-			Checkpoint: ck,
+			Checkpoint: o.statePath("source.ckpt"),
 		})
 		if err != nil {
 			return nil, nil, err
@@ -503,8 +593,7 @@ func openSource(o *options, stdin io.Reader) (stream.Source, []io.Closer, error)
 	return src, closers, nil
 }
 
-// detectorOptions builds the core options shared by the standalone engine
-// and the aggregator.
+// detectorOptions builds the core options of a detecting back.
 func (o *options) detectorOptions() []core.Option {
 	opts := []core.Option{
 		core.WithSeed(o.seed),
@@ -518,8 +607,8 @@ func (o *options) detectorOptions() []core.Option {
 	return opts
 }
 
-// printWindows consumes the window stream, rendering each result as text
-// or NDJSON — shared by the standalone and aggregate roles.
+// printWindows consumes a detecting role's window stream, rendering each
+// result as text or NDJSON.
 func printWindows(out io.Writer, results <-chan stream.WindowResult, jsonOut, verbose bool) error {
 	enc := json.NewEncoder(out)
 	for w := range results {
@@ -614,155 +703,318 @@ func openStore(o *options) (*store.Store, error) {
 		Sync:          o.walSync,
 		RetainWindows: o.retainWin,
 		RetainAge:     o.retainAge,
-		NewTracker: func() *tracker.Tracker {
-			tk := tracker.New()
-			tk.RetireAfter = o.retireAfter
-			return tk
-		},
+		NewTracker:    o.newTracker,
 	})
 }
 
-func runStandalone(ctx context.Context, o *options, stdin io.Reader, out io.Writer) error {
-	if o.push && o.listen == "" {
-		return fmt.Errorf("-push needs -listen (events arrive on POST /v1/ingest)")
-	}
-	// The store opens before the source: a -follow tailer checkpoints
-	// into the same -state-dir, and resuming needs the store's last
-	// applied window as the dedup horizon.
-	st, err := openStore(o)
-	if err != nil {
-		return err
-	}
-	src, closers, err := openSource(o, stdin)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return err
-	}
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-
-	// Resume filter: re-read events the previous process already applied
-	// durably (tail re-reads past the conservative checkpoint offset,
-	// re-pushed batches) fall below the last applied window's end and are
-	// skipped, so a restart neither duplicates nor loses events.
-	if st != nil && (o.follow || o.push) {
-		if last := st.LastWindow(); last != nil {
-			var ctrs *source.Counters
-			if len(o.srcCtrs) > 0 {
-				ctrs = o.srcCtrs[0]
+// printForwarded consumes an ingest node's window stream: one line (or
+// NDJSON record) per window handed to the forwarder.
+func printForwarded(out io.Writer, results <-chan stream.WindowResult, jsonOut bool) error {
+	enc := json.NewEncoder(out)
+	for w := range results {
+		if jsonOut {
+			if err := enc.Encode(windowRecord{
+				Window: w.Seq, Start: w.Start, End: w.End, Requests: w.Requests,
+			}); err != nil {
+				return err
 			}
-			src = &source.SkipBelow{Src: src, Horizon: last.End, Counters: ctrs}
-			o.logger.Info("resuming ingestion", "horizon", last.End)
+			continue
 		}
+		fmt.Fprintf(out, "forwarded window %d [%s .. %s) requests=%d\n",
+			w.Seq, w.Start.Format(time.RFC3339), w.End.Format(time.RFC3339), w.Requests)
 	}
-	if o.tailer != nil {
-		if path, off, ok := o.tailer.Resume(); ok {
-			o.logger.Info("resuming tail from checkpoint", "file", path, "offset", off)
-		}
-	}
-	if onSource != nil {
-		onSource(o)
+	return nil
+}
+
+// serveRole runs one smashd process of role r: build the back (where
+// sealed windows go), build the front (where they come from) committing
+// into the back's sinks, serve the ops API, report windows until the
+// front drains, finish the back, print the summary.
+func serveRole(ctx context.Context, o *options, r role, stdin io.Reader, out io.Writer) error {
+	api := serve.Config{
+		Node:    o.node,
+		Role:    o.role,
+		Started: time.Now(),
+		Metrics: o.reg,
+		Tracer:  o.tracer,
+		Pprof:   o.pprofOn,
 	}
 
-	// The store is the durability layer and the HTTP read model: with
-	// -state-dir it restores lineage state from snapshot + WAL and keeps
-	// persisting; with only -listen it mirrors state in memory for serving.
-	engCfg := stream.Config{
-		Name:      "smashd",
-		Window:    o.window,
-		Stride:    o.stride,
-		Watermark: o.watermark,
-		Workers:   o.workers,
-		Shards:    o.shards,
-		Detector:  o.detectorOptions(),
-		Metrics:   o.reg,
-		Tracer:    o.tracer,
-		Logger:    o.logger.With("component", "engine"),
-	}
-	if st != nil {
-		defer st.Close()
-		if restored := st.Applied(); restored > 0 {
-			o.logger.Info("restored durable state",
-				"windows", restored, "walRecords", st.Stats().Replayed, "dir", o.stateDir)
+	// Back. A forwarding node ships every sealed index to its parent,
+	// with -state-dir through a durable spool (DIR/spool: fragments the
+	// parent could not take survive restarts and drain once it answers
+	// again); lineage state lives at the root, so its ops API serves an
+	// empty store. A detecting node's store is the durability layer and
+	// the HTTP read model: with -state-dir it restores lineage state from
+	// snapshot + WAL and keeps persisting, with only a listener it mirrors
+	// state in memory for serving. The store opens before the source: a
+	// -follow tailer checkpoints into the same -state-dir, and resuming
+	// needs the store's last applied window as the dedup horizon.
+	var (
+		st    *store.Store
+		fwd   *cluster.Forwarder
+		tk    *tracker.Tracker
+		sinks []stream.Sink
+		err   error
+	)
+	if r.forwards {
+		if st, err = store.Open(store.Config{}); err != nil {
+			return err
 		}
-		engCfg.Tracker = st.Restore()
-		engCfg.Sinks = []stream.Sink{st}
-	} else if o.retireAfter > 0 {
-		engCfg.Tracker = tracker.New()
-		engCfg.Tracker.RetireAfter = o.retireAfter
+		stride := o.stride
+		if stride == 0 {
+			stride = o.window
+		}
+		fwd, err = cluster.NewForwarder(cluster.ForwarderConfig{
+			URL:      o.forward,
+			Node:     o.node,
+			Role:     o.role,
+			Stride:   stride,
+			SpoolDir: o.statePath("spool"),
+			Metrics:  o.reg,
+			Logger:   o.logger.With("component", "forward"),
+		})
+		if err != nil {
+			return err
+		}
+		sinks = []stream.Sink{fwd}
+		api.ForwarderStats = fwd.Stats
+	} else {
+		if st, err = openStore(o); err != nil {
+			return err
+		}
+		if st == nil {
+			tk = o.newTracker()
+		} else {
+			defer st.Close()
+			if restored := st.Applied(); restored > 0 {
+				o.logger.Info("restored durable state",
+					"windows", restored, "walRecords", st.Stats().Replayed, "dir", o.stateDir)
+			}
+			tk = st.Restore()
+			sinks = []stream.Sink{st}
+		}
 	}
-	// The checkpoint sink runs after the store sink: by the time it
-	// commits a tail offset, the window behind it is already on disk.
-	if o.tailer != nil {
-		engCfg.Sinks = append(engCfg.Sinks, &source.CheckpointSink{T: o.tailer})
-	}
-	eng, err := stream.New(engCfg)
-	if err != nil {
-		return err
+	api.Store = st
+
+	// Front. Either way the first signal drains it: in-flight windows are
+	// sealed and committed into the back before the stream closes.
+	var (
+		listen string
+		start  func(context.Context) <-chan stream.WindowResult
+		stop   func()
+		runErr func() error
+		// summary adds the front's counters to the -json summary record
+		// and returns the text summary's front clause.
+		summary func(rec map[string]any) string
+	)
+	if r.fragments {
+		// With -state-dir the tier is crash-recoverable: every acked
+		// fragment lands in DIR/fragments before the 202, and a restart
+		// replays un-sealed windows. A detecting tier reconciles the one
+		// window a crash can interrupt against the store's last applied
+		// window seq (at most one window is redone); a forwarding tier
+		// re-forwards it and the parent dedupes.
+		applied := 0
+		if last := st.LastWindow(); last != nil {
+			applied = last.Window + 1
+		}
+		agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
+			Name:           "smashd",
+			Window:         o.window,
+			Stride:         o.stride,
+			Expect:         o.expect,
+			Straggler:      o.straggler,
+			IndexOnly:      r.forwards,
+			Detector:       o.detectorOptions(),
+			Tracker:        tk,
+			Sinks:          sinks,
+			FragDir:        o.statePath("fragments"),
+			FragSync:       o.walSync,
+			AppliedWindows: applied,
+			Metrics:        o.reg,
+			Tracer:         o.tracer,
+			Logger:         o.logger.With("component", "aggregator"),
+		})
+		if err != nil {
+			return err
+		}
+		api.Aggregator = agg
+		listen, start, stop, runErr = o.clusterListen, agg.Start, agg.Stop, agg.Err
+		summary = func(rec map[string]any) string {
+			cs := agg.Stats()
+			rec["nodes"], rec["fragments"] = cs.Nodes, cs.Fragments
+			rec["lateFragments"], rec["duplicateFragments"] = cs.LateFragments, cs.DuplicateFragments
+			rec["windows"], rec["emptyWindows"] = cs.Windows, cs.EmptyWindows
+			verb := "merged"
+			if !r.forwards {
+				verb, rec["requests"] = "aggregated", cs.Requests
+			}
+			return fmt.Sprintf("%s %d fragments from %d nodes (%d late, %d duplicate) into %d windows (%d empty)",
+				verb, cs.Fragments, cs.Nodes, cs.LateFragments, cs.DuplicateFragments, cs.Windows, cs.EmptyWindows)
+		}
+	} else {
+		src, closers, err := openSource(o, stdin)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			for _, c := range closers {
+				c.Close()
+			}
+		}()
+		engCfg := stream.Config{
+			Name:      "smashd",
+			Window:    o.window,
+			Stride:    o.stride,
+			Watermark: o.watermark,
+			Workers:   o.workers,
+			Shards:    o.shards,
+			IndexOnly: r.forwards,
+			Detector:  o.detectorOptions(),
+			Tracker:   tk,
+			Sinks:     sinks,
+			Metrics:   o.reg,
+			Tracer:    o.tracer,
+			Logger:    o.logger.With("component", "engine"),
+		}
+		if r.forwards {
+			// Window boundaries anchor at the Unix epoch so every node
+			// of the tree agrees on window ids without coordination.
+			engCfg.Origin = cluster.Epoch
+			if o.parts > 0 {
+				src = &cluster.ShardSource{Src: src, Shard: o.part, Of: o.parts}
+			}
+		} else {
+			// Resume filter: re-read events the previous process already
+			// applied durably (tail re-reads past the conservative
+			// checkpoint offset, re-pushed batches) fall below the last
+			// applied window's end and are skipped, so a restart neither
+			// duplicates nor loses events.
+			if st != nil && (o.follow || o.push) {
+				if last := st.LastWindow(); last != nil {
+					var ctrs *source.Counters
+					if len(o.srcCtrs) > 0 {
+						ctrs = o.srcCtrs[0]
+					}
+					src = &source.SkipBelow{Src: src, Horizon: last.End, Counters: ctrs}
+					o.logger.Info("resuming ingestion", "horizon", last.End)
+				}
+			}
+			if o.tailer != nil {
+				if path, off, ok := o.tailer.Resume(); ok {
+					o.logger.Info("resuming tail from checkpoint", "file", path, "offset", off)
+				}
+				// The checkpoint sink runs after the store sink: by the
+				// time it commits a tail offset, the window behind it is
+				// already on disk.
+				engCfg.Sinks = append(engCfg.Sinks, &source.CheckpointSink{T: o.tailer})
+			}
+			if onSource != nil {
+				onSource(o)
+			}
+		}
+		eng, err := stream.New(engCfg)
+		if err != nil {
+			return err
+		}
+		api.EngineStats, api.Sources = eng.Stats, o.sourceStats
+		api.Push = o.pushQueue
+		api.PushOptions, _ = o.sourceOptions()
+		listen, stop, runErr = o.listen, o.drain(eng.Stop), eng.Err
+		start = func(ctx context.Context) <-chan stream.WindowResult { return eng.StartContext(ctx, src) }
+		summary = func(rec map[string]any) string {
+			es := eng.Stats()
+			rec["events"], rec["late"] = es.Events, es.Late
+			rec["windows"], rec["emptyWindows"] = es.Windows, es.EmptyWindows
+			return fmt.Sprintf("ingested %d events (%d late-dropped) into %d windows (%d empty)",
+				es.Events, es.Late, es.Windows, es.EmptyWindows)
+		}
 	}
 
-	// Two-phase shutdown: the first SIGINT/SIGTERM drains — Stop seals and
-	// emits every in-flight window, so interrupting a live feed still
-	// reports what was ingested. A second signal cancels the run context,
-	// aborting in-flight detections at their next stage boundary. The
-	// deferred cancel also unparks the goroutine on a signal-free return.
+	// Two-phase shutdown: the first SIGINT/SIGTERM drains the front, so
+	// interrupting a live feed still reports what was ingested. A second
+	// signal cancels the run context, aborting in-flight detections at
+	// their next stage boundary. The deferred cancel also unparks the
+	// goroutine on a signal-free return.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// The ops API serves live state for the whole run and shuts down
 	// gracefully once the stream has drained. Its shutdown context is the
 	// run context: a second signal (hard abort) also cuts serving short.
-	if o.listen != "" {
-		pushOpts, _ := o.sourceOptions()
-		shutdown, err := serveHTTP(ctx, o.listen, serve.NewHandler(serve.Config{
-			Store:       st,
-			EngineStats: eng.Stats,
-			Push:        o.pushQueue,
-			PushOptions: pushOpts,
-			Sources:     o.sourceStats,
-			Node:        o.node,
-			Role:        "standalone",
-			Started:     time.Now(),
-			Metrics:     o.reg,
-			Tracer:      o.tracer,
-			Pprof:       o.pprofOn,
-		}), o.logger.With("component", "http"))
+	if listen != "" {
+		shutdown, err := serveHTTP(ctx, listen, serve.NewHandler(api), o.logger.With("component", "http"))
 		if err != nil {
 			return err
 		}
 		defer shutdown()
 	}
-	defer notifySignals(ctx, cancel, o.drain(eng.Stop), o.logger)()
+	defer notifySignals(ctx, cancel, stop, o.logger)()
 
-	if err := printWindows(out, eng.StartContext(ctx, src), o.jsonOut, o.verbose); err != nil {
-		return err
-	}
-	if err := eng.Err(); err != nil {
-		return err
-	}
-	// Final snapshot + WAL compaction, so the next start restores without
-	// replay. The deferred Close is then a no-op.
-	if st != nil {
-		if err := st.Close(); err != nil {
-			return err
+	// Report. A fragments front runs until every expected child has sent
+	// its end-of-stream marker. A merge tier has nothing to say per
+	// window, but the stream must still be drained for the tier to seal.
+	results := start(ctx)
+	switch {
+	case !r.forwards:
+		err = printWindows(out, results, o.jsonOut, o.verbose)
+	case !r.fragments:
+		err = printForwarded(out, results, o.jsonOut)
+	default:
+		for range results {
 		}
 	}
-
-	stats := eng.Stats()
-	if o.jsonOut {
-		return json.NewEncoder(out).Encode(map[string]any{
-			"events": stats.Events, "late": stats.Late,
-			"windows": stats.Windows, "emptyWindows": stats.EmptyWindows,
-			"lineages": len(eng.Tracker().Lineages()),
-		})
+	if err == nil {
+		err = runErr()
 	}
-	fmt.Fprintf(out, "ingested %d events (%d late-dropped) into %d windows (%d empty)\n",
-		stats.Events, stats.Late, stats.Windows, stats.EmptyWindows)
-	fmt.Fprint(out, eng.Tracker().Summary())
-	return nil
+	if err != nil {
+		return err
+	}
+
+	// Finish the back. A forwarding node's end-of-stream marker tells the
+	// parent it is done, so windows there can seal without waiting on the
+	// straggler policy; CloseContext drains any spool first and keeps
+	// retrying through a parent outage until a shutdown signal cancels
+	// the context. A hard-aborted fragment tier skips it: its restart
+	// owns the stream's tail. A store takes its final snapshot + WAL
+	// compaction, so the next start restores without replay (the deferred
+	// Close is then a no-op).
+	rec := make(map[string]any)
+	text := summary(rec)
+	if r.forwards {
+		if !r.fragments || ctx.Err() == nil {
+			if err := fwd.CloseContext(ctx); err != nil {
+				return err
+			}
+		}
+		fs := fwd.Stats()
+		rec["node"], rec["forwarded"], rec["retries"], rec["bytes"] = o.node, fs.Forwarded, fs.Retries, fs.Bytes
+		rec["spooled"], rec["spoolDropped"] = fs.Spooled, fs.SpoolDropped
+		// "node shard0: ingested …; forwarded 9 fragments (…) to URL",
+		// "merge merge0: merged …; forwarded 9 (…) to URL".
+		what, unit := "node", " fragments"
+		if r.fragments {
+			what, unit = "merge", ""
+		}
+		text = fmt.Sprintf("%s %s: %s; forwarded %d%s (%d retries, %d bytes) to %s\n",
+			what, o.node, text, fs.Forwarded, unit, fs.Retries, fs.Bytes, o.forward)
+		if !r.fragments && (fs.Spooled > 0 || fs.SpoolPending > 0) {
+			text += fmt.Sprintf("spool: %d fragments spilled during outages (%d dropped, %d still pending)\n",
+				fs.Spooled, fs.SpoolDropped, fs.SpoolPending)
+		}
+	} else {
+		if st != nil {
+			if err := st.Close(); err != nil {
+				return err
+			}
+		}
+		rec["lineages"] = len(tk.Lineages())
+		text += "\n" + tk.Summary()
+	}
+	if o.jsonOut {
+		return json.NewEncoder(out).Encode(rec)
+	}
+	_, err = io.WriteString(out, text)
+	return err
 }

@@ -40,8 +40,8 @@
 //     Forwarder (stream.Sink) with a durable on-disk spool, the
 //     window-aligning Aggregator with per-node watermarks, a straggler
 //     policy and crash recovery via a fragment log (WAL of raw wire
-//     fragments, replayed on restart), and the detection-free Merger
-//     tier for fan-in trees
+//     fragments, replayed on restart); an IndexOnly Aggregator with a
+//     Forwarder sink is the detection-free merge tier of fan-in trees
 //   - internal/source      — real-traffic ingestion surface: access-log
 //     format parsers (tsv, Apache/Nginx common and combined, JSON lines
 //     with field mapping) with strict error accounting, a

@@ -24,15 +24,24 @@ type AggregatorConfig struct {
 	// Stride is the window start spacing; 0 defaults to Window. It must
 	// equal the ingest nodes' stride or window ids will not align.
 	Stride time.Duration
-	// Expect is the number of ingest nodes feeding this aggregator
-	// (required, > 0). A window seals once every expected node has
-	// forwarded it (or passed it).
+	// Expect is the number of child nodes — ingest nodes or merge tiers —
+	// feeding this aggregator (required, > 0). A window seals once every
+	// expected node has forwarded it (or passed it).
 	Expect int
 	// Straggler bounds how far (in windows) the lead node may run ahead
 	// of a lagging one before windows seal without the straggler; late
 	// fragments are then counted and dropped. 0 waits for every node
 	// indefinitely — exact, but a dead node stalls the cluster.
 	Straggler int
+	// IndexOnly makes this a merge tier — the twin of
+	// stream.Config.IndexOnly: no detection and no tracking, every window
+	// (empty and aborted ones too — the parent needs this tier's
+	// watermark) goes straight to Sinks with the children's hop trail on
+	// WindowResult.Hops, and a Forwarder sink ships it upstream. The
+	// parent dedupes per (node, window), so the fragment-log frontier
+	// commits after the sinks ran and a crash in between re-forwards one
+	// window; AppliedWindows is forced to -1.
+	IndexOnly bool
 	// Detector configures the core.Pipeline run on every merged window.
 	Detector []core.Option
 	// Tracker overrides the lineage tracker (default tracker.New()).
@@ -72,14 +81,17 @@ type AggregatorConfig struct {
 	Logger *slog.Logger
 }
 
-// Aggregator receives window fragments from ingest nodes, aligns them on
-// epoch-derived window ids, merges each window's fragments (remap-merge
+// Aggregator receives window fragments from its child nodes, aligns them
+// on epoch-derived window ids, merges each window's fragments (remap-merge
 // across foreign symbol tables) and commits the merged index through the
-// same stream.Committer a standalone stream engine drives. Create with
+// same stream.Committer a standalone stream engine drives — detection,
+// tracker and sinks at the tree's root, sinks alone on an IndexOnly merge
+// tier. Create with
 // NewAggregator, feed with Submit (typically via internal/serve's
-// /v1/ingest), consume the Start channel. With FragDir set it survives
-// kill -9: see AggregatorConfig.FragDir and the package comment's fault
-// tolerance section.
+// /v1/ingest), consume the Start channel — always: it has capacity 1, so
+// an undrained aggregator blocks at its second seal. With FragDir set it
+// survives kill -9: see AggregatorConfig.FragDir and the package
+// comment's merge tiers section.
 type Aggregator struct {
 	*assembler
 
@@ -113,6 +125,9 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 64
+	}
+	if cfg.IndexOnly {
+		cfg.AppliedWindows = -1
 	}
 	a := &Aggregator{
 		cfg:    cfg,
@@ -154,7 +169,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		mHop:        mHop,
 		mE2E:        mE2E,
 		flog:        flog,
-		exactlyOnce: true,
+		exactlyOnce: !cfg.IndexOnly,
 		applied:     cfg.AppliedWindows,
 		onSeal:      a.sealWindow,
 	})
@@ -186,9 +201,9 @@ func (a *Aggregator) Tracker() *tracker.Tracker { return a.cfg.Tracker }
 // sealWindow is the aggregator's half of a seal: it commits the merged
 // index — detection unless the window is empty or the run is aborting,
 // then tracker, deltas and sinks — and publishes the result. The hop trail
-// was already folded into spans by the assembler; the aggregator is the
-// tree's root, so it forwards the trail nowhere.
-func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, _ []wire.Hop, aborted bool) {
+// was already folded into spans by the assembler; the tree's root forwards
+// it nowhere, an IndexOnly tier hands it to its sinks instead of detecting.
+func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool) {
 	res := stream.WindowResult{
 		Seq:      seq,
 		Start:    start,
@@ -196,14 +211,18 @@ func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start tim
 		Requests: merged.RequestCount,
 		Index:    merged,
 	}
-	if merged.RequestCount > 0 && !aborted && ctx.Err() == nil {
-		report, err := a.commit.Detect(ctx, seq, merged)
-		if err != nil {
-			a.setErr(err)
+	if a.cfg.IndexOnly {
+		res.Hops = hops
+	} else {
+		if merged.RequestCount > 0 && !aborted && ctx.Err() == nil {
+			report, err := a.commit.Detect(ctx, seq, merged)
+			if err != nil {
+				a.setErr(err)
+			}
+			res.Report = report
 		}
-		res.Report = report
+		a.commit.Track(&res)
 	}
-	a.commit.Track(&res)
 	if err := a.commit.Sink(&res); err != nil {
 		a.setErr(err)
 	}

@@ -160,19 +160,19 @@ type assemblerConfig struct {
 	flog *FragLog
 	// exactlyOnce selects the frontier-commit ordering relative to
 	// onSeal: true commits before (the sink is the source of truth and
-	// must never see a window twice — the aggregator, whose reconcile
-	// against applied redoes at most the interrupted window); false
-	// commits after (the downstream dedupes, so a crash between onSeal
-	// and commit costs one duplicate delivery — the merger).
+	// must never see a window twice — a detecting aggregator, whose
+	// reconcile against applied redoes at most the interrupted window);
+	// false commits after (the downstream dedupes, so a crash between
+	// onSeal and commit costs one duplicate delivery — an IndexOnly
+	// merge tier).
 	exactlyOnce bool
 	// applied is the durable sink's lifetime window count at open, used
 	// to reconcile the frontier after a crash; -1 trusts the frontier.
 	applied int
-	// onSeal performs the role-specific half of a seal — detection and
-	// sinks for the aggregator, upstream forwarding for the merger —
+	// onSeal performs the commit half of a seal (Aggregator.sealWindow)
 	// given the merged index of window id w, emitted as sequence seq.
 	// hops is the window's combined hop trail (fragments in sorted node
-	// order); the merger copies it onto the merged fragment so the root
+	// order); a merge tier copies it onto the merged fragment so the root
 	// sees the whole path.
 	onSeal func(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool)
 }
@@ -184,14 +184,14 @@ type pendingFrag struct {
 	replayed bool
 }
 
-// assembler is the loop shared by the Aggregator and the Merger: it
-// accepts wire fragments, aligns them on epoch-derived window ids with
+// assembler is the Aggregator's fragment-assembly loop: it accepts wire
+// fragments, aligns them on epoch-derived window ids with
 // per-(node, window) dedupe and straggler-policy late drops, merges each
 // sealed window's fragments in sorted node order, and hands the merged
-// index to a role-specific onSeal. With a FragLog it is crash-recoverable:
-// Submit makes every fragment durable before acking, and run replays the
-// log through the same accept path at startup, so a restarted process
-// resumes exactly where the dead one stopped.
+// index to onSeal. With a FragLog it is crash-recoverable: Submit makes
+// every fragment durable before acking, and run replays the log through
+// the same accept path at startup, so a restarted process resumes exactly
+// where the dead one stopped.
 type assembler struct {
 	cfg assemblerConfig
 	log *slog.Logger
@@ -399,7 +399,7 @@ func (s *assembler) accept(frag *wire.Fragment) {
 	if node == nil {
 		node = &nodeState{last: noWindow}
 		s.nodes[frag.Node] = node
-		s.log.Info("node joined", "node", frag.Node)
+		s.log.Info("node joined", "child", frag.Node)
 	}
 	node.lastSeen = time.Now()
 	// Fold the hop trail into per-node observability state: the trail's
@@ -433,7 +433,7 @@ func (s *assembler) accept(frag *wire.Fragment) {
 	if frag.Final {
 		node.finished = true
 		s.nodeMu.Unlock()
-		s.log.Info("node finished", "node", frag.Node, "lastWindow", frag.Window)
+		s.log.Info("node finished", "child", frag.Node, "lastWindow", frag.Window)
 		return
 	}
 	if frag.Window > node.last {
@@ -451,11 +451,11 @@ func (s *assembler) accept(frag *wire.Fragment) {
 	switch {
 	case sealed:
 		s.ctrLate.Add(1)
-		s.log.Warn("late fragment dropped", "node", frag.Node, "windowID", frag.Window)
+		s.log.Warn("late fragment dropped", "child", frag.Node, "windowID", frag.Window)
 		return
 	case dup:
 		s.ctrDup.Add(1)
-		s.log.Debug("duplicate fragment dropped", "node", frag.Node, "windowID", frag.Window)
+		s.log.Debug("duplicate fragment dropped", "child", frag.Node, "windowID", frag.Window)
 		return
 	}
 	s.ctrFragments.Add(1)
@@ -498,11 +498,11 @@ func (s *assembler) watermark() (int64, bool) {
 	return w, allDone
 }
 
-// seal merges window w's fragments in sorted node order, runs the
-// role-specific onSeal, and advances the durable frontier: in
-// exactly-once mode the frontier commits before onSeal's effects (the
-// sink's applied count reconciles a crash in between), in at-least-once
-// mode after (the downstream dedupes the one window a crash can repeat).
+// seal merges window w's fragments in sorted node order, runs onSeal, and
+// advances the durable frontier: in exactly-once mode the frontier
+// commits before onSeal's effects (the sink's applied count reconciles a
+// crash in between), in at-least-once mode after (the downstream dedupes
+// the one window a crash can repeat).
 func (s *assembler) seal(ctx context.Context, w int64, aborted bool) {
 	sealStart := time.Now()
 	seq := int64(s.emitted)

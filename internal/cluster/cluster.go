@@ -20,6 +20,24 @@
 // engine drives, so a partitioned run reproduces a single-node run's
 // output byte-for-byte (TestClusterMatchesStandalone).
 //
+// # Merge tiers
+//
+// When one aggregator cannot absorb the fan-in, trees replace the star.
+// The tier in between is no type of its own: AggregatorConfig.IndexOnly —
+// the twin of stream.Config.IndexOnly — gives an Aggregator that aligns,
+// dedupes and merges exactly like the root but skips detection and
+// tracking and hands every window (empty ones too: the parent needs the
+// tier's watermark) to its sinks, and a Forwarder in Sinks ships it
+// upstream under the tier's node name. Index merging is associative and
+// every tier merges in sorted node order, so any tree shape produces
+// byte-identical output (TestMergeTierMatchesDirect). With FragDir both
+// kinds survive kill -9, differently: a detecting aggregator commits its
+// frontier before the sinks run and reconciles the one window a crash can
+// interrupt against the sink's applied count (exactly-once into the
+// store); an IndexOnly tier has no such count, commits after the sink,
+// and re-forwards that one window — the parent's (node, window) dedupe
+// absorbs it (TestMergerDuplicateForwardDedupes).
+//
 // # Window alignment
 //
 // Nodes never coordinate: every window is identified by its epoch-derived
@@ -45,8 +63,9 @@
 // # Hop provenance and tracing
 //
 // Every transit stamps a hop record (wire.Hop) onto the fragment: node,
-// role, send/receive times, delivery attempts, spool dwell. Mergers
-// carry their children's trails upstream, so the root aggregator
+// role, send/receive times, delivery attempts, spool dwell. Merge tiers
+// carry their children's trails upstream (stream.WindowResult.Hops, which
+// Forwarder.Consume copies onto the merged fragment), so the root aggregator
 // stitches the full path into hop:<node> spans on its obs.Tracer,
 // observes per-hop transit and end-to-end event-time-to-seal
 // histograms, estimates per-child clock skew from the stamps, and
@@ -196,11 +215,12 @@ type ForwarderStats struct {
 	SpoolBytes   int64 `json:"spoolBytes"`
 }
 
-// Forwarder is the ingest node's stream.Sink: it encodes every emitted
-// window's index as a wire fragment and delivers it to the aggregator
-// with bounded retry and exponential backoff. Because sinks run on the
-// engine's emit path, a slow or unreachable aggregator backpressures
-// ingestion instead of buffering fragments without bound.
+// Forwarder is a forwarding node's stream.Sink — behind an IndexOnly
+// engine on an ingest node, behind an IndexOnly Aggregator on a merge
+// tier: it encodes every emitted window's index as a wire fragment and
+// delivers it to the parent with bounded retry and exponential backoff.
+// Because sinks run on the emit path, a slow or unreachable parent
+// backpressures ingestion instead of buffering fragments without bound.
 type Forwarder struct {
 	cfg    ForwarderConfig
 	client *http.Client
@@ -292,7 +312,13 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 func (f *Forwarder) SinkName() string { return "forward" }
 
 // Consume implements stream.Sink: it ships the window's index to the
-// aggregator. The engine must run with Config.IndexOnly (or KeepIndex).
+// aggregator. The engine must run with Config.IndexOnly (or KeepIndex);
+// behind an IndexOnly Aggregator — a merge tier — the children's hop
+// trails ride w.Hops onto the fragment, so the root sees the whole path.
+// The encoded bytes stay hop-free for this transit; each delivery attempt
+// appends its own freshly-stamped hop record via hopBody, and spooled
+// fragments get theirs at drain time so dwell and attempt counts are
+// accurate.
 //
 // With a spool configured, delivery failure is absorbed instead of
 // surfaced: a fragment whose attempts exhaust is written to disk and the
@@ -304,24 +330,15 @@ func (f *Forwarder) Consume(w *stream.WindowResult) error {
 	if w.Index == nil {
 		return fmt.Errorf("cluster: window %d has no index; run the engine with Config.IndexOnly", w.Seq)
 	}
-	return f.forward(&wire.Fragment{
+	id := WindowID(w.Start, f.cfg.Stride)
+	body := wire.EncodeFragment(&wire.Fragment{
 		Node:   f.cfg.Node,
-		Window: WindowID(w.Start, f.cfg.Stride),
+		Window: id,
 		Start:  w.Start,
 		End:    w.End,
 		Index:  w.Index,
+		Hops:   w.Hops,
 	})
-}
-
-// forward encodes and delivers one fragment — the shared implementation
-// behind Consume, also called directly by the Merger so its children's
-// hop trails (already on frag.Hops) ride the merged fragment. The encoded
-// bytes stay hop-free for this transit; each delivery attempt appends its
-// own freshly-stamped hop record via hopBody, and spooled fragments get
-// theirs at drain time so dwell and attempt counts are accurate.
-func (f *Forwarder) forward(frag *wire.Fragment) error {
-	id := frag.Window
-	body := wire.EncodeFragment(frag)
 	if f.sp != nil && f.sp.pending() > 0 {
 		if err := f.sp.put(body); err != nil {
 			return err
@@ -364,7 +381,7 @@ func (f *Forwarder) hopBody(body []byte, attempt int, dwell time.Duration) []byt
 
 // drain delivers spooled fragments oldest-first with single attempts,
 // stopping at the first transient failure — the aggregator is still (or
-// again) unreachable, and the next Consume or Close will try again. A 4xx
+// again) unreachable, and the next Consume or CloseContext will try again. A 4xx
 // rejection drops the entry: resending cannot heal it.
 func (f *Forwarder) drain() {
 	for f.sp.pending() > 0 {
@@ -386,39 +403,13 @@ func (f *Forwarder) drain() {
 	}
 }
 
-// Close drains any spooled backlog (bounded retries per entry), then
-// delivers the node's end-of-stream marker, telling the aggregator no
-// further windows will arrive from this node. Call it after the ingest
-// engine's output channel has closed; use CloseContext when shutdown
-// should wait out an aggregator outage instead of giving up.
-func (f *Forwarder) Close() error {
-	if f.sp != nil {
-		for f.sp.pending() > 0 {
-			seq, body, dwell, ok := f.sp.peek()
-			if !ok {
-				continue
-			}
-			if err := f.post(body, dwell); err != nil {
-				var rej *rejectError
-				if errors.As(err, &rej) {
-					f.log.Error("aggregator rejected spooled fragment; dropped", "seq", seq, "err", err)
-					f.sp.remove(seq)
-					continue
-				}
-				return fmt.Errorf("cluster: spool drain: %w", err)
-			}
-			f.sp.remove(seq)
-		}
-	}
-	frag := &wire.Fragment{Node: f.cfg.Node, Window: f.lastWindow.Load(), Final: true}
-	return f.post(wire.EncodeFragment(frag), 0)
-}
-
-// CloseContext is Close with patience: it keeps draining the spool and
-// re-posting the final marker — capped, jittered backoff between rounds —
-// until everything is delivered or ctx is cancelled. A durable ingest
-// node shuts down through here so an aggregator outage at end-of-stream
-// costs waiting, not the final marker. A 4xx rejection returns
+// CloseContext delivers the node's end-of-stream marker, telling the
+// parent no further windows will arrive from this node; call it after
+// the engine's (or merge tier's) output channel has closed. It keeps
+// draining the spool and re-posting the marker — capped, jittered backoff
+// between rounds — until everything is delivered or ctx is cancelled, so
+// an aggregator outage at end-of-stream costs waiting, not the final
+// marker; give ctx a deadline to bound the wait. A 4xx rejection returns
 // immediately; on cancellation the give-up is logged loudly, because the
 // aggregator will now hold this node's watermark open until its
 // straggler policy forces the issue.

@@ -24,12 +24,13 @@ import (
 	"smash/internal/wire"
 )
 
-// submitter is the ingest-side surface shared by Aggregator and Merger.
+// submitter is the ingest-side surface of an Aggregator (or a test's
+// stand-in parent).
 type submitter interface {
 	Submit(*wire.Fragment) error
 }
 
-// ingestHandler is the minimal HTTP face of an aggregator (or merger)
+// ingestHandler is the minimal HTTP face of an aggregator (either kind)
 // for tests — internal/serve wires the production /v1/ingest the same
 // way.
 func ingestHandler(t *testing.T, agg submitter) http.Handler {
@@ -97,7 +98,7 @@ func runIngestNode(t *testing.T, url, node string, shard, of int, reqs []trace.R
 	if err := eng.Err(); err != nil {
 		t.Errorf("node %s: %v", node, err)
 	}
-	if err := fwd.Close(); err != nil {
+	if err := fwd.CloseContext(context.Background()); err != nil {
 		t.Errorf("node %s final marker: %v", node, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smash/internal/core"
+	"smash/internal/stream"
 	"smash/internal/wire"
 )
 
@@ -58,23 +59,18 @@ func TestMergeTierMatchesDirect(t *testing.T) {
 	defer rootSrv.Close()
 	rootGot := drainResults(rootResults)
 
-	merger, err := NewMerger(MergerConfig{
-		Window: window, Expect: 2,
-		Forward: ForwarderConfig{URL: rootSrv.URL, Node: "merge-0"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	merger, fwd := newMergeTier(t, AggregatorConfig{Window: window, Expect: 2},
+		ForwarderConfig{URL: rootSrv.URL, Node: "merge-0"})
 	mergeSrv := httptest.NewServer(ingestHandler(t, merger))
 	defer mergeSrv.Close()
-	mergeDone := merger.Start(ctx)
+	mergeDone := drainResults(merger.Start(ctx))
 
 	runNodes(mergeSrv.URL)
-	<-mergeDone
+	mergeDone()
 	if err := merger.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := merger.CloseUpstream(ctx); err != nil {
+	if err := fwd.CloseContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +87,7 @@ func TestMergeTierMatchesDirect(t *testing.T) {
 	if mst.Nodes != 2 || mst.Windows != len(want) {
 		t.Errorf("merger stats: nodes=%d windows=%d, want 2/%d", mst.Nodes, mst.Windows, len(want))
 	}
-	if fst := merger.Forwarder().Stats(); fst.Forwarded != len(want)+1 { // windows + final
+	if fst := fwd.Stats(); fst.Forwarded != len(want)+1 { // windows + final
 		t.Errorf("merger forwarded %d fragments, want %d", fst.Forwarded, len(want)+1)
 	}
 }
@@ -137,7 +133,7 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 	// Each incarnation replays the same pre-crash fragment log (built
 	// fresh per incarnation: a real crash leaves the files in place, but
 	// a clean merger exit garbage-collects them).
-	runIncarnation := func() *Merger {
+	runIncarnation := func() *Forwarder {
 		dir := t.TempDir()
 		flog, err := OpenFragLog(dir, false)
 		if err != nil {
@@ -149,23 +145,18 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 			}
 		}
 		flog.Close()
-		m, err := NewMerger(MergerConfig{
-			Window: window, Expect: 2, FragDir: dir,
-			Forward: ForwarderConfig{URL: rootSrv.URL, Node: "m0"},
-		})
-		if err != nil {
-			t.Fatal(err)
+		m, fwd := newMergeTier(t, AggregatorConfig{Window: window, Expect: 2, FragDir: dir},
+			ForwarderConfig{URL: rootSrv.URL, Node: "m0"})
+		for range m.Start(ctx) { // completes on replay alone: the finals are logged
 		}
-		<-m.Start(ctx) // completes on replay alone: the finals are logged
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return fwd
 	}
 
 	runIncarnation() // forwards window 0, "crashes" before the final marker
-	m2 := runIncarnation()
-	if err := m2.CloseUpstream(ctx); err != nil {
+	if err := runIncarnation().CloseContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,19 +178,44 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 	}
 }
 
-// Merger validation mirrors the aggregator's plus the forward leg.
-func TestMergerValidation(t *testing.T) {
-	cases := []MergerConfig{
-		{},
-		{Window: time.Hour},
-		{Window: time.Hour, Expect: 1},
-		{Window: time.Hour, Expect: 1, Forward: ForwarderConfig{URL: "http://x"}},
-		{Window: time.Hour, Expect: 1, Straggler: -1,
-			Forward: ForwarderConfig{URL: "http://x", Node: "m"}},
+// newMergeTier builds a merge tier the way smashd -role merge does: an
+// IndexOnly aggregator whose only sink is a merge-role Forwarder on the
+// tier's stride (the window: every test tier is tumbling).
+func newMergeTier(t *testing.T, ac AggregatorConfig, fc ForwarderConfig) (*Aggregator, *Forwarder) {
+	t.Helper()
+	fc.Role, fc.Stride = "merge", ac.Window
+	fwd, err := NewForwarder(fc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, cfg := range cases {
-		if _, err := NewMerger(cfg); err == nil {
-			t.Errorf("case %d accepted: %+v", i, cfg)
+	ac.IndexOnly, ac.Sinks = true, []stream.Sink{fwd}
+	agg, err := NewAggregator(ac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg, fwd
+}
+
+// Merge-tier validation is the aggregator's plus the forward leg's: a
+// tier needs both halves, so a pair is refused when either constructor
+// refuses its half.
+func TestMergerValidation(t *testing.T) {
+	up := ForwarderConfig{URL: "http://x", Node: "m", Stride: time.Hour}
+	cases := []struct {
+		agg AggregatorConfig
+		fwd ForwarderConfig
+	}{
+		{AggregatorConfig{IndexOnly: true}, up},
+		{AggregatorConfig{IndexOnly: true, Window: time.Hour}, up},
+		{AggregatorConfig{IndexOnly: true, Window: time.Hour, Expect: 1}, ForwarderConfig{Stride: time.Hour}},
+		{AggregatorConfig{IndexOnly: true, Window: time.Hour, Expect: 1}, ForwarderConfig{URL: "http://x", Stride: time.Hour}},
+		{AggregatorConfig{IndexOnly: true, Window: time.Hour, Expect: 1, Straggler: -1}, up},
+	}
+	for i, tc := range cases {
+		_, aerr := NewAggregator(tc.agg)
+		_, ferr := NewForwarder(tc.fwd)
+		if aerr == nil && ferr == nil {
+			t.Errorf("case %d accepted: %+v", i, tc)
 		}
 	}
 }

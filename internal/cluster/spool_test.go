@@ -123,7 +123,7 @@ func TestForwarderSpoolOutageAndRestart(t *testing.T) {
 	if err := f2.Consume(spoolWindow(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.Close(); err != nil {
+	if err := f2.CloseContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -72,7 +72,7 @@ func TestHopProvenanceEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fwd.Close(); err != nil {
+	if err := fwd.CloseContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res := got()
@@ -152,7 +152,7 @@ func TestForwarderDisableHops(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fwd.Close(); err != nil {
+	if err := fwd.CloseContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got()
@@ -184,14 +184,9 @@ func TestMergerForwardsChildHops(t *testing.T) {
 	})))
 	defer parent.Close()
 
-	m, err := NewMerger(MergerConfig{
-		Window: window, Expect: 1,
-		Forward: ForwarderConfig{URL: parent.URL, Node: "m0"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := m.Start(context.Background())
+	m, fwd := newMergeTier(t, AggregatorConfig{Window: window, Expect: 1},
+		ForwarderConfig{URL: parent.URL, Node: "m0"})
+	done := drainResults(m.Start(context.Background()))
 
 	frag := fragFor("a", 0, "cA")
 	frag.Hops = []wire.Hop{{Node: "a", Role: "ingest", Send: time.Now().UTC().Add(-time.Second), Attempts: 1}}
@@ -201,11 +196,11 @@ func TestMergerForwardsChildHops(t *testing.T) {
 	if err := m.Submit(&wire.Fragment{Node: "a", Final: true, Window: 0}); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	done()
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CloseUpstream(context.Background()); err != nil {
+	if err := fwd.CloseContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

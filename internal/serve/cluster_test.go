@@ -35,8 +35,12 @@ func memStore(t *testing.T) *store.Store {
 // postFragment POSTs one encoded fragment to the handler.
 func postFragment(t *testing.T, h http.Handler, frag *wire.Fragment) *httptest.ResponseRecorder {
 	t.Helper()
+	return postFragmentBytes(h, wire.EncodeFragment(frag))
+}
+
+func postFragmentBytes(h http.Handler, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader(wire.EncodeFragment(frag)))
+	req := httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader(body))
 	req.Header.Set("Content-Type", cluster.ContentType)
 	h.ServeHTTP(rec, req)
 	return rec
@@ -426,9 +430,8 @@ func TestIngestRejectsMisconfiguredChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merger, err := cluster.NewMerger(cluster.MergerConfig{
-		Window: window, Expect: 1, FragDir: mergeDir,
-		Forward: cluster.ForwarderConfig{URL: "http://127.0.0.1:0", Node: "merge0"},
+	merger, err := cluster.NewAggregator(cluster.AggregatorConfig{
+		Window: window, Expect: 1, FragDir: mergeDir, IndexOnly: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,10 +443,15 @@ func TestIngestRejectsMisconfiguredChild(t *testing.T) {
 	hourly.Start, hourly.End = hourStart, hourStart.Add(time.Hour)
 	shifted := windowFragment("n0", 3, "c1")
 	shifted.Start, shifted.End = shifted.Start.Add(time.Hour), shifted.End.Add(time.Hour)
+	// zeroed is a well-placed fragment whose index header claims no
+	// requests (byte 5 of the index encoding) over its one-request server:
+	// merged as-is it would skip detection and be counted an empty window.
+	zeroed := wire.EncodeFragment(windowFragment("n0", 3, "c1"))
+	zeroed[bytes.LastIndex(zeroed, []byte("SMWF"))+5] = 0
 
 	for _, role := range []struct {
 		name string
-		sink FragmentSink
+		sink *cluster.Aggregator
 		dir  string
 	}{{"aggregate", agg, aggDir}, {"merge", merger, mergeDir}} {
 		t.Run(role.name, func(t *testing.T) {
@@ -460,6 +468,9 @@ func TestIngestRejectsMisconfiguredChild(t *testing.T) {
 				if rec := postFragment(t, h, frag); rec.Code != http.StatusBadRequest {
 					t.Errorf("%s fragment: status = %d, want 400: %s", name, rec.Code, rec.Body)
 				}
+			}
+			if rec := postFragmentBytes(h, zeroed); rec.Code != http.StatusBadRequest {
+				t.Errorf("zeroed-total fragment: status = %d, want 400: %s", rec.Code, rec.Body)
 			}
 			if got := role.sink.Stats(); got != before {
 				t.Errorf("counters moved on rejected fragments: %+v -> %+v", before, got)

@@ -78,18 +78,6 @@ import (
 	"smash/internal/wire"
 )
 
-// FragmentSink is the cluster-tier intake /v1/ingest drives: Submit
-// accepts one decoded wire fragment (blocking for backpressure), and the
-// stats methods feed /v1/stats, /v1/cluster and the smash_cluster_*
-// metrics. Both *cluster.Aggregator (detection tier) and *cluster.Merger
-// (fan-in tier) satisfy it.
-type FragmentSink interface {
-	Submit(*wire.Fragment) error
-	Stats() cluster.Stats
-	NodeStats() []cluster.NodeStat
-	Topology() []cluster.TreeNode
-}
-
 // Config wires the handler's data sources.
 type Config struct {
 	// Store is the campaign-state store backing every /v1 endpoint
@@ -100,9 +88,9 @@ type Config struct {
 	EngineStats func() stream.Stats
 	// Aggregator, when set, enables the POST /v1/ingest fragment intake
 	// and contributes cluster counters (global and per ingest node) to
-	// /v1/stats and /metrics — the aggregator and merge roles' wiring
-	// (a *cluster.Aggregator or *cluster.Merger).
-	Aggregator FragmentSink
+	// /v1/stats and /metrics — the aggregate and merge roles' wiring (a
+	// merge tier is an IndexOnly aggregator).
+	Aggregator *cluster.Aggregator
 	// Push, when set, enables raw-event intake on POST /v1/ingest:
 	// NDJSON / TSV / access-log request bodies (format negotiated by
 	// Content-Type, see pushFormats) are parsed with strict error

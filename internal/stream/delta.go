@@ -9,6 +9,7 @@ import (
 	"smash/internal/core"
 	"smash/internal/trace"
 	"smash/internal/tracker"
+	"smash/internal/wire"
 )
 
 // WindowResult is the engine's output for one sealed window, emitted in
@@ -31,6 +32,11 @@ type WindowResult struct {
 	// Config.KeepIndex or Config.IndexOnly. Read-only: it is shared with
 	// every sink and may alias engine-internal state.
 	Index *trace.Index
+	// Hops is the combined hop trail of the child fragments merged into
+	// this window, set only by an IndexOnly cluster aggregator (a merge
+	// tier): its Forwarder sink carries the trail upstream so the root
+	// sees the whole path.
+	Hops []wire.Hop
 }
 
 // Empty reports whether the window contained no events.

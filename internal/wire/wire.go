@@ -282,35 +282,37 @@ func (r *reader) str() (string, error) {
 // decoder's local ids through ids (ids[pos] = local id). Positions must
 // be strictly increasing — the canonical form the encoder emits — so
 // duplicate entries fail as corruption instead of silently overwriting.
-func (r *reader) counts(ids []uint32) (trace.Counts, error) {
+// total is the sum of the map's counts.
+func (r *reader) counts(ids []uint32) (m trace.Counts, total uint64, err error) {
 	n, err := r.length(2)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	m := make(trace.Counts, n)
+	m = make(trace.Counts, n)
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
 		pos, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if pos >= uint64(len(ids)) {
-			return nil, fmt.Errorf("dictionary position %d out of range: %w", pos, ErrCorrupt)
+			return nil, 0, fmt.Errorf("dictionary position %d out of range: %w", pos, ErrCorrupt)
 		}
 		if int64(pos) <= prev {
-			return nil, fmt.Errorf("count map not sorted at position %d: %w", pos, ErrCorrupt)
+			return nil, 0, fmt.Errorf("count map not sorted at position %d: %w", pos, ErrCorrupt)
 		}
 		prev = int64(pos)
 		c, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if c == 0 || c > 1<<32-1 {
-			return nil, fmt.Errorf("count %d out of range: %w", c, ErrCorrupt)
+			return nil, 0, fmt.Errorf("count %d out of range: %w", c, ErrCorrupt)
 		}
 		m[ids[pos]] = uint32(c)
+		total += c
 	}
-	return m, nil
+	return m, total, nil
 }
 
 // DecodeIndex rebuilds an index (with fresh Symbols) from EncodeIndex
@@ -382,6 +384,11 @@ func decodeIndex(r *reader) (*trace.Index, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// Every index Add/Merge builds keeps its totals consistent — the header
+	// count is the servers' sum, a server's count its clients' sum — and
+	// the receiver gates detection on the header, so a fragment that breaks
+	// either is refused rather than silently skipped as an empty window.
+	var total uint64
 	for i := 0; i < nServers; i++ {
 		pos, err := r.uvarint()
 		if err != nil {
@@ -404,6 +411,7 @@ func decodeIndex(r *reader) (*trace.Index, int, error) {
 			return nil, 0, err
 		}
 		info.Requests, info.ErrorRequests = reqs, errs
+		var byClient uint64
 		for _, field := range []struct {
 			dst *trace.Counts
 			ns  int
@@ -413,12 +421,22 @@ func decodeIndex(r *reader) (*trace.Index, int, error) {
 			{&info.UserAgents, nsAgents}, {&info.Queries, nsQueries},
 			{&info.Payloads, nsPayloads}, {&info.Hosts, nsHosts},
 		} {
-			m, err := r.counts(ids[field.ns])
+			m, sum, err := r.counts(ids[field.ns])
 			if err != nil {
 				return nil, 0, err
 			}
 			*field.dst = m
+			if field.ns == nsClients {
+				byClient = sum
+			}
 		}
+		if byClient != uint64(reqs) || errs > reqs {
+			return nil, 0, fmt.Errorf("server %q: %d requests, %d by client, %d errors: %w", key, reqs, byClient, errs, ErrCorrupt)
+		}
+		total += uint64(reqs)
+	}
+	if total != uint64(requests) {
+		return nil, 0, fmt.Errorf("header counts %d requests, servers sum to %d: %w", requests, total, ErrCorrupt)
 	}
 	nClients, err := r.length(2)
 	if err != nil {
@@ -436,7 +454,7 @@ func decodeIndex(r *reader) (*trace.Index, int, error) {
 		if _, dup := idx.ClientServers[cid]; dup {
 			return nil, 0, fmt.Errorf("duplicate client entry: %w", ErrCorrupt)
 		}
-		m, err := r.counts(ids[nsServers])
+		m, _, err := r.counts(ids[nsServers])
 		if err != nil {
 			return nil, 0, err
 		}

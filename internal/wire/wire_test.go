@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -331,5 +332,41 @@ func TestDecodeRejectsUnsortedCounts(t *testing.T) {
 	dup[i+3] = dup[i+1] // duplicate position
 	if _, err := DecodeIndex(dup); err == nil {
 		t.Error("duplicate count-map position accepted")
+	}
+}
+
+// The receiver gates detection on the header's request total, so totals
+// that disagree with the servers they summarize are corruption, not a
+// window to be silently counted empty.
+func TestDecodeRejectsInconsistentTotals(t *testing.T) {
+	tr := &trace.Trace{Requests: []trace.Request{
+		{Time: time.Unix(10, 0), Client: "c1", Host: "a.test", ServerIP: "1.1.1.1", Path: "/x", Status: 200},
+		{Time: time.Unix(11, 0), Client: "c2", Host: "a.test", ServerIP: "1.1.1.1", Path: "/x", Status: 500},
+	}}
+	enc := EncodeIndex(trace.BuildIndex(tr))
+	if enc[5] != 2 {
+		t.Fatalf("header request total = %d at byte 5, want 2; encoding changed?", enc[5])
+	}
+	// Server a.test encodes as requests=2, errors=1, then its two clients
+	// as the pairs (0,1),(1,1).
+	i := bytes.Index(enc, []byte{2, 1, 2, 0, 1, 1, 1})
+	if i < 0 {
+		t.Fatal("expected server byte pattern not found; encoding changed?")
+	}
+	for name, patch := range map[string]struct {
+		at  int
+		val byte
+	}{
+		"header total zeroed":    {5, 0},
+		"header total inflated":  {5, 100},
+		"server total off":       {i, 3},
+		"errors exceed requests": {i + 1, 3},
+		"client count off":       {i + 4, 2},
+	} {
+		bad := append([]byte{}, enc...)
+		bad[patch.at] = patch.val
+		if _, err := DecodeIndex(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
