@@ -1,6 +1,8 @@
 // Benchmarks regenerating every experiment of the paper (see DESIGN.md's
-// per-experiment index) plus microbenchmarks for the performance substrate
-// and ablation benchmarks for the design choices.
+// per-experiment index) plus microbenchmarks for the mining kernels and
+// ablation benchmarks for the design choices. End-to-end and per-layer
+// performance (ingest, windowing, pipeline, wire, store, cluster) is
+// measured by bench/smashload, not here.
 //
 // Run everything:
 //
@@ -14,28 +16,17 @@ package smash_test
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"smash/internal/campaign"
-	"smash/internal/cluster"
 	"smash/internal/core"
 	"smash/internal/eval"
 	"smash/internal/graph"
-	"smash/internal/obs"
 	"smash/internal/similarity"
 	"smash/internal/sparse"
 	"smash/internal/stats"
-	"smash/internal/store"
-	"smash/internal/stream"
 	"smash/internal/synth"
 	"smash/internal/trace"
-	"smash/internal/wire"
 )
 
 // benchScale keeps bench iterations around a second; raise for full-scale
@@ -202,305 +193,6 @@ func BenchmarkCaseBagle(b *testing.B)  { benchCase(b, "bagle") }
 func BenchmarkCaseSality(b *testing.B) { benchCase(b, "sality") }
 func BenchmarkCaseIframe(b *testing.B) { benchCase(b, "iframe-inject") }
 func BenchmarkCaseZeus(b *testing.B)   { benchCase(b, "zeus") }
-
-// --- End-to-end pipeline scaling ------------------------------------------
-
-func BenchmarkPipeline(b *testing.B) {
-	for _, size := range []struct {
-		name             string
-		clients, servers int
-	}{
-		{"small", 250, 800},
-		{"medium", 500, 1500},
-		{"large", 1000, 3500},
-	} {
-		b.Run(size.name, func(b *testing.B) {
-			world, err := synth.Generate(synth.Config{
-				Name: "scale", Seed: benchSeed,
-				Clients: size.clients, BenignServers: size.servers, MeanRequests: 25,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det := core.NewPipeline(core.WithSeed(1), core.WithWhois(world.Whois), core.WithProber(world.Prober))
-				if _, err := det.RunTrace(context.Background(), world.Trace()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineParallelMining compares sequential dimension mining
-// (1 worker) against the full fan-out (NumCPU workers) on one day trace —
-// the speedup the staged pipeline's WithMiningWorkers buys. Reports are
-// identical for any worker count (see TestParallelMiningEquivalence).
-func BenchmarkPipelineParallelMining(b *testing.B) {
-	world, _, _ := benchWorlds(b)
-	tr := world.Trace()
-	raw, stats := trace.BuildIndex(tr), tr.ComputeStats()
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			det := core.NewPipeline(
-				core.WithSeed(1),
-				core.WithWhois(world.Whois),
-				core.WithProber(world.Prober),
-				core.WithMiningWorkers(workers),
-			)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := det.Run(context.Background(), raw, stats); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamThroughput measures sustained events/sec through the full
-// streaming path: bounded ingestion, sharded incremental indexing, window
-// sealing, and windowed detection on a worker pool. The week world is
-// replayed as one continuous stream, once as 1-day tumbling windows and
-// once as sliding windows (24h window, 6h stride) where each event belongs
-// to four overlapping windows — the configuration that exercises the
-// stride-fragment ring.
-func BenchmarkStreamThroughput(b *testing.B) {
-	_, _, wk := benchWorlds(b)
-	var events []trace.Request
-	for _, day := range wk.Days {
-		events = append(events, day.Requests...)
-	}
-	for _, mode := range []struct {
-		name    string
-		stride  time.Duration
-		minWins int
-	}{
-		{"tumbling", 0, len(wk.Days)},
-		{"sliding", 6 * time.Hour, len(wk.Days)},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := stream.New(stream.Config{
-					Window:  24 * time.Hour,
-					Stride:  mode.stride,
-					Workers: runtime.GOMAXPROCS(0),
-					Detector: []core.Option{
-						core.WithSeed(1), core.WithWhois(wk.Whois), core.WithProber(wk.Prober),
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				windows := 0
-				for range eng.Start(&stream.SliceSource{Requests: events}) {
-					windows++
-				}
-				if err := eng.Err(); err != nil {
-					b.Fatal(err)
-				}
-				if windows < mode.minWins {
-					b.Fatalf("windows = %d, want >= %d", windows, mode.minWins)
-				}
-			}
-			b.StopTimer()
-			perSec := float64(b.N) * float64(len(events)) / b.Elapsed().Seconds()
-			b.ReportMetric(perSec, "events/s")
-		})
-	}
-}
-
-// BenchmarkObsOverhead is BenchmarkStreamThroughput/tumbling with the full
-// observability plane wired in — metrics registry, window tracer and a
-// discard slog logger — so diffing the two events/s figures bounds the
-// instrumentation cost on the hot streaming path.
-func BenchmarkObsOverhead(b *testing.B) {
-	_, _, wk := benchWorlds(b)
-	var events []trace.Request
-	for _, day := range wk.Days {
-		events = append(events, day.Requests...)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg := obs.NewRegistry()
-		eng, err := stream.New(stream.Config{
-			Window:  24 * time.Hour,
-			Workers: runtime.GOMAXPROCS(0),
-			Detector: []core.Option{
-				core.WithSeed(1), core.WithWhois(wk.Whois), core.WithProber(wk.Prober),
-			},
-			Metrics: reg,
-			Tracer:  obs.NewTracer(0),
-			Logger:  obs.Discard(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		windows := 0
-		for range eng.Start(&stream.SliceSource{Requests: events}) {
-			windows++
-		}
-		if err := eng.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if windows < len(wk.Days) {
-			b.Fatalf("windows = %d, want >= %d", windows, len(wk.Days))
-		}
-	}
-	b.StopTimer()
-	perSec := float64(b.N) * float64(len(events)) / b.Elapsed().Seconds()
-	b.ReportMetric(perSec, "events/s")
-}
-
-// --- Durability: campaign-state store append and restore ------------------
-
-// benchWindowResult fabricates one window's result with churning campaign
-// membership, the shape the store persists per window.
-func benchWindowResult(seq int) *stream.WindowResult {
-	report := &core.Report{}
-	for c := 0; c < 4; c++ {
-		camp := campaign.Campaign{ID: c, Kind: campaign.KindCommunication}
-		for s := 0; s < 12; s++ {
-			camp.Servers = append(camp.Servers, fmt.Sprintf("srv-%d-%d.test", c, (seq+s)%40))
-		}
-		for cl := 0; cl < 25; cl++ {
-			camp.Clients = append(camp.Clients, fmt.Sprintf("client-%d-%d", c, cl))
-		}
-		report.Campaigns = append(report.Campaigns, camp)
-	}
-	base := time.Date(2020, 9, 13, 0, 0, 0, 0, time.UTC)
-	return &stream.WindowResult{
-		Seq:      seq,
-		Start:    base.AddDate(0, 0, seq),
-		End:      base.AddDate(0, 0, seq+1),
-		Requests: 5000,
-		Report:   report,
-	}
-}
-
-// BenchmarkStoreAppend measures the per-window durability cost of the
-// campaign-state store — mirror apply only (memory), plus WAL append, plus
-// fsync — including the periodic snapshot+compaction at the default
-// cadence.
-func BenchmarkStoreAppend(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  func(b *testing.B) store.Config
-	}{
-		{"memory", func(b *testing.B) store.Config { return store.Config{} }},
-		{"wal", func(b *testing.B) store.Config { return store.Config{Dir: b.TempDir()} }},
-		{"wal-fsync", func(b *testing.B) store.Config { return store.Config{Dir: b.TempDir(), Sync: true} }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			st, err := store.Open(mode.cfg(b))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Consume(benchWindowResult(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHistorySink measures the analytics history log's per-window
-// cost — the extra tmp+rename file write Consume performs after the WAL
-// append — and what retention GC adds (and saves) when the log is kept
-// bounded. "unbounded" grows one file per window; "retain64"/"retain8"
-// cap the log, deleting the oldest file(s) as new windows land.
-func BenchmarkHistorySink(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		retain int
-	}{
-		{"unbounded", 0},
-		{"retain64", 64},
-		{"retain8", 8},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			st, err := store.Open(store.Config{Dir: b.TempDir(), RetainWindows: mode.retain})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Consume(benchWindowResult(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if hs := st.HistoryStats(); mode.retain > 0 && hs.Windows > mode.retain {
-				b.Fatalf("retention failed: %d windows retained", hs.Windows)
-			}
-		})
-	}
-}
-
-// BenchmarkRestore measures recovery: reopening a state directory holding
-// benchRestoreWindows windows, either as a pure WAL replay (the kill -9
-// path) or from a clean snapshot (the graceful-shutdown path).
-func BenchmarkRestore(b *testing.B) {
-	const benchRestoreWindows = 256
-	for _, mode := range []struct {
-		name  string
-		clean bool // Close before reopening: snapshot, empty WAL
-	}{
-		{"wal-replay", false},
-		{"snapshot", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := store.Config{Dir: b.TempDir(), SnapshotEvery: 1 << 30}
-				st, err := store.Open(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for w := 0; w < benchRestoreWindows; w++ {
-					if err := st.Consume(benchWindowResult(w)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if mode.clean {
-					if err := st.Close(); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					st.Abandon() // the kill -9 analogue
-				}
-				b.StartTimer()
-
-				st2, err := store.Open(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tk := st2.Restore()
-				b.StopTimer()
-				if tk.Day() != benchRestoreWindows {
-					b.Fatalf("restored %d windows, want %d", tk.Day(), benchRestoreWindows)
-				}
-				if err := st2.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-	}
-}
 
 // --- Overhead substrate: sparse product vs dense N² (§VI Overhead) --------
 
@@ -712,204 +404,4 @@ func BenchmarkAblationNoIDF(b *testing.B) {
 // ablation motivating the paper's community-detection choice.
 func BenchmarkAblationComponents(b *testing.B) {
 	ablationMetrics(b, core.WithComponentMining())
-}
-
-// --- Cluster: wire codec -------------------------------------------------
-
-// BenchmarkWireCodec measures the cluster interchange codec over one
-// day-scale index: a full encode (canonical dictionary build + count
-// maps) followed by a full decode (fresh symbols + index rebuild), the
-// per-window cost an ingest node and the aggregator pay between them.
-// events/s is the request volume the codec round-trips per second;
-// bytes/op is the encoded fragment size.
-func BenchmarkWireCodec(b *testing.B) {
-	w1, _, _ := benchWorlds(b)
-	idx := trace.BuildIndex(w1.Days[0])
-	encoded := wire.EncodeIndex(idx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc := wire.EncodeIndex(idx)
-		dec, err := wire.DecodeIndex(enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if dec.RequestCount != idx.RequestCount {
-			b.Fatal("lossy round-trip")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(idx.RequestCount)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(float64(len(encoded)), "bytes/fragment")
-}
-
-// --- Cluster: crash recovery ---------------------------------------------
-
-// clusterBenchFragments splits the bench week across nodes×windows wire
-// fragments, the shape a fault-tolerant aggregator logs and replays: each
-// day is one window, each node holds its client-hash partition of it.
-func clusterBenchFragments(b *testing.B, nodes int) []*wire.Fragment {
-	b.Helper()
-	_, _, week := benchWorlds(b)
-	var frags []*wire.Fragment
-	for day, tr := range week.Days {
-		parts := make([]*trace.Index, nodes)
-		for i := range parts {
-			parts[i] = trace.NewIndex()
-		}
-		for i := range tr.Requests {
-			r := &tr.Requests[i]
-			parts[cluster.PartitionOf(r.Client, nodes)].Add(r)
-		}
-		start := cluster.WindowStart(int64(day), 24*time.Hour)
-		for i, idx := range parts {
-			frags = append(frags, &wire.Fragment{
-				Node: fmt.Sprintf("node-%d", i), Window: int64(day),
-				Start: start, End: start.Add(24 * time.Hour), Index: idx,
-			})
-		}
-	}
-	return frags
-}
-
-// BenchmarkFragmentLogAppend measures the durable-ack hot path: encoding
-// one day-partition fragment into a length-prefixed frame and appending
-// it to the per-window fragment log (no fsync, the default for the
-// aggregator's WAL). This cost sits on every /v1/ingest request once
-// crash recovery is enabled, so it bounds cluster intake throughput.
-func BenchmarkFragmentLogAppend(b *testing.B) {
-	frags := clusterBenchFragments(b, 4)
-	frag := frags[0]
-	flog, err := cluster.OpenFragLog(b.TempDir(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer flog.Close()
-	encoded := wire.EncodeFragment(frag)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := flog.Append(frag); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 {
-			flog.Remove(frag.Window) // keep the bench dir bounded
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(frag.Index.RequestCount)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(float64(len(encoded)), "bytes/fragment")
-}
-
-// BenchmarkAggregatorReplay measures crash-recovery startup: an
-// aggregator resuming from a fragment log holding a week of 4-node
-// traffic (28 fragments) — open with torn-tail scan, decode every frame,
-// and rebuild the in-memory window state through the normal accept path.
-// This is the downtime a crashed aggregator adds before serving again.
-func BenchmarkAggregatorReplay(b *testing.B) {
-	frags := clusterBenchFragments(b, 4)
-	dir := b.TempDir()
-	flog, err := cluster.OpenFragLog(dir, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var events int
-	for _, f := range frags {
-		if err := flog.Append(f); err != nil {
-			b.Fatal(err)
-		}
-		events += f.Index.RequestCount
-	}
-	flog.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Expect one node more than ever reports so no window seals:
-		// the measurement isolates replay from detection.
-		agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
-			Window: 24 * time.Hour, Expect: 5, FragDir: dir,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		results := agg.Start(context.Background())
-		agg.Abandon() // stop right after resume, leaving the log intact
-		for range results {
-		}
-		if got := agg.Stats().Replayed; got != len(frags) {
-			b.Fatalf("replayed %d fragments, want %d", got, len(frags))
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
-// --- Cluster: hop provenance ----------------------------------------------
-
-// BenchmarkHopEncode measures stamping one transit hop onto an
-// already-encoded day-scale fragment — the per-attempt cost a forwarder
-// pays on the delivery hot path. AppendHop is a pure byte append (no
-// re-encode), so this must stay orders of magnitude below the codec's
-// per-fragment cost no matter how large the index payload grows.
-func BenchmarkHopEncode(b *testing.B) {
-	frags := clusterBenchFragments(b, 4)
-	encoded := wire.EncodeFragment(frags[0])
-	hop := wire.Hop{
-		Node: "node-0", Role: "ingest",
-		Send: time.Unix(1315872000, 0).UTC(), Attempts: 1,
-	}
-	buf := make([]byte, len(encoded), len(encoded)+64)
-	copy(buf, encoded)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var hopBytes int
-	for i := 0; i < b.N; i++ {
-		out := wire.AppendHop(buf[:len(encoded)], hop)
-		hopBytes = len(out) - len(encoded)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(hopBytes), "bytes/hop")
-	b.ReportMetric(float64(len(encoded)), "bytes/fragment")
-}
-
-// BenchmarkForwarderTracing is the tracing-overhead A/B: one day-partition
-// fragment delivered over loopback HTTP with hop provenance stamped
-// (hops) versus stripped (nohops). The two must agree within noise — the
-// acceptance bar for leaving tracing on in production clusters.
-func BenchmarkForwarderTracing(b *testing.B) {
-	frags := clusterBenchFragments(b, 4)
-	idx := frags[0].Index
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"hops", false}, {"nohops", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				io.Copy(io.Discard, r.Body)
-				w.WriteHeader(http.StatusAccepted)
-			}))
-			defer ts.Close()
-			fwd, err := cluster.NewForwarder(cluster.ForwarderConfig{
-				URL: ts.URL, Node: "node-0", Stride: 24 * time.Hour,
-				DisableHops: mode.disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := cluster.WindowStart(0, 24*time.Hour)
-			w := &stream.WindowResult{
-				Start: start, End: start.Add(24 * time.Hour),
-				Requests: idx.RequestCount, Index: idx,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := fwd.Consume(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*float64(idx.RequestCount)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
 }

@@ -20,7 +20,6 @@ import (
 	"os"
 	"time"
 
-	"smash/internal/core"
 	"smash/internal/eval"
 	"smash/internal/profiling"
 	"smash/internal/synth"
@@ -69,12 +68,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	day2011, day2012, week := envs[0], envs[1], envs[2]
-	// One timing observer across every experiment: the end of the report
-	// says where pipeline time went, stage by stage.
-	timing := core.NewTimingObserver()
-	for _, env := range envs {
-		env.ExtraOptions = []core.Option{core.WithObserver(timing)}
-	}
 	fmt.Fprintf(out, "SMASH evaluation report (scale=%.2f seed=%d)\n", *scale, *seed)
 	fmt.Fprintf(out, "generated worlds in %v\n\n", time.Since(start).Round(time.Millisecond))
 
@@ -132,7 +125,6 @@ func run(args []string, stdout io.Writer) error {
 	for threat, servers := range missed {
 		fmt.Fprintf(out, "  %-24s %d servers\n", threat, len(servers))
 	}
-	fmt.Fprintf(out, "\n%s", timing.Render())
 	fmt.Fprintf(out, "\ntotal runtime %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -134,7 +134,7 @@
 // fragment is appended to a fragment log (DIR/fragments) before it is
 // acknowledged, and a restarted process — even one killed with SIGKILL
 // mid-stream — replays the log and resumes with continuous window
-// numbering and byte-identical output. /v1/stats shows the membership
+// numbering and byte-identical output. /v1/cluster shows the membership
 // view: per-node fragment counts, watermark, last-seen time, and whether
 // a node is overdue for its final marker.
 //

@@ -70,7 +70,6 @@
 //     with durable state (-state-dir), the ops API (-listen), and
 //     cluster roles (-role ingest|merge|aggregate) with crash
 //     recovery and spooling riding on the same -state-dir
-//   - cmd/benchjson        — bench output -> BENCH_<pr>.json trajectory
 //   - examples/            — runnable scenarios
 //
 // See README.md for a walkthrough and DESIGN.md for the staged pipeline
@@ -84,5 +83,6 @@
 // Observability section (metric catalog, span model, logging
 // conventions) and the Analytics plane section (history log format,
 // retention/GC rules, SSE resume semantics). The benchmarks in bench_test.go regenerate each
-// experiment.
+// experiment; bench/smashload (see bench/README.md) measures performance,
+// end to end and layer by layer.
 package smash

@@ -55,41 +55,8 @@ type Stats struct {
 	Replayed int `json:"replayed"`
 }
 
-// NodeStat describes one ingest node as seen by the aggregator.
-type NodeStat struct {
-	// Node is the node's self-reported name.
-	Node string `json:"node"`
-	// Role is the node's self-reported role from its hop records
-	// ("ingest", "merge"); empty until a hop-stamped fragment arrives.
-	Role string `json:"role,omitempty"`
-	// Fragments and Requests count accepted fragments and their events.
-	Fragments int `json:"fragments"`
-	Requests  int `json:"requests"`
-	// LateFragments counts this node's fragments dropped after sealing.
-	LateFragments int `json:"lateFragments"`
-	// LastWindow is the node's watermark: the highest window id it has
-	// forwarded.
-	LastWindow int64 `json:"lastWindow"`
-	// LastSeen is when the node's most recent fragment arrived.
-	LastSeen time.Time `json:"lastSeen"`
-	// ClockSkewSeconds estimates the node's wall clock minus this
-	// process's, smoothed over the node's hop stamps (receive − send per
-	// transit; network latency biases it positive by the transit time).
-	// Nil until a stamped hop arrives.
-	ClockSkewSeconds *float64 `json:"clockSkewSeconds,omitempty"`
-	// SkewWarn flags |skew| at or above SkewWarnThreshold — windows from
-	// this node may land in the wrong stride or seal late.
-	SkewWarn bool `json:"skewWarn,omitempty"`
-	// Finished reports whether the node sent its final marker.
-	Finished bool `json:"finished"`
-	// FinalOverdue flags a node still streaming after at least one peer
-	// finished — the operator's cue that a final marker may have been
-	// lost (its sender logs loudly when it gives one up).
-	FinalOverdue bool `json:"finalOverdue,omitempty"`
-}
-
 // SkewWarnThreshold is the estimated clock-skew magnitude past which
-// NodeStat.SkewWarn (and the topology view) flag a peer.
+// TreeNode.SkewWarn flags a peer.
 const SkewWarnThreshold = 2 * time.Second
 
 type nodeState struct {
@@ -355,38 +322,6 @@ func (s *assembler) Stats() Stats {
 		st.Replayed = int(s.cfg.flog.Stats().Replayed)
 	}
 	return st
-}
-
-// NodeStats returns per-node counters, sorted by node name.
-func (s *assembler) NodeStats() []NodeStat {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	anyFinished := false
-	for _, n := range s.nodes {
-		if n.finished {
-			anyFinished = true
-			break
-		}
-	}
-	out := make([]NodeStat, 0, len(s.nodes))
-	for name, n := range s.nodes {
-		skew, warn := n.skewSeconds()
-		out = append(out, NodeStat{
-			Node:             name,
-			Role:             n.role,
-			Fragments:        n.fragments,
-			Requests:         n.requests,
-			LateFragments:    n.late,
-			LastWindow:       n.last,
-			LastSeen:         n.lastSeen,
-			ClockSkewSeconds: skew,
-			SkewWarn:         warn,
-			Finished:         n.finished,
-			FinalOverdue:     anyFinished && !n.finished,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }
 
 // accept folds one fragment into the window bookkeeping: node watermark,

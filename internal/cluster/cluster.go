@@ -162,10 +162,6 @@ type ForwarderConfig struct {
 	// Role labels this node's hop records ("ingest", "merge"); default
 	// "ingest". The receiver folds it into topology and trace views.
 	Role string
-	// DisableHops suppresses hop-provenance stamping on outgoing
-	// fragments (used to measure tracing overhead; production nodes leave
-	// it off).
-	DisableHops bool
 	// Stride is the cluster window stride — must match the aggregator's
 	// and the ingest engine's (required, > 0).
 	Stride time.Duration
@@ -365,11 +361,8 @@ func (f *Forwarder) Consume(w *stream.WindowResult) error {
 // hopBody returns body with this node's hop record appended: Send stamped
 // now, the attempt count, and how long the fragment sat in the spool.
 // AppendHop is a pure byte append, so the base encoding is paid once per
-// fragment, not per attempt. With DisableHops set it returns body as-is.
+// fragment, not per attempt.
 func (f *Forwarder) hopBody(body []byte, attempt int, dwell time.Duration) []byte {
-	if f.cfg.DisableHops {
-		return body
-	}
 	return wire.AppendHop(body, wire.Hop{
 		Node:       f.cfg.Node,
 		Role:       f.cfg.Role,

@@ -252,9 +252,9 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	if st.LateFragments != 0 || st.DuplicateFragments != 0 {
 		t.Errorf("unexpected drops: %+v", st)
 	}
-	ns := agg.NodeStats()
-	if len(ns) != nodes || ns[0].Node != "ingest-0" || !ns[0].Finished {
-		t.Errorf("node stats: %+v", ns)
+	top := agg.Topology()
+	if len(top) != nodes || top[0].Node != "ingest-0" || !top[0].Finished {
+		t.Errorf("topology: %+v", top)
 	}
 }
 
@@ -345,10 +345,8 @@ func TestStragglerWatermark(t *testing.T) {
 	if got[0].Requests != 1 || got[2].Requests != 2 {
 		t.Errorf("requests per window = %d,%d, want 1,2", got[0].Requests, got[2].Requests)
 	}
-	for _, n := range agg.NodeStats() {
-		if n.Node == "b" && n.LateFragments != 1 {
-			t.Errorf("node b late = %d, want 1", n.LateFragments)
-		}
+	if top := agg.Topology(); len(top) != 2 || top[1].Node != "b" || top[1].LateFragments != 1 {
+		t.Errorf("topology = %+v, want node b with 1 late fragment", top)
 	}
 }
 
@@ -582,9 +580,9 @@ func TestAggregatorCustomTracker(t *testing.T) {
 	}
 }
 
-// NodeStats must list nodes in name order no matter the order their
-// fragments arrived — stats responses and per-node metric series stay
-// deterministic across runs.
+// Topology must list nodes in name order no matter the order their
+// fragments arrived — /v1/cluster responses and per-node metric series
+// stay deterministic across runs.
 func TestNodeStatsOrdered(t *testing.T) {
 	agg, results := startedAggregator(t, AggregatorConfig{
 		Window: 24 * time.Hour, Expect: 3,
@@ -609,8 +607,8 @@ func TestNodeStatsOrdered(t *testing.T) {
 	if err := agg.Err(); err != nil {
 		t.Fatal(err)
 	}
-	ns := agg.NodeStats()
-	if len(ns) != 3 || ns[0].Node != "alpha" || ns[1].Node != "mid" || ns[2].Node != "zeta" {
-		t.Errorf("node stats out of order: %+v", ns)
+	top := agg.Topology()
+	if len(top) != 3 || top[0].Node != "alpha" || top[1].Node != "mid" || top[2].Node != "zeta" {
+		t.Errorf("topology out of order: %+v", top)
 	}
 }

@@ -354,7 +354,7 @@ func TestFragLogFrontierFloor(t *testing.T) {
 }
 
 // A node that keeps streaming after a peer finished is flagged overdue —
-// the /v1/stats signal that a final marker may have been lost.
+// the /v1/cluster signal that a final marker may have been lost.
 func TestFinalOverdue(t *testing.T) {
 	agg, results := startedAggregator(t, AggregatorConfig{
 		Window: 24 * time.Hour, Expect: 2,
@@ -364,7 +364,7 @@ func TestFinalOverdue(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "node a to join", func() bool { return agg.Stats().Nodes == 1 })
-	for _, n := range agg.NodeStats() {
+	for _, n := range agg.Topology() {
 		if n.FinalOverdue {
 			t.Errorf("node %s overdue with no peer finished", n.Node)
 		}
@@ -376,7 +376,7 @@ func TestFinalOverdue(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "node b to finish", func() bool { return agg.Stats().FinishedNodes == 1 })
-	for _, n := range agg.NodeStats() {
+	for _, n := range agg.Topology() {
 		if overdue := n.Node == "a"; n.FinalOverdue != overdue {
 			t.Errorf("node %s FinalOverdue = %v, want %v", n.Node, n.FinalOverdue, overdue)
 		}

@@ -9,8 +9,8 @@ import (
 // sender as seen by its receiver, assembled from per-node watermarks and
 // the hop metadata riding each fragment. Children below the first level
 // are known only through hop trails — the shards behind a merge tier —
-// so their skew is relative to their own parent and some per-node
-// counters are unavailable for them.
+// so their skew is relative to their own parent and the per-node
+// counters (Fragments, Requests, LateFragments) are zero for them.
 type TreeNode struct {
 	// Node and Role identify the sender ("ingest", "merge").
 	Node string `json:"node"`
@@ -32,7 +32,16 @@ type TreeNode struct {
 	// — nonzero means its fragments sat in a durable spool, i.e. this
 	// link recently suffered an outage.
 	SpoolDwellSeconds float64 `json:"spoolDwellSeconds,omitempty"`
-	// Finished and FinalOverdue mirror NodeStat's end-of-stream flags.
+	// Fragments and Requests count the node's accepted fragments and
+	// their events; LateFragments counts its fragments dropped because
+	// their window had already sealed.
+	Fragments     int `json:"fragments,omitempty"`
+	Requests      int `json:"requests,omitempty"`
+	LateFragments int `json:"lateFragments,omitempty"`
+	// Finished reports whether the node sent its final marker.
+	// FinalOverdue flags a node still streaming after at least one peer
+	// finished — the operator's cue that a final marker may have been
+	// lost (its sender logs loudly when it gives one up).
 	Finished     bool `json:"finished,omitempty"`
 	FinalOverdue bool `json:"finalOverdue,omitempty"`
 	// Children are the node's own known senders.
@@ -68,6 +77,9 @@ func treeNodes(nodes map[string]*nodeState, now time.Time, anyFinished bool) []T
 		t := TreeNode{
 			Node:              name,
 			Role:              n.role,
+			Fragments:         n.fragments,
+			Requests:          n.requests,
+			LateFragments:     n.late,
 			LastWindow:        n.last,
 			LastSeen:          n.lastSeen,
 			ClockSkewSeconds:  skew,

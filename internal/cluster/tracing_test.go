@@ -83,22 +83,17 @@ func TestHopProvenanceEndToEnd(t *testing.T) {
 		t.Fatalf("windows = %+v, want one with the forwarded request", res)
 	}
 
-	ns := agg.NodeStats()
-	if len(ns) != 1 || ns[0].Role != "ingest" {
-		t.Fatalf("node stats = %+v, want n0 with role ingest", ns)
-	}
-	if ns[0].ClockSkewSeconds == nil {
-		t.Error("no skew estimate after a stamped hop")
-	} else if s := *ns[0].ClockSkewSeconds; s < 0 || s > 5 {
-		t.Errorf("loopback skew estimate = %vs, want small and non-negative", s)
-	}
-	if ns[0].SkewWarn {
-		t.Error("loopback transit tripped the skew warning")
-	}
-
 	top := agg.Topology()
 	if len(top) != 1 || top[0].Node != "n0" || top[0].Role != "ingest" || !top[0].Finished {
-		t.Errorf("topology = %+v, want finished ingest child n0", top)
+		t.Fatalf("topology = %+v, want finished ingest child n0", top)
+	}
+	if top[0].ClockSkewSeconds == nil {
+		t.Error("no skew estimate after a stamped hop")
+	} else if s := *top[0].ClockSkewSeconds; s < 0 || s > 5 {
+		t.Errorf("loopback skew estimate = %vs, want small and non-negative", s)
+	}
+	if top[0].SkewWarn {
+		t.Error("loopback transit tripped the skew warning")
 	}
 
 	span := spanByPhase(tr.Trace(0), "hop:n0")
@@ -123,48 +118,37 @@ func TestHopProvenanceEndToEnd(t *testing.T) {
 	}
 }
 
-// DisableHops must strip provenance from the wire: the aggregator then
-// sees plain fragments, estimates no skew and records no hop spans — the
-// bench A/B knob and the escape hatch for byte-austere links.
+// A hop-free fragment — what a child predating hop provenance sends —
+// must still be accepted: it counts toward the node's fragments but yields
+// no role, no skew estimate and no hop span.
 func TestForwarderDisableHops(t *testing.T) {
-	window := 24 * time.Hour
 	tr := obs.NewTracer(8)
 	agg, results := startedAggregator(t, AggregatorConfig{
-		Window: window, Expect: 1, Tracer: tr,
+		Window: 24 * time.Hour, Expect: 1, Tracer: tr,
 		Detector: []core.Option{core.WithSeed(1)},
 	})
 	got := drainResults(results)
-	ts := httptest.NewServer(ingestHandler(t, agg))
-	defer ts.Close()
-
-	fwd, err := NewForwarder(ForwarderConfig{URL: ts.URL, Node: "n0", Stride: window, DisableHops: true})
-	if err != nil {
+	if err := agg.Submit(fragFor("n0", 0, "c0")); err != nil {
 		t.Fatal(err)
 	}
-	idx := trace.NewIndex()
-	r := trace.Request{
-		Time: Epoch.Add(time.Hour), Client: "c0",
-		Host: "h.test", ServerIP: "10.0.0.1", Path: "/", Status: 200,
-	}
-	idx.Add(&r)
-	if err := fwd.Consume(&stream.WindowResult{
-		Start: Epoch, End: Epoch.Add(window), Requests: 1, Index: idx,
-	}); err != nil {
+	if err := agg.Submit(&wire.Fragment{Node: "n0", Final: true, Window: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fwd.CloseContext(context.Background()); err != nil {
-		t.Fatal(err)
+	if res := got(); len(res) != 1 || res[0].Requests != 1 {
+		t.Fatalf("windows = %+v, want one with the hop-free fragment's request", res)
 	}
-	got()
 	if err := agg.Err(); err != nil {
 		t.Fatal(err)
 	}
-	ns := agg.NodeStats()
-	if len(ns) != 1 || ns[0].Role != "" || ns[0].ClockSkewSeconds != nil {
-		t.Errorf("node stats with hops disabled = %+v, want no hop-derived state", ns)
+	top := agg.Topology()
+	if len(top) != 1 || top[0].Node != "n0" || !top[0].Finished || top[0].Fragments != 1 {
+		t.Fatalf("topology = %+v, want finished child n0 with one fragment", top)
+	}
+	if top[0].Role != "" || top[0].ClockSkewSeconds != nil || len(top[0].Children) != 0 {
+		t.Errorf("hop-free child n0 = %+v, want no hop-derived state", top[0])
 	}
 	if span := spanByPhase(tr.Trace(0), "hop:n0"); span != nil {
-		t.Errorf("hop span recorded with hops disabled: %+v", span)
+		t.Errorf("hop span recorded for a hop-free fragment: %+v", span)
 	}
 }
 

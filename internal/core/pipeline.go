@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -408,68 +407,4 @@ func (l *LogObserver) StageEnd(res StageResult) {
 	}
 	fmt.Fprintf(l.W, "%sstage %-10s %10s\n",
 		l.Prefix, res.Stage, res.Duration.Round(time.Microsecond))
-}
-
-// TimingObserver accumulates per-stage wall-clock totals across runs. It is
-// safe for concurrent pipelines (e.g. the stream worker pool); smashbench
-// installs one to report where evaluation time goes.
-type TimingObserver struct {
-	mu    sync.Mutex
-	total map[string]time.Duration
-	runs  map[string]int
-}
-
-// NewTimingObserver returns an empty timing accumulator.
-func NewTimingObserver() *TimingObserver {
-	return &TimingObserver{
-		total: make(map[string]time.Duration),
-		runs:  make(map[string]int),
-	}
-}
-
-// StageStart implements Observer.
-func (t *TimingObserver) StageStart(string, int) {}
-
-// StageEnd implements Observer.
-func (t *TimingObserver) StageEnd(res StageResult) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total[res.Stage] += res.Duration
-	t.runs[res.Stage]++
-}
-
-// Total returns the accumulated duration and run count for one stage.
-func (t *TimingObserver) Total(stage string) (time.Duration, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total[stage], t.runs[stage]
-}
-
-// Render formats the accumulated totals, pipeline stages first in execution
-// order, then any custom stage names alphabetically.
-func (t *TimingObserver) Render() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	known := make(map[string]bool)
-	order := StageNames()
-	for _, s := range order {
-		known[s] = true
-	}
-	var extra []string
-	for s := range t.total {
-		if !known[s] {
-			extra = append(extra, s)
-		}
-	}
-	sort.Strings(extra)
-	out := "pipeline stage totals:\n"
-	for _, s := range append(order, extra...) {
-		n, ok := t.runs[s]
-		if !ok {
-			continue
-		}
-		out += fmt.Sprintf("  %-10s %12s over %d runs\n",
-			s, t.total[s].Round(time.Microsecond), n)
-	}
-	return out
 }

@@ -33,10 +33,6 @@ type Env struct {
 	World *synth.World
 	// Oracles are the ground-truth labelling services.
 	Oracles *synth.Oracles
-	// ExtraOptions are appended to every detector Run builds — the hook
-	// smashbench uses to install a core.TimingObserver across all
-	// experiments. Set before the first Run; cached reports are not rerun.
-	ExtraOptions []core.Option
 
 	reports map[reportKey]*core.Report
 	labels  map[int]labelPair // day -> IDS scan results
@@ -93,15 +89,13 @@ func (e *Env) Run(day int, thresh, singleThresh float64) (*core.Report, error) {
 	if day < 0 || day >= len(e.World.Days) {
 		return nil, fmt.Errorf("eval: day %d out of range [0,%d)", day, len(e.World.Days))
 	}
-	opts := []core.Option{
+	report, err := core.NewPipeline(
 		core.WithSeed(e.World.Config.Seed),
 		core.WithWhois(e.World.Whois),
 		core.WithProber(e.World.Prober),
 		core.WithThreshold(thresh),
 		core.WithSingleClientThreshold(singleThresh),
-	}
-	opts = append(opts, e.ExtraOptions...)
-	report, err := core.NewPipeline(opts...).RunTrace(context.Background(), e.World.Days[day])
+	).RunTrace(context.Background(), e.World.Days[day])
 	if err != nil {
 		return nil, fmt.Errorf("eval: run day %d: %w", day, err)
 	}

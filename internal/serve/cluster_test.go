@@ -62,7 +62,8 @@ func windowFragment(node string, window int64, client string) *wire.Fragment {
 }
 
 // /v1/ingest decodes fragments into the aggregator, rejects garbage, and
-// reports cluster state on /v1/stats and /metrics.
+// reports cluster counts on /v1/stats, per-node rows on /v1/cluster, and
+// both on /metrics.
 func TestIngestEndpoint(t *testing.T) {
 	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
 		Window: 24 * time.Hour, Expect: 1,
@@ -107,18 +108,26 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("aggregator emitted %d windows, want 1", n)
 	}
 
-	var stats struct {
-		Cluster *cluster.Stats     `json:"cluster"`
-		Nodes   []cluster.NodeStat `json:"nodes"`
-	}
+	var stats map[string]json.RawMessage
 	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Cluster == nil || stats.Cluster.Fragments != 1 || stats.Cluster.Windows != 1 {
-		t.Errorf("cluster stats = %+v", stats.Cluster)
+	var cs cluster.Stats
+	if err := json.Unmarshal(stats["cluster"], &cs); err != nil || cs.Fragments != 1 || cs.Windows != 1 {
+		t.Errorf("cluster stats = %s (%v)", stats["cluster"], err)
 	}
-	if len(stats.Nodes) != 1 || stats.Nodes[0].Node != "n0" || !stats.Nodes[0].Finished {
-		t.Errorf("node stats = %+v", stats.Nodes)
+	if _, ok := stats["nodes"]; ok {
+		t.Errorf("/v1/stats still serves per-node rows: %s", stats["nodes"])
+	}
+
+	var tree struct {
+		Children []cluster.TreeNode `json:"children"`
+	}
+	if err := json.Unmarshal(get(t, h, "/v1/cluster").Body.Bytes(), &tree); err != nil {
+		t.Fatal(err)
+	}
+	if c := tree.Children; len(c) != 1 || c[0].Node != "n0" || c[0].Fragments != 1 || c[0].Requests != 1 || !c[0].Finished {
+		t.Errorf("/v1/cluster children = %+v, want finished n0 with 1 fragment, 1 request", c)
 	}
 
 	metrics := get(t, h, "/metrics").Body.String()
@@ -131,6 +140,56 @@ func TestIngestEndpoint(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// smash_cluster_nodes partitions the nodes: a node still streaming after a
+// peer finished counts as overdue only, not also as active.
+func TestClusterNodesStatePartition(t *testing.T) {
+	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{Window: 24 * time.Hour, Expect: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(Config{Store: memStore(t), Aggregator: agg})
+	results := agg.Start(context.Background())
+	drained := make(chan struct{})
+	go func() {
+		for range results {
+		}
+		close(drained)
+	}()
+
+	if rec := postFragment(t, h, windowFragment("a", 0, "c1")); rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := postFragment(t, h, &wire.Fragment{Node: "b", Window: 0, Final: true}); rec.Code != http.StatusAccepted {
+		t.Fatalf("final marker status = %d", rec.Code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := agg.Stats(); st.Nodes < 2 || st.FinishedNodes < 1; st = agg.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("aggregator never saw both nodes: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	metrics := get(t, h, "/metrics").Body.String()
+	for _, want := range []string{
+		`smash_cluster_nodes{state="active"} 0`,
+		`smash_cluster_nodes{state="finished"} 1`,
+		`smash_cluster_nodes{state="overdue"} 1`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+
+	if rec := postFragment(t, h, &wire.Fragment{Node: "a", Window: 0, Final: true}); rec.Code != http.StatusAccepted {
+		t.Fatalf("final marker status = %d", rec.Code)
+	}
+	<-drained
+	if err := agg.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -503,11 +503,10 @@ func (s *server) latestWindow(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	out := struct {
-		Store   store.Stats        `json:"store"`
-		Engine  *stream.Stats      `json:"engine,omitempty"`
-		Cluster *cluster.Stats     `json:"cluster,omitempty"`
-		Nodes   []cluster.NodeStat `json:"nodes,omitempty"`
-		Sources []source.Stats     `json:"sources,omitempty"`
+		Store   store.Stats    `json:"store"`
+		Engine  *stream.Stats  `json:"engine,omitempty"`
+		Cluster *cluster.Stats `json:"cluster,omitempty"`
+		Sources []source.Stats `json:"sources,omitempty"`
 	}{Store: s.cfg.Store.Stats()}
 	if s.cfg.EngineStats != nil {
 		es := s.cfg.EngineStats()
@@ -516,7 +515,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Aggregator != nil {
 		cs := s.cfg.Aggregator.Stats()
 		out.Cluster = &cs
-		out.Nodes = s.cfg.Aggregator.NodeStats()
 	}
 	out.Sources = s.sourceStats()
 	writeJSON(w, http.StatusOK, out)
@@ -564,10 +562,9 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // registerCollectors bridges the existing counters — store mirror stats,
-// live engine atomics, aggregator node states, source counters, pipeline
-// stage totals — onto the registry as scrape-time collectors. Series
-// names and values are identical to the pre-registry hand-rolled
-// renderer.
+// live engine atomics, aggregator counters and per-node topology, source
+// counters — onto the registry as scrape-time collectors. Each per-node
+// series reads one Topology snapshot per scrape.
 func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.Stats) {
 	st := cfg.Store.Stats
 	reg.CounterFunc("smash_store_windows_total",
@@ -649,35 +646,41 @@ func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.S
 		reg.GaugeFunc("smash_cluster_nodes",
 			"Ingest nodes by state.",
 			func(emit obs.Emit) {
-				cs := agg.Stats()
-				overdue := 0
-				for _, n := range agg.NodeStats() {
-					if n.FinalOverdue {
+				// One snapshot, three disjoint states: a node still
+				// streaming after a peer finished is overdue, not active.
+				var active, finished, overdue int
+				for _, n := range agg.Topology() {
+					switch {
+					case n.Finished:
+						finished++
+					case n.FinalOverdue:
 						overdue++
+					default:
+						active++
 					}
 				}
-				emit(float64(cs.Nodes-cs.FinishedNodes), "state", "active")
-				emit(float64(cs.FinishedNodes), "state", "finished")
+				emit(float64(active), "state", "active")
+				emit(float64(finished), "state", "finished")
 				emit(float64(overdue), "state", "overdue")
 			})
 		reg.CounterFunc("smash_cluster_node_fragments_total",
 			"Fragments accepted per ingest node.",
 			func(emit obs.Emit) {
-				for _, n := range agg.NodeStats() {
+				for _, n := range agg.Topology() {
 					emit(float64(n.Fragments), "node", n.Node)
 				}
 			})
 		reg.GaugeFunc("smash_cluster_node_last_window",
 			"Highest window id forwarded per ingest node.",
 			func(emit obs.Emit) {
-				for _, n := range agg.NodeStats() {
+				for _, n := range agg.Topology() {
 					emit(float64(n.LastWindow), "node", n.Node)
 				}
 			})
 		reg.GaugeFunc("smash_cluster_node_clock_skew_seconds",
 			"Estimated clock skew per child node (send-to-accept EWMA; includes network transit, so it upper-bounds true skew). Absent until a hop-stamped fragment arrives.",
 			func(emit obs.Emit) {
-				for _, n := range agg.NodeStats() {
+				for _, n := range agg.Topology() {
 					if n.ClockSkewSeconds != nil {
 						emit(*n.ClockSkewSeconds, "node", n.Node)
 					}
