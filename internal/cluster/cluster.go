@@ -123,17 +123,11 @@ type ShardSource struct {
 	Of    int
 }
 
-// Read returns the next request belonging to the shard.
-func (s *ShardSource) Read() (trace.Request, error) {
-	for {
-		r, err := s.Src.Read()
-		if err != nil {
-			return r, err
-		}
-		if PartitionOf(r.Client, s.Of) == s.Shard {
-			return r, nil
-		}
-	}
+// ReadBatch returns the next requests belonging to the shard.
+func (s *ShardSource) ReadBatch(dst []trace.Request) (int, error) {
+	return stream.ReadFiltered(s.Src, dst, func(r *trace.Request) bool {
+		return PartitionOf(r.Client, s.Of) == s.Shard
+	})
 }
 
 // WindowID returns the epoch-derived id of the window starting at start.

@@ -522,16 +522,19 @@ func TestPartitioning(t *testing.T) {
 	seen := make(map[int]int)
 	for shard := 0; shard < n; shard++ {
 		src := &ShardSource{Src: &stream.SliceSource{Requests: reqs}, Shard: shard, Of: n}
+		buf := make([]trace.Request, 64)
 		for {
-			r, err := src.Read()
+			k, err := src.ReadBatch(buf)
 			if err != nil {
 				break
 			}
-			if PartitionOf(r.Client, n) != shard {
-				t.Fatalf("shard %d leaked client %q", shard, r.Client)
+			for _, r := range buf[:k] {
+				if PartitionOf(r.Client, n) != shard {
+					t.Fatalf("shard %d leaked client %q", shard, r.Client)
+				}
 			}
-			seen[shard]++
-			total++
+			seen[shard] += k
+			total += k
 		}
 	}
 	if total != len(reqs) {

@@ -24,8 +24,8 @@ func sameGraph(t *testing.T, got, want *Graph) {
 		t.Errorf("TotalWeight = %v, want %v", got.TotalWeight(), want.TotalWeight())
 	}
 	for u := 0; u < want.N(); u++ {
-		if !slices.Equal(got.adj[u], want.adj[u]) {
-			t.Fatalf("node %d adjacency = %v, want %v", u, got.adj[u], want.adj[u])
+		if !slices.Equal(got.to[u], want.to[u]) || !slices.Equal(got.w[u], want.w[u]) {
+			t.Fatalf("node %d adjacency = %v %v, want %v %v", u, got.to[u], got.w[u], want.to[u], want.w[u])
 		}
 		if math.Float64bits(got.selfLoop[u]) != math.Float64bits(want.selfLoop[u]) {
 			t.Errorf("node %d self-loop = %v, want %v", u, got.selfLoop[u], want.selfLoop[u])
@@ -109,9 +109,9 @@ func TestAggregateDeterministic(t *testing.T) {
 	if moved, _ := first.louvainLocal(stats.DeriveSeed(3, "louvain-1")); !moved {
 		t.Fatal("the super-graph needs no second level: the fixture does not exercise aggregation")
 	}
-	for u := range first.adj {
-		if !slices.IsSortedFunc(first.adj[u], func(a, b edge) int { return int(a.to - b.to) }) {
-			t.Fatalf("super-node %d adjacency not in ascending neighbour order: %v", u, first.adj[u])
+	for u := range first.to {
+		if !slices.IsSorted(first.to[u]) {
+			t.Fatalf("super-node %d adjacency not in ascending neighbour order: %v", u, first.to[u])
 		}
 	}
 	if got, want := first.TotalWeight(), g.TotalWeight(); math.Abs(got-want) > 1e-9 {

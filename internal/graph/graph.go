@@ -14,15 +14,15 @@ import (
 	"smash/internal/stats"
 )
 
-type edge struct {
-	to int32
-	w  float64
-}
-
 // Graph is a weighted undirected graph over nodes 0..n-1. Parallel AddEdge
 // calls for the same pair accumulate weight.
+//
+// Node u's adjacency is the parallel pair to[u] (neighbours) and w[u]
+// (weights): 12 bytes a half-edge, where one slice of {int32, float64}
+// structs would pad each to 16.
 type Graph struct {
-	adj       [][]edge
+	to        [][]int32
+	w         [][]float64
 	selfLoop  []float64
 	sumWeight float64 // sum of all edge weights, each undirected edge once
 }
@@ -30,19 +30,20 @@ type Graph struct {
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
 	return &Graph{
-		adj:      make([][]edge, n),
+		to:       make([][]int32, n),
+		w:        make([][]float64, n),
 		selfLoop: make([]float64, n),
 	}
 }
 
 // N reports the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.to) }
 
 // AddEdge adds weight w between u and v. Self-edges are stored as self-loops.
 // Adding an edge with w <= 0 or out-of-range endpoints returns an error.
 func (g *Graph) AddEdge(u, v int, w float64) error {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj))
+	if u < 0 || u >= len(g.to) || v < 0 || v >= len(g.to) {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.to))
 	}
 	if w <= 0 {
 		return fmt.Errorf("graph: edge (%d,%d) weight %g must be positive", u, v, w)
@@ -52,8 +53,10 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 		g.sumWeight += w
 		return nil
 	}
-	g.adj[u] = append(g.adj[u], edge{to: int32(v), w: w})
-	g.adj[v] = append(g.adj[v], edge{to: int32(u), w: w})
+	g.to[u] = append(g.to[u], int32(v))
+	g.w[u] = append(g.w[u], w)
+	g.to[v] = append(g.to[v], int32(u))
+	g.w[v] = append(g.w[v], w)
 	g.sumWeight += w
 	return nil
 }
@@ -68,11 +71,11 @@ type pendingEdge struct {
 }
 
 // Builder collects a graph's edges and lays its adjacency out in one pass:
-// one flat backing array sliced per node, instead of one growing slice per
+// two flat backing arrays sliced per node, instead of growing slices per
 // node. Graph returns exactly the graph that New(n) followed by the same
 // AddEdge sequence produces — same adjacency order per node (on which
 // Degree's and Louvain's float sums depend), same TotalWeight bits — at
-// two allocations for the adjacency instead of one per append-doubling.
+// two allocations for the adjacency instead of several per node.
 type Builder struct {
 	g      *Graph
 	degree []int32
@@ -104,23 +107,31 @@ func (b *Builder) AddEdge(u, v int, w float64) error {
 // Graph returns the built graph. The builder must not be used afterwards.
 func (b *Builder) Graph() *Graph {
 	g := b.g
-	total := 0
-	for _, d := range b.degree {
-		total += int(d)
-	}
-	flat := make([]edge, total)
-	off := 0
+	// b.degree becomes each node's fill cursor into the flat arrays: first
+	// the start of its run, then, once every edge is laid out, its end.
+	total := int32(0)
 	for u, d := range b.degree {
+		b.degree[u] = total
+		total += d
+	}
+	to, w := make([]int32, total), make([]float64, total)
+	for i, chunk := range b.chunks {
+		for _, e := range chunk {
+			k := b.degree[e.u]
+			to[k], w[k] = e.v, e.w
+			b.degree[e.u]++
+			k = b.degree[e.v]
+			to[k], w[k] = e.u, e.w
+			b.degree[e.v]++
+		}
+		b.chunks[i] = nil // laid out: let the collector have it now
+	}
+	start := int32(0)
+	for u, end := range b.degree {
 		// Capacity ends with the node's own run, so a later AddEdge on the
 		// graph reallocates that node instead of overwriting its neighbour.
-		g.adj[u] = flat[off : off : off+int(d)]
-		off += int(d)
-	}
-	for _, chunk := range b.chunks {
-		for _, e := range chunk {
-			g.adj[e.u] = append(g.adj[e.u], edge{to: e.v, w: e.w})
-			g.adj[e.v] = append(g.adj[e.v], edge{to: e.u, w: e.w})
-		}
+		g.to[u], g.w[u] = to[start:end:end], w[start:end:end]
+		start = end
 	}
 	b.chunks = nil
 	return g
@@ -130,8 +141,8 @@ func (b *Builder) Graph() *Graph {
 // weights, with self-loops counted twice (the Louvain convention).
 func (g *Graph) Degree(u int) float64 {
 	d := 2 * g.selfLoop[u]
-	for _, e := range g.adj[u] {
-		d += e.w
+	for _, w := range g.w[u] {
+		d += w
 	}
 	return d
 }
@@ -140,7 +151,7 @@ func (g *Graph) Degree(u int) float64 {
 // (parallel edges counted separately).
 func (g *Graph) EdgeCount() int {
 	total := 0
-	for _, a := range g.adj {
+	for _, a := range g.to {
 		total += len(a)
 	}
 	return total / 2
@@ -153,8 +164,9 @@ func (g *Graph) TotalWeight() float64 { return g.sumWeight }
 // Neighbors calls fn for each (neighbor, weight) pair of u. A neighbor may
 // be reported multiple times if parallel edges were added.
 func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
-	for _, e := range g.adj[u] {
-		fn(int(e.to), e.w)
+	ws := g.w[u]
+	for i, v := range g.to[u] {
+		fn(int(v), ws[i])
 	}
 }
 
@@ -178,10 +190,10 @@ func (g *Graph) ConnectedComponents() [][]int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[u] {
-				if comp[e.to] < 0 {
-					comp[e.to] = next
-					stack = append(stack, int(e.to))
+			for _, v := range g.to[u] {
+				if comp[v] < 0 {
+					comp[v] = next
+					stack = append(stack, int(v))
 				}
 			}
 		}
@@ -203,13 +215,14 @@ func (g *Graph) Modularity(community []int) float64 {
 	}
 	in := make(map[int]float64)  // community -> 2*intra-community weight
 	tot := make(map[int]float64) // community -> sum of member degrees
-	for u := range g.adj {
+	for u, tos := range g.to {
 		cu := community[u]
 		tot[cu] += g.Degree(u)
 		in[cu] += 2 * g.selfLoop[u]
-		for _, e := range g.adj[u] {
-			if community[e.to] == cu {
-				in[cu] += e.w // visited from both sides -> counts twice
+		ws := g.w[u]
+		for i, v := range tos {
+			if community[v] == cu {
+				in[cu] += ws[i] // visited from both sides -> counts twice
 			}
 		}
 	}
@@ -295,13 +308,15 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 		for _, u := range order {
 			cu := community[u]
 			// Weight from u to each neighboring community.
-			for _, e := range g.adj[u] {
-				c := community[e.to]
+			tos, ws := g.to[u], g.w[u]
+			ws = ws[:len(tos)]
+			for i, v := range tos {
+				c := community[v]
 				if !seen[c] {
 					seen[c] = true
 					touched = append(touched, int32(c))
 				}
-				neighW[c] += e.w
+				neighW[c] += ws[i]
 			}
 			// Remove u from its community.
 			tot[cu] -= degree[u]
@@ -357,20 +372,21 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 			}
 		}
 		for _, u := range members {
-			for _, e := range g.adj[u] {
+			ws := g.w[u]
+			for i, v := range g.to[u] {
 				// Each undirected edge once: intra-community edges from
 				// their smaller endpoint, the rest from the smaller
 				// community.
-				switch cv := community[e.to]; {
+				switch cv := community[v]; {
 				case cv == c:
-					if int(e.to) > u {
-						_ = agg.AddEdge(c, c, e.w)
+					if int(v) > u {
+						_ = agg.AddEdge(c, c, ws[i])
 					}
 				case cv > c:
 					if neighW[cv] == 0 { // edge weights are positive
 						touched = append(touched, int32(cv))
 					}
-					neighW[cv] += e.w
+					neighW[cv] += ws[i]
 				}
 			}
 		}
@@ -455,9 +471,9 @@ func (g *Graph) SubgraphDensity(members []int) float64 {
 	}
 	s := densityPool.Get().(*densityScratch)
 	defer densityPool.Put(s)
-	if len(s.member) < len(g.adj) {
-		s.member = make([]uint32, len(g.adj))
-		s.seen = make([]uint32, len(g.adj))
+	if len(s.member) < len(g.to) {
+		s.member = make([]uint32, len(g.to))
+		s.seen = make([]uint32, len(g.to))
 		s.stamp = 0
 	}
 	if uint64(s.stamp)+uint64(v)+2 > math.MaxUint32 {
@@ -479,8 +495,8 @@ func (g *Graph) SubgraphDensity(members []int) float64 {
 		}
 		s.member[u] = swept
 		s.stamp++
-		for _, e := range g.adj[u] {
-			t := int(e.to)
+		for _, v := range g.to[u] {
+			t := int(v)
 			if t > u && s.member[t]-pending < 2 && s.seen[t] != s.stamp {
 				s.seen[t] = s.stamp
 				pairs++

@@ -15,7 +15,6 @@ import (
 	"smash/internal/source"
 	"smash/internal/store"
 	"smash/internal/stream"
-	"smash/internal/trace"
 	"smash/internal/tracker"
 )
 
@@ -57,7 +56,7 @@ func fixtureHistoryAt(t *testing.T, dir string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range eng.Start(trace.NewReader(f)) {
+	for range eng.Start(tsvSource(t, f)) {
 	}
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"smash/internal/obs"
 	"smash/internal/store"
 	"smash/internal/stream"
-	"smash/internal/trace"
 	"smash/internal/wire"
 )
 
@@ -48,7 +47,7 @@ func fixtureObserved(t *testing.T) (*store.Store, *stream.Engine, *obs.Registry,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range eng.Start(trace.NewReader(f)) {
+	for range eng.Start(tsvSource(t, f)) {
 	}
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,9 +15,9 @@ import (
 
 	"smash/internal/campaign"
 	"smash/internal/core"
+	"smash/internal/source"
 	"smash/internal/store"
 	"smash/internal/stream"
-	"smash/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -43,12 +44,22 @@ func fixtureStore(t *testing.T) (*store.Store, *stream.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range eng.Start(trace.NewReader(f)) {
+	for range eng.Start(tsvSource(t, f)) {
 	}
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return st, eng
+}
+
+// tsvSource streams a TSV trace into an engine.
+func tsvSource(t *testing.T, r io.Reader) stream.Source {
+	t.Helper()
+	f, err := source.New("tsv", source.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return source.NewDecoder(r, f, nil)
 }
 
 // get performs one request against the handler and returns the response.

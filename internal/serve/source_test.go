@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"smash/internal/source"
+	"smash/internal/stream"
+	"smash/internal/trace"
 )
 
 // postRaw POSTs a raw-event batch to /v1/ingest with a Content-Type.
@@ -23,11 +25,18 @@ func postRaw(h http.Handler, ctype, body, query string) *httptest.ResponseRecord
 	return rec
 }
 
+// readOne reads a single event from src.
+func readOne(src stream.Source) (trace.Request, error) {
+	var one [1]trace.Request
+	_, err := src.ReadBatch(one[:])
+	return one[0], err
+}
+
 func drainQueue(t *testing.T, q *source.PushQueue, n int) []string {
 	t.Helper()
 	var clients []string
 	for i := 0; i < n; i++ {
-		r, err := q.Read()
+		r, err := readOne(q)
 		if err != nil {
 			t.Fatalf("queue Read %d: %v", i, err)
 		}
@@ -105,7 +114,7 @@ not json at all
 	if got := drainQueue(t, q, 1); got[0] != "d" {
 		t.Errorf("eos batch queued %v; want [d]", got)
 	}
-	if _, err := q.Read(); !errors.Is(err, io.EOF) {
+	if _, err := readOne(q); !errors.Is(err, io.EOF) {
 		t.Errorf("queue after eos: %v; want EOF", err)
 	}
 	if rec := postRaw(h, "application/x-ndjson", `{"ts":1330560004,"client":"e"}`, ""); rec.Code != http.StatusConflict {
@@ -141,7 +150,7 @@ func TestPushIngestContentTypes(t *testing.T) {
 	if rec := postRaw(h, "text/x-common-log", line, ""); rec.Code != http.StatusAccepted {
 		t.Fatalf("common push status = %d: %s", rec.Code, rec.Body)
 	}
-	r, err := q.Read()
+	r, err := readOne(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // PushQueue is the in-memory stream.Source behind the HTTP push
 // listener: POST /v1/ingest handlers parse a batch of raw events and
-// Push them; the engine's reader goroutine drains them with Read.
+// Push them; the engine's reader goroutine drains them with ReadBatch.
 //
 // The queue is a bounded channel, so backpressure is end-to-end: when
 // the engine falls behind, Push blocks, the HTTP handler stalls, and
@@ -53,32 +53,38 @@ func (q *PushQueue) Push(batch []trace.Request) error {
 	return nil
 }
 
-// Close marks end-of-stream: queued events still drain, then Read
+// Close marks end-of-stream: queued events still drain, then ReadBatch
 // returns io.EOF. Pushes after Close fail. Safe to call more than once
 // and concurrently with Push.
 func (q *PushQueue) Close() {
 	q.once.Do(func() { close(q.done) })
 }
 
-// Read returns the next pushed event, blocking while the queue is
-// empty and open, and io.EOF once the queue is closed and drained.
-func (q *PushQueue) Read() (trace.Request, error) {
+// ReadBatch blocks while the queue is empty and open, then drains what
+// is queued, up to len(dst), without blocking again. It returns io.EOF
+// once the queue is closed and drained.
+func (q *PushQueue) ReadBatch(dst []trace.Request) (int, error) {
 	// Buffered events win over shutdown, so Close never drops what was
 	// already accepted.
 	select {
-	case r := <-q.ch:
-		return r, nil
+	case dst[0] = <-q.ch:
 	default:
-	}
-	select {
-	case r := <-q.ch:
-		return r, nil
-	case <-q.done:
 		select {
-		case r := <-q.ch:
-			return r, nil
-		default:
-			return trace.Request{}, io.EOF
+		case dst[0] = <-q.ch:
+		case <-q.done:
+			select {
+			case dst[0] = <-q.ch:
+			default:
+				return 0, io.EOF
+			}
 		}
 	}
+	for n := 1; n < len(dst); n++ {
+		select {
+		case dst[n] = <-q.ch:
+		default:
+			return n, nil
+		}
+	}
+	return len(dst), nil
 }

@@ -35,6 +35,7 @@ package source
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -266,37 +267,63 @@ type Decoder struct {
 	f    Format
 	c    *Counters
 	errs int64
+	// held is set when the scanner's buffer already holds the next line
+	// (complete, or the final one at end of input), so Scan returns it
+	// without reading.
+	held bool
 }
 
 // NewDecoder returns a decoder over r in format f, accounting on c (nil
 // disables accounting).
 func NewDecoder(r io.Reader, f Format, c *Counters) *Decoder {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	return &Decoder{s: s, f: f, c: c}
+	d := &Decoder{s: bufio.NewScanner(r), f: f, c: c}
+	d.s.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	d.s.Split(d.splitLines)
+	return d
 }
 
-// Read returns the next well-formed request, or io.EOF at end of input.
-func (d *Decoder) Read() (trace.Request, error) {
-	for d.s.Scan() {
+// splitLines is bufio.ScanLines, noting whether another line is held.
+func (d *Decoder) splitLines(data []byte, atEOF bool) (int, []byte, error) {
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	rest := data[advance:]
+	d.held = bytes.IndexByte(rest, '\n') >= 0 || atEOF && len(rest) > 0
+	return advance, token, err
+}
+
+// ReadBatch fills dst with well-formed requests: it reads until the first
+// one, then takes only the lines the decoder already holds. It returns
+// io.EOF at end of input.
+func (d *Decoder) ReadBatch(dst []trace.Request) (int, error) {
+	n := 0
+	for n < len(dst) && (n == 0 || d.held) && d.s.Scan() {
 		line := d.s.Text()
 		req, err := d.f.Parse(line)
 		switch {
 		case err == nil:
 			d.c.addLine(len(line) + 1)
 			d.c.observeEvent(req.Time)
-			return req, nil
+			dst[n] = req
+			n++
 		case errors.Is(err, ErrSkip):
-			continue
 		default:
 			d.errs++
 			d.c.addError()
 		}
 	}
-	if err := d.s.Err(); err != nil {
-		return trace.Request{}, err
+	if n > 0 {
+		return n, nil
 	}
-	return trace.Request{}, io.EOF
+	if err := d.s.Err(); err != nil {
+		return 0, err
+	}
+	return 0, io.EOF
+}
+
+// Read returns the next well-formed request, or io.EOF at end of input.
+func (d *Decoder) Read() (trace.Request, error) {
+	var one [1]trace.Request
+	_, err := d.ReadBatch(one[:])
+	return one[0], err
 }
 
 // Errors returns the number of malformed lines this decoder has dropped.

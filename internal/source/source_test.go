@@ -2,6 +2,7 @@ package source
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -331,6 +332,38 @@ func TestDecoderErrorAccounting(t *testing.T) {
 	}
 	if st.LagSeconds < 0 {
 		t.Errorf("LagSeconds = %v after events; want >= 0", st.LagSeconds)
+	}
+}
+
+// ReadBatch blocks only for its first event: after that it returns the
+// lines the decoder already holds and leaves a partial line for later.
+func TestDecoderReadBatchTakesHeldLines(t *testing.T) {
+	pr, pw := io.Pipe()
+	d := NewDecoder(pr, tsvFormat{}, nil)
+	go func() {
+		pw.Write([]byte(tsvLine(1, "a") + "# comment\n" + tsvLine(2, "b") + tsvLine(3, "c")[:9]))
+		pw.Write([]byte(tsvLine(3, "c")[9:] + tsvLine(4, "d")[:5]))
+		pw.Write([]byte(tsvLine(4, "d")[5:]))
+		pw.Close()
+	}()
+	buf := make([]trace.Request, 8)
+	var batches []string
+	for {
+		n, err := d.ReadBatch(buf)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clients []string
+		for _, r := range buf[:n] {
+			clients = append(clients, r.Client)
+		}
+		batches = append(batches, strings.Join(clients, ","))
+	}
+	if got, want := strings.Join(batches, " "), "a,b c d"; got != want {
+		t.Errorf("batches %q; want %q", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smash/internal/stream"
 	"smash/internal/trace"
 )
 
@@ -40,7 +41,7 @@ type TailerConfig struct {
 // -F` does, plus checkpointing:
 //
 //   - Growth is picked up by polling after EOF; a consumer parked in
-//     Read wakes as soon as the writer appends a complete line.
+//     ReadBatch wakes as soon as the writer appends a complete line.
 //   - Rotation (rename + recreate) is detected by comparing the open
 //     file's identity against a fresh stat of Path; the old file is
 //     drained to EOF — including a final unterminated line — before the
@@ -60,7 +61,7 @@ type TailerConfig struct {
 // already-applied prefix. Together the two give exact-once delivery for
 // tumbling windows across kill -9 (see DESIGN.md, "Sources").
 //
-// Read, Stop and Commit may be called from different goroutines (one
+// ReadBatch, Stop and Commit may be called from different goroutines (one
 // reader at a time).
 type Tailer struct {
 	cfg TailerConfig
@@ -175,8 +176,8 @@ func (t *Tailer) Resume() (path string, offset int64, ok bool) {
 	return t.resumePath, t.resumeOff, t.resumePath != ""
 }
 
-// Stop makes Read finish the file — drain to the current EOF, including
-// a final unterminated line — and then return io.EOF instead of
+// Stop makes ReadBatch finish the file — drain to the current EOF,
+// including a final unterminated line — and then return io.EOF instead of
 // following further growth. Safe to call concurrently with Read and
 // more than once.
 func (t *Tailer) Stop() {
@@ -185,10 +186,33 @@ func (t *Tailer) Stop() {
 	}
 }
 
-// Read returns the next well-formed request, blocking while the file
-// has no complete new line. Malformed lines are counted and skipped.
-// After Stop it drains to EOF and returns io.EOF.
-func (t *Tailer) Read() (trace.Request, error) {
+// ReadBatch blocks until the file has a complete new well-formed line,
+// then fills dst with that request and those of every further complete
+// line already read in, without reading more. Malformed lines are counted
+// and skipped. After Stop it drains to EOF and returns io.EOF.
+func (t *Tailer) ReadBatch(dst []trace.Request) (int, error) {
+	req, err := t.read()
+	if err != nil {
+		return 0, err
+	}
+	dst[0] = req
+	n := 1
+	for n < len(dst) {
+		line, ok := t.nextLine()
+		if !ok {
+			break
+		}
+		if req, ok := t.consume(line); ok {
+			dst[n] = req
+			n++
+		}
+	}
+	return n, nil
+}
+
+// read returns the next well-formed request, blocking while the file has
+// no complete new line.
+func (t *Tailer) read() (trace.Request, error) {
 	for {
 		if line, ok := t.nextLine(); ok {
 			if req, ok := t.consume(line); ok {
@@ -341,7 +365,7 @@ func (t *Tailer) checkRotation() (bool, error) {
 	}
 	if !os.SameFile(cur, fi) {
 		// Double-check for a last write that raced the rename, then hand
-		// control back to Read: it delivers the old file's final
+		// control back to read: it delivers the old file's final
 		// unterminated line (if any) before switching to the new file.
 		if n, _ := t.fill(); n == 0 {
 			t.switchPending = true
@@ -539,24 +563,18 @@ func findByID(dir string, id fileID, excl string) string {
 // window's end and are skipped (counted on Counters), so a kill -9
 // restart neither duplicates nor loses events.
 type SkipBelow struct {
-	Src interface {
-		Read() (trace.Request, error)
-	}
+	Src      stream.Source
 	Horizon  time.Time
 	Counters *Counters
 }
 
-// Read returns the next event at or after Horizon.
-func (s *SkipBelow) Read() (trace.Request, error) {
-	for {
-		r, err := s.Src.Read()
-		if err != nil {
-			return r, err
-		}
+// ReadBatch returns the next events at or after Horizon.
+func (s *SkipBelow) ReadBatch(dst []trace.Request) (int, error) {
+	return stream.ReadFiltered(s.Src, dst, func(r *trace.Request) bool {
 		if r.Time.Before(s.Horizon) {
 			s.Counters.addSkipped()
-			continue
+			return false
 		}
-		return r, nil
-	}
+		return true
+	})
 }

@@ -34,6 +34,13 @@ func appendFile(t *testing.T, path, data string) {
 	}
 }
 
+// readOne reads a single event from src.
+func readOne(src stream.Source) (trace.Request, error) {
+	var one [1]trace.Request
+	_, err := src.ReadBatch(one[:])
+	return one[0], err
+}
+
 func newTestTailer(t *testing.T, path, ckpt string) (*Tailer, *Counters) {
 	t.Helper()
 	ctrs := NewCounters(path, "tsv")
@@ -57,10 +64,10 @@ func startReader(t *testing.T, tl *Tailer) (<-chan string, <-chan struct{}) {
 		defer close(done)
 		defer close(out)
 		for {
-			req, err := tl.Read()
+			req, err := readOne(tl)
 			if err != nil {
 				if !errors.Is(err, io.EOF) {
-					t.Errorf("tailer Read: %v", err)
+					t.Errorf("tailer read: %v", err)
 				}
 				return
 			}
@@ -305,7 +312,7 @@ func TestSkipBelow(t *testing.T) {
 	s := &SkipBelow{Src: &stream.SliceSource{Requests: reqs}, Horizon: time.Unix(200, 0).UTC(), Counters: ctrs}
 	var got []string
 	for {
-		r, err := s.Read()
+		r, err := readOne(s)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -319,6 +326,57 @@ func TestSkipBelow(t *testing.T) {
 	}
 	if n := ctrs.Stats().Skipped; n != 3 {
 		t.Errorf("skipped = %d; want 3", n)
+	}
+}
+
+// stallSource hands out its batches one per call, then blocks until
+// release closes.
+type stallSource struct {
+	batches [][]trace.Request
+	release chan struct{}
+}
+
+func (s *stallSource) ReadBatch(dst []trace.Request) (int, error) {
+	if len(s.batches) == 0 {
+		<-s.release
+		return 0, io.EOF
+	}
+	n := copy(dst, s.batches[0])
+	s.batches = s.batches[1:]
+	return n, nil
+}
+
+// A filter never blocks while it holds an event: when the only event
+// above the horizon is followed by a batch that falls below it and then a
+// stall, that event still reaches the engine before the source unblocks.
+func TestSkipBelowDeliversBeforeBlocking(t *testing.T) {
+	src := &stallSource{
+		batches: [][]trace.Request{
+			{{Time: time.Unix(300, 0).UTC(), Client: "keep", Host: "h.test"}},
+			{{Time: time.Unix(100, 0).UTC(), Client: "old1"}, {Time: time.Unix(150, 0).UTC(), Client: "old2"}},
+		},
+		release: make(chan struct{}),
+	}
+	eng, err := stream.New(stream.Config{Window: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := eng.Start(&SkipBelow{Src: src, Horizon: time.Unix(200, 0).UTC()})
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Stats().Events == 0 {
+		if time.Now().After(deadline) {
+			close(src.release)
+			t.Fatal("the event above the horizon never reached the engine while the source stalled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(src.release)
+	var requests int
+	for w := range out {
+		requests += w.Requests
+	}
+	if requests != 1 {
+		t.Errorf("windowed %d requests, want 1", requests)
 	}
 }
 
@@ -357,20 +415,25 @@ func TestPushQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Close()
-	// Buffered events survive Close, in order, then EOF.
+	// Buffered events survive Close, in order and in one batch, then EOF.
 	var got []string
+	var batches []int
+	buf := make([]trace.Request, 8)
 	for {
-		r, err := q.Read()
+		n, err := q.ReadBatch(buf)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, r.Client)
+		batches = append(batches, n)
+		for _, r := range buf[:n] {
+			got = append(got, r.Client)
+		}
 	}
-	if fmt.Sprint(got) != "[a b]" {
-		t.Fatalf("drained %v; want [a b]", got)
+	if fmt.Sprint(got) != "[a b]" || fmt.Sprint(batches) != "[2]" {
+		t.Fatalf("drained %v in batches %v; want [a b] in [2]", got, batches)
 	}
 	if err := q.Push(batch); err == nil {
 		t.Fatal("Push after Close succeeded; want an error")
@@ -391,7 +454,7 @@ func TestPushQueueBackpressure(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	for _, want := range []string{"a", "b", "c"} {
-		r, err := q.Read()
+		r, err := readOne(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -323,30 +323,43 @@ func TestIncrementalIndexMatchesScratchBuild(t *testing.T) {
 // TestSymbolRotationInvisible runs the same stream with aggressive
 // symbol-table rotation (every window) and with rotation disabled and
 // requires identical output — the id hygiene invariant: epochs change id
-// assignment, never reports.
+// assignment, never reports. In the 4-shard case slabs of 37 events
+// straddle the rotations, so a shard's front cache starts over between
+// events of one sub-slab.
 func TestSymbolRotationInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	stride := 20 * time.Minute
 	events := randomEvents(rng, 260, stride, 10, 15*time.Minute)
-	run := func(rotateEvery int) ([]WindowResult, *Engine) {
+	run := func(rotateEvery, shards int, src Source) ([]WindowResult, *Engine) {
 		eng, err := New(Config{
 			Window: 3 * stride, Stride: stride, Watermark: 20 * time.Minute,
-			Shards: 3, Workers: 2, RotateSymbolsEvery: rotateEvery,
+			Shards: shards, Workers: 2, RotateSymbolsEvery: rotateEvery,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return collect(t, eng, &SliceSource{Requests: events}), eng
+		return collect(t, eng, src), eng
 	}
-	rotW, rotE := run(1)
-	offW, offE := run(-1)
-	if rotE.Stats() != offE.Stats() {
-		t.Errorf("stats diverge under rotation: %+v vs %+v", rotE.Stats(), offE.Stats())
-	}
-	if !reflect.DeepEqual(windowFingerprints(rotW), windowFingerprints(offW)) {
-		t.Errorf("symbol rotation changed window output")
-	}
-	if !reflect.DeepEqual(deltaSummary(rotW), deltaSummary(offW)) {
-		t.Errorf("symbol rotation changed delta stream")
+	offW, offE := run(-1, 3, &SliceSource{Requests: events})
+	for _, tc := range []struct {
+		name   string
+		shards int
+		src    Source
+	}{
+		{"3 shards", 3, &SliceSource{Requests: events}},
+		{"4 shards, 37-event slabs", 4, &batchSource{batches: chunked(events, 37)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rotW, rotE := run(1, tc.shards, tc.src)
+			if rotE.Stats() != offE.Stats() {
+				t.Errorf("stats diverge under rotation: %+v vs %+v", rotE.Stats(), offE.Stats())
+			}
+			if !reflect.DeepEqual(windowFingerprints(rotW), windowFingerprints(offW)) {
+				t.Errorf("symbol rotation changed window output")
+			}
+			if !reflect.DeepEqual(deltaSummary(rotW), deltaSummary(offW)) {
+				t.Errorf("symbol rotation changed delta stream")
+			}
+		})
 	}
 }

@@ -7,14 +7,40 @@ import (
 	"smash/internal/trace"
 )
 
-// Source yields HTTP request events in arrival order, returning io.EOF when
-// the stream ends. *trace.Reader satisfies Source, so any TSV trace file
-// (or stdin pipe) is directly ingestible.
+// Source yields HTTP request events in arrival order, a batch at a time.
+//
+// ReadBatch has io.Reader semantics: it blocks only until at least one
+// event is available, then fills dst with up to len(dst) events it
+// already holds, without waiting for more — batching never adds latency.
+// It returns n > 0 events, or 0 and an error: io.EOF once the stream has
+// ended. source.Decoder makes any TSV trace file (or stdin pipe) or
+// access log a Source.
 type Source interface {
-	Read() (trace.Request, error)
+	ReadBatch(dst []trace.Request) (int, error)
 }
 
-var _ Source = (*trace.Reader)(nil)
+// ReadFiltered is src.ReadBatch keeping only the events keep accepts,
+// compacted in place in dst. It reads again only when a whole batch was
+// dropped, so a filtering Source built on it never blocks while holding an
+// event.
+func ReadFiltered(src Source, dst []trace.Request, keep func(*trace.Request) bool) (int, error) {
+	for {
+		n, err := src.ReadBatch(dst)
+		if n == 0 {
+			return 0, err
+		}
+		kept := 0
+		for i := range dst[:n] {
+			if keep(&dst[i]) {
+				dst[kept] = dst[i]
+				kept++
+			}
+		}
+		if kept > 0 {
+			return kept, nil
+		}
+	}
+}
 
 // SliceSource replays an in-memory request slice (e.g. a synthesized
 // trace's Requests) in order.
@@ -23,14 +49,14 @@ type SliceSource struct {
 	pos      int
 }
 
-// Read returns the next request or io.EOF.
-func (s *SliceSource) Read() (trace.Request, error) {
+// ReadBatch copies the next requests into dst, or returns io.EOF.
+func (s *SliceSource) ReadBatch(dst []trace.Request) (int, error) {
 	if s.pos >= len(s.Requests) {
-		return trace.Request{}, io.EOF
+		return 0, io.EOF
 	}
-	r := s.Requests[s.pos]
-	s.pos++
-	return r, nil
+	n := copy(dst, s.Requests[s.pos:])
+	s.pos += n
+	return n, nil
 }
 
 // MultiSource concatenates sources in order, reading each to exhaustion
@@ -40,18 +66,18 @@ type MultiSource struct {
 	pos     int
 }
 
-// Read returns the next request across all sources, or io.EOF after the
-// last source ends.
-func (m *MultiSource) Read() (trace.Request, error) {
+// ReadBatch returns the current source's next batch, moving to the next
+// source at each io.EOF, and io.EOF after the last source ends.
+func (m *MultiSource) ReadBatch(dst []trace.Request) (int, error) {
 	for m.pos < len(m.Sources) {
-		r, err := m.Sources[m.pos].Read()
+		n, err := m.Sources[m.pos].ReadBatch(dst)
 		if err == io.EOF {
 			m.pos++
 			continue
 		}
-		return r, err
+		return n, err
 	}
-	return trace.Request{}, io.EOF
+	return 0, io.EOF
 }
 
 // PacedSource throttles replay so event spacing approximates recorded time
@@ -64,19 +90,21 @@ type PacedSource struct {
 	prev    time.Time
 }
 
-// Read returns the next request after the paced delay.
-func (p *PacedSource) Read() (trace.Request, error) {
-	r, err := p.Src.Read()
-	if err != nil {
-		return r, err
+// ReadBatch returns one request, after the paced delay: each event is due
+// at its own time, so a batch would hold early ones back.
+func (p *PacedSource) ReadBatch(dst []trace.Request) (int, error) {
+	n, err := p.Src.ReadBatch(dst[:1])
+	if n == 0 {
+		return 0, err
 	}
 	if p.Speedup > 0 {
+		t := dst[0].Time
 		if !p.prev.IsZero() {
-			if gap := r.Time.Sub(p.prev); gap > 0 {
+			if gap := t.Sub(p.prev); gap > 0 {
 				time.Sleep(time.Duration(float64(gap) / p.Speedup))
 			}
 		}
-		p.prev = r.Time
+		p.prev = t
 	}
-	return r, nil
+	return 1, nil
 }

@@ -6,26 +6,39 @@
 //
 // The pipeline is:
 //
-//	Source ──(bounded channel)──▶ windower ──▶ N index shards
-//	                                 │               │ (barrier: hand over fragments)
-//	                                 └──▶ sealer (fragment ring) ──▶ detection worker pool
-//	                                                                       │
-//	                              sequencer ◀──────────────────────────────┘
+//	Source ──(slabs, bounded)──▶ windower ──(per-shard sub-slabs)──▶ N index shards
+//	                                │                                  │ (barrier: hand over fragments)
+//	                                └──▶ sealer (fragment ring) ──▶ detection worker pool
+//	                                          ▲                              │
+//	                            admission: ≤ Workers windows                 │
+//	                            sealed but not yet detected                  │
+//	                              sequencer ◀────────────────────────────────┘
 //	                         (reorders windows, feeds tracker,
 //	                          emits WindowResults with deltas)
 //
-// Events are read one at a time from a Source with bounded-channel
-// backpressure: when downstream detection cannot keep up, reads stall
-// rather than buffering unboundedly. Each event is hashed by server key to
-// one of Config.Shards shard goroutines, which accumulate partial
-// trace.Index fragments; trace.Index aggregation commutes, so the sharded
-// build is bit-identical to a sequential one. When the watermark (max
-// event time minus Config.Watermark) passes a window's end the window is
-// sealed and its merged index is dispatched to a pool of Config.Workers
-// detection workers. Finished windows are re-sequenced into window order
-// and committed — tracker, deltas, sinks — by the Committer, the same
-// back half internal/cluster's aggregator runs on its merged windows, and
-// emitted on the output channel as WindowResults.
+// Events move in slabs: the reader asks the Source for a batch of what it
+// already holds (Source.ReadBatch) and hands the whole slab to the
+// windower over a channel bounded in events (Config.Buffer), so when
+// downstream detection cannot keep up, reads stall rather than buffering
+// unboundedly. The windower assigns each event its windows, hashes it by
+// server key to one of Config.Shards shard goroutines and routes it into
+// that shard's sub-slab together with the key and its fragment id; the
+// sub-slabs go out at the end of every slab and before every seal
+// barrier, so channel FIFO keeps each event ahead of the barrier that
+// follows it. Each shard indexes its sub-slabs through a private
+// trace.Interner front cache into partial trace.Index fragments;
+// trace.Index aggregation commutes, so the sharded build is bit-identical
+// to a sequential one. When the watermark (max event time minus
+// Config.Watermark) passes a window's end the window is sealed and its
+// merged index is dispatched to a pool of Config.Workers detection
+// workers. A window takes one of Config.Workers admission slots when it
+// is sealed and gives it back only when its detection has finished, so at
+// most Workers windows are ever sealed but not yet detected: a saturated
+// engine stalls its reader instead of queueing windows. Finished windows
+// are re-sequenced into window order and committed — tracker, deltas,
+// sinks — by the Committer, the same back half internal/cluster's
+// aggregator runs on its merged windows, and emitted on the output channel
+// as WindowResults.
 //
 // # Incremental sliding windows
 //
@@ -47,7 +60,10 @@
 // *non-empty* fragment, so their size is bounded by the events in a
 // window however small g is — nothing ever iterates the id range (a is
 // ~10^12 for coprime durations). All indexes of one symbol epoch share
-// one trace.Symbols, so merges on this path are pure integer-map folds.
+// one trace.Symbols, so merges on this path are pure integer-map folds,
+// and a fragment that is consumed whole — a shard's hand-over, an
+// expiring ring entry — is absorbed: the window adopts the servers it
+// lacks instead of copying them. Only live ring entries are copied in.
 //
 // The engine is deterministic for a fixed input order and configuration:
 // shard and worker counts change wall-clock time, never output.
@@ -91,12 +107,16 @@ type Config struct {
 	// truncated to Stride — for day-long strides that is UTC midnight.
 	Origin time.Time
 	// Workers is the detection worker pool size (default 1). More workers
-	// overlap detection of distinct windows; output is unaffected.
+	// overlap detection of distinct windows; output is unaffected. It is
+	// also the admission bound: at most Workers windows are sealed but
+	// not yet detected, and sealing the next one waits for a detection to
+	// finish.
 	Workers int
 	// Shards is the number of concurrent index-builder shards (default 4).
 	Shards int
-	// Buffer is the ingestion channel capacity bounding how far the source
-	// reader may run ahead of windowing (default 1024).
+	// Buffer bounds, in events, how far the source reader may run ahead
+	// of windowing (default 1024). Events travel in slabs, so the channel
+	// holds ⌈Buffer/slab size⌉ slabs.
 	Buffer int
 	// Detector configures the core.Pipeline run on every sealed window.
 	Detector []core.Option
@@ -182,9 +202,9 @@ type Engine struct {
 	quit     chan struct{}
 	stopOnce sync.Once
 	started  bool
-	// readerState lets the windower's Stop drain distinguish "an event may
+	// readerState lets the windower's Stop drain distinguish "a slab may
 	// still be in flight to the channel" (running) from "the reader is
-	// parked inside Source.Read or gone" — see windower's quit branch.
+	// parked inside Source.ReadBatch or gone" — see windower's quit branch.
 	readerState atomic.Int32
 
 	errMu sync.Mutex
@@ -292,18 +312,23 @@ func (e *Engine) StartContext(ctx context.Context, src Source) <-chan WindowResu
 		}()
 	}
 
-	events := make(chan trace.Request, e.cfg.Buffer)
+	// Config.Buffer is in events; the channel carries slabs.
+	slabs := make(chan *[]trace.Request, (e.cfg.Buffer+slabSize-1)/slabSize)
+	drained := make(chan struct{})
 	jobs := make(chan windowJob)
 	results := make(chan windowDone, e.cfg.Workers)
+	// slots is the admission bound: the windower takes one to seal a
+	// window, detect gives it back once the window's detection is done.
+	slots := make(chan struct{}, e.cfg.Workers)
 
-	go e.read(src, events)
+	go e.read(src, slabs, drained)
 
 	var workerWG sync.WaitGroup
 	workerWG.Add(e.cfg.Workers)
 	for i := 0; i < e.cfg.Workers; i++ {
 		go func() {
 			defer workerWG.Done()
-			e.detect(jobs, results)
+			e.detect(jobs, results, slots)
 		}()
 	}
 	go func() {
@@ -311,7 +336,7 @@ func (e *Engine) StartContext(ctx context.Context, src Source) <-chan WindowResu
 		close(results)
 	}()
 
-	go e.windower(events, jobs)
+	go e.windower(slabs, drained, jobs, slots)
 	go e.sequence(results)
 	return e.out
 }
@@ -319,8 +344,8 @@ func (e *Engine) StartContext(ctx context.Context, src Source) <-chan WindowResu
 // Stop asks the engine to stop ingesting and drain: every event already
 // handed to the engine is windowed, then open windows are sealed and
 // emitted as if the source had ended. Safe to call concurrently and more
-// than once. A reader blocked inside Source.Read keeps the ingestion
-// goroutine alive until that Read returns, but draining does not wait for
+// than once. A reader blocked inside Source.ReadBatch keeps the ingestion
+// goroutine alive until that call returns, but draining does not wait for
 // it.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.quit) })
@@ -360,15 +385,32 @@ func (e *Engine) setErr(err error) {
 
 // Reader states, for the Stop drain handshake.
 const (
-	readerRunning int32 = iota // between Read returning and the send landing
-	readerParked               // blocked inside Source.Read — nothing in flight
+	readerRunning int32 = iota // between ReadBatch returning and the send landing
+	readerParked               // blocked inside Source.ReadBatch — nothing in flight
 	readerExited
 )
 
-// read pumps the source into the bounded event channel until EOF, error or
-// Stop.
-func (e *Engine) read(src Source, events chan<- trace.Request) {
-	defer close(events)
+// slabSize is the most events one slab carries from the reader to the
+// windower, and so the most one shard sub-slab carries from the windower
+// to a shard.
+const slabSize = 256
+
+// slabPool recycles reader slabs; shardSlabPool recycles shard sub-slabs.
+var (
+	slabPool = sync.Pool{New: func() any {
+		s := make([]trace.Request, slabSize)
+		return &s
+	}}
+	shardSlabPool = sync.Pool{New: func() any {
+		s := make([]shardEvent, 0, slabSize)
+		return &s
+	}}
+)
+
+// read pumps the source into the bounded slab channel until EOF, error or
+// Stop. drained closes once the windower has stopped taking slabs.
+func (e *Engine) read(src Source, slabs chan<- *[]trace.Request, drained <-chan struct{}) {
+	defer close(slabs)
 	defer e.readerState.Store(readerExited)
 	for {
 		select {
@@ -376,19 +418,27 @@ func (e *Engine) read(src Source, events chan<- trace.Request) {
 			return
 		default:
 		}
+		slab := slabPool.Get().(*[]trace.Request)
 		e.readerState.Store(readerParked)
-		req, err := src.Read()
+		n, err := src.ReadBatch((*slab)[:slabSize])
 		e.readerState.Store(readerRunning)
+		if n > 0 {
+			*slab = (*slab)[:n]
+			// No quit case: after Stop the windower keeps draining while
+			// the reader runs, so a slab in hand is windowed, never dropped.
+			select {
+			case slabs <- slab:
+			case <-drained:
+				return
+			}
+		} else {
+			slabPool.Put(slab)
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				e.setErr(fmt.Errorf("stream: source: %w", err))
 				e.o.log.Error("source read failed", "err", err)
 			}
-			return
-		}
-		select {
-		case events <- req:
-		case <-e.quit:
 			return
 		}
 	}
@@ -420,21 +470,31 @@ type windowDone struct {
 	sealedAt   time.Time    // when the merged index was ready
 }
 
-// shardMsg is either an event assignment (replyAll nil) to fragment frag,
-// or a seal barrier asking for every fragment with id <= sealMax. Channel
-// FIFO ordering guarantees a barrier arrives after every event dispatched
+// shardEvent is one event routed to a shard: the request, its server key
+// and the fragment it belongs to.
+type shardEvent struct {
+	req  trace.Request
+	key  string
+	frag int64
+}
+
+// shardMsg is either a sub-slab of events to index (replyAll nil) or a
+// seal barrier asking for every fragment with id <= sealMax. Channel FIFO
+// ordering guarantees a barrier arrives after every event dispatched
 // before it.
 type shardMsg struct {
-	req      trace.Request
-	frag     int64
+	events   *[]shardEvent
 	sealMax  int64
 	replyAll chan<- map[int64]*trace.Index
 }
 
 // shardLoop owns one shard's index fragments, keyed by fragment id. All
-// fragments of one symbol epoch share the engine Symbols.
+// fragments of one symbol epoch share the engine Symbols; the shard
+// interns through its own front cache, which starts over whenever it is
+// handed a fragment of another epoch.
 func (e *Engine) shardLoop(ch <-chan shardMsg) {
 	frags := make(map[int64]*trace.Index)
+	var in trace.Interner
 	for m := range ch {
 		if m.replyAll != nil {
 			// Hand over (and forget) every fragment the sealer may now
@@ -452,12 +512,18 @@ func (e *Engine) shardLoop(ch <-chan shardMsg) {
 			m.replyAll <- out
 			continue
 		}
-		frag := frags[m.frag]
-		if frag == nil {
-			frag = trace.NewIndexWith(e.symbols())
-			frags[m.frag] = frag
+		events := *m.events
+		for i := range events {
+			ev := &events[i]
+			frag := frags[ev.frag]
+			if frag == nil {
+				frag = trace.NewIndexWith(e.symbols())
+				frags[ev.frag] = frag
+			}
+			frag.AddKeyed(&ev.req, ev.key, &in)
 		}
-		frag.Add(&m.req)
+		*m.events = events[:0]
+		shardSlabPool.Put(m.events)
 	}
 }
 
@@ -471,14 +537,14 @@ type sealReq struct {
 }
 
 // sealer is the single goroutine that owns the fragment ring. For every
-// sealed window it folds the newly handed-over shard fragments into the
+// sealed window it absorbs the newly handed-over shard fragments into the
 // ring, then merges the ring in ascending fragment order: the first
 // expiring fragment — one no later window needs — becomes the window
-// index, zero-copy, the other expiring ones are merged in and dropped,
-// and the still-live ones are merged in and kept. It iterates the ring's
+// index, zero-copy, the other expiring ones are absorbed and dropped, and
+// the still-live ones are copied in and kept. It iterates the ring's
 // present keys, never the window's fragment id range. It runs strictly in
 // window order, pipelined behind the windower.
-func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStride int64, nShards int, slots <-chan struct{}) {
+func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStride int64, nShards int) {
 	defer close(jobs)
 	ring := make(map[int64]*trace.Index)
 	var live []int64
@@ -489,7 +555,7 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 				if cur := ring[f]; cur == nil {
 					ring[f] = frag
 				} else {
-					cur.Merge(frag)
+					cur.Absorb(frag)
 				}
 			}
 		}
@@ -504,11 +570,14 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 		for _, f := range live {
 			frag := ring[f]
 			if f < (r.seq+1)*fragsPerStride {
+				// Expiring: no later window reads it again.
 				delete(ring, f)
 				if merged == nil {
 					merged = frag
-					continue
+				} else {
+					merged.Absorb(frag)
 				}
+				continue
 			}
 			if merged == nil {
 				merged = trace.NewIndexWith(e.symbols())
@@ -521,24 +590,36 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 		r.job.idx = merged
 		e.o.finishSeal(&r.job)
 		jobs <- r.job
-		<-slots
 	}
 }
 
 // windower assigns events to windows, advances the watermark, and seals
 // windows in order. It owns all window bookkeeping; shards only aggregate.
-func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
+// It closes drained once it takes no more slabs.
+func (e *Engine) windower(slabs <-chan *[]trace.Request, drained chan<- struct{}, jobs chan<- windowJob, slots chan<- struct{}) {
 	nShards := e.cfg.Shards
 	fragWidth, fragsPerWindow, fragsPerStride := e.fragGeometry()
 	shardCh := make([]chan shardMsg, nShards)
 	var shardWG sync.WaitGroup
 	for i := range shardCh {
-		shardCh[i] = make(chan shardMsg, 64)
+		// Room for one sub-slab while the shard indexes the previous one:
+		// a shard queue is bounded in events, not messages.
+		shardCh[i] = make(chan shardMsg, 1)
 		shardWG.Add(1)
 		go func(ch <-chan shardMsg) {
 			defer shardWG.Done()
 			e.shardLoop(ch)
 		}(shardCh[i])
+	}
+	// subs holds the sub-slab being filled for each shard, nil when empty.
+	subs := make([]*[]shardEvent, nShards)
+	flush := func() {
+		for i, sub := range subs {
+			if sub != nil {
+				shardCh[i] <- shardMsg{events: sub}
+				subs[i] = nil
+			}
+		}
 	}
 
 	var (
@@ -550,18 +631,28 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		nextSeal  int64 // next window seq to seal
 		maxSeq    int64 // highest window seq holding any event
 		sealCh    = make(chan sealReq, e.cfg.Workers)
-		// sealSlots bounds sealed-but-undetected windows so a slow
-		// consumer backpressures ingestion instead of growing memory.
-		sealSlots = make(chan struct{}, 2*e.cfg.Workers)
 		// firstSeen stamps each window's first accepted event (the start
 		// of its "build" span and of the ingest->seal latency); nil when
 		// neither tracing nor latency metrics are wired.
 		firstSeen map[int64]time.Time
+		// accepted and late count events since the counters were last
+		// published: once per slab and before every seal.
+		accepted, late int64
+		// syms is the current symbol epoch; keys is the windower's own
+		// front cache for server keys.
+		syms = e.symbols()
+		keys trace.Interner
 	)
 	if e.o.tr != nil || e.o.ingestSeal != nil {
 		firstSeen = make(map[int64]time.Time)
 	}
-	go e.sealer(sealCh, jobs, fragsPerStride, nShards, sealSlots)
+	go e.sealer(sealCh, jobs, fragsPerStride, nShards)
+
+	publish := func() {
+		e.ctrEvents.Add(accepted)
+		e.ctrLate.Add(late)
+		accepted, late = 0, 0
+	}
 
 	// afterSeal rotates the symbol-table epoch on schedule. Fragments and
 	// ring entries from the old epoch merge through the name-remap path,
@@ -570,12 +661,16 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 	afterSeal := func() {
 		sealed++
 		if e.cfg.RotateSymbolsEvery > 0 && sealed%e.cfg.RotateSymbolsEvery == 0 {
-			e.syms.Store(trace.NewSymbols())
+			syms = trace.NewSymbols()
+			e.syms.Store(syms)
 		}
 	}
 
 	seal := func(seq int64) {
-		sealSlots <- struct{}{}
+		// Every event routed so far reaches its shard ahead of the barrier.
+		flush()
+		publish()
+		slots <- struct{}{}
 		start := e.cfg.Stride * time.Duration(seq)
 		job := windowJob{
 			seq:   int(seq - base),
@@ -594,7 +689,8 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		sealCh <- sealReq{seq: seq, job: job, replies: replies}
 	}
 
-	handle := func(req trace.Request) {
+	// handle windows one event; now is when its slab arrived.
+	handle := func(req *trace.Request, now time.Time) {
 		t := req.Time
 		if !originSet {
 			if e.cfg.Origin.IsZero() {
@@ -607,7 +703,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		dt := t.Sub(origin)
 		lo, hi := seqRange(dt, e.cfg.Window, e.cfg.Stride)
 		if hi < 0 { // entirely before the window origin
-			e.ctrLate.Add(1)
+			late++
 			return
 		}
 		if lo < 0 {
@@ -618,7 +714,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			baseSet = true
 		}
 		if hi < nextSeal { // every containing window already sealed
-			e.ctrLate.Add(1)
+			late++
 			return
 		}
 		if lo < nextSeal { // partially late: only still-open windows get it
@@ -627,9 +723,8 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		if hi > maxSeq {
 			maxSeq = hi
 		}
-		e.ctrEvents.Add(1)
+		accepted++
 		if firstSeen != nil {
-			now := time.Now()
 			for s := lo; s <= hi; s++ {
 				if _, ok := firstSeen[s]; !ok {
 					firstSeen[s] = now
@@ -638,15 +733,15 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		}
 		// One index per fragment, however many windows overlap it: windows
 		// [lo, hi] pick the fragment up from the ring at seal time.
-		shardCh[shardOf(e.symbols().RequestServerKey(&req), nShards)] <- shardMsg{
-			req: req, frag: floorDiv(int64(dt), int64(fragWidth)),
+		key := keys.ServerKey(syms, req)
+		i := shardOf(key, nShards)
+		if subs[i] == nil {
+			subs[i] = shardSlabPool.Get().(*[]shardEvent)
 		}
+		*subs[i] = append(*subs[i], shardEvent{req: *req, key: key, frag: floorDiv(int64(dt), int64(fragWidth))})
 
 		if t.After(maxTime) {
 			maxTime = t
-		}
-		if e.o.lag != nil {
-			e.o.lag.Set(time.Since(maxTime).Seconds())
 		}
 		watermark := maxTime.Add(-e.cfg.Watermark)
 		for nextSeal <= maxSeq {
@@ -660,27 +755,43 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		}
 	}
 
+	handleSlab := func(slab *[]trace.Request) {
+		var now time.Time
+		if firstSeen != nil || e.o.lag != nil {
+			now = time.Now()
+		}
+		for i := range *slab {
+			handle(&(*slab)[i], now)
+		}
+		slabPool.Put(slab)
+		flush()
+		publish()
+		if e.o.lag != nil && !maxTime.IsZero() {
+			e.o.lag.Set(now.Sub(maxTime).Seconds())
+		}
+	}
+
 ingest:
 	for {
 		select {
-		case req, ok := <-events:
+		case slab, ok := <-slabs:
 			if !ok {
 				break ingest
 			}
-			handle(req)
+			handleSlab(slab)
 		case <-e.quit:
 			// Stop: consume everything the reader has committed to the
 			// bounded channel. An empty channel is only quiescent once the
-			// reader is parked in Source.Read or gone — while it is
-			// running, a handed-over event may still be landing, so yield
-			// and re-check rather than dropping it.
+			// reader is parked in Source.ReadBatch or gone — while it is
+			// running, a slab it holds may still be landing, so yield and
+			// re-check rather than dropping it.
 			for {
 				select {
-				case req, ok := <-events:
+				case slab, ok := <-slabs:
 					if !ok {
 						break ingest
 					}
-					handle(req)
+					handleSlab(slab)
 				default:
 					if e.readerState.Load() != readerRunning {
 						break ingest
@@ -690,6 +801,7 @@ ingest:
 			}
 		}
 	}
+	close(drained)
 
 	// Source exhausted (or Stop): drain every open window in order.
 	if baseSet {
@@ -739,13 +851,18 @@ func shardOf(key string, n int) int {
 // detection but still flow through so the sequencer can advance the
 // tracker's window clock. The run context cancels in-flight detections;
 // cancelled windows flow through report-less so the sequencer still
-// closes the output promptly.
-func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone) {
+// closes the output promptly. Each window gives its admission slot back
+// once its result is handed on — an IndexOnly window, which has nothing to
+// detect, as soon as a worker takes it.
+func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone, slots <-chan struct{}) {
 	ctx := e.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for j := range jobs {
+		if e.cfg.IndexOnly {
+			<-slots
+		}
 		d := windowDone{seq: j.seq, start: j.start, end: j.end, requests: j.idx.RequestCount, sealedAt: j.sealedAt}
 		if e.cfg.KeepIndex || e.cfg.IndexOnly {
 			d.idx = j.idx
@@ -765,6 +882,9 @@ func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone) {
 			d.report = report
 		}
 		results <- d
+		if !e.cfg.IndexOnly {
+			<-slots
+		}
 	}
 }
 

@@ -169,15 +169,15 @@ type blockingSource struct {
 	once     sync.Once
 }
 
-func (s *blockingSource) Read() (trace.Request, error) {
+func (s *blockingSource) ReadBatch(dst []trace.Request) (int, error) {
 	if s.pos < len(s.reqs) {
-		r := s.reqs[s.pos]
-		s.pos++
-		return r, nil
+		n := copy(dst, s.reqs[s.pos:])
+		s.pos += n
+		return n, nil
 	}
 	s.once.Do(func() { close(s.ingested) })
 	<-s.release
-	return trace.Request{}, io.EOF
+	return 0, io.EOF
 }
 
 // Stop must seal and emit in-flight windows even when the watermark never
@@ -395,18 +395,27 @@ func TestMultiSource(t *testing.T) {
 	}}
 	m := &MultiSource{Sources: []Source{a, &SliceSource{}, b}}
 	var hosts []string
+	var batches []int
+	buf := make([]trace.Request, 8)
 	for {
-		r, err := m.Read()
+		n, err := m.ReadBatch(buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		hosts = append(hosts, r.Host)
+		batches = append(batches, n)
+		for _, r := range buf[:n] {
+			hosts = append(hosts, r.Host)
+		}
 	}
 	if !reflect.DeepEqual(hosts, []string{"a.com", "b.com", "c.com"}) {
 		t.Errorf("hosts = %v", hosts)
+	}
+	// A batch never spans two sources: the next one might block.
+	if !reflect.DeepEqual(batches, []int{1, 2}) {
+		t.Errorf("batches = %v, want [1 2]", batches)
 	}
 }
 

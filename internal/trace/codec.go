@@ -163,10 +163,22 @@ func (tr *Reader) parse(line string) (Request, error) {
 // newline). It is the single line-level grammar shared by Reader and the
 // internal/source TSV decoder; malformed lines wrap ErrBadRecord.
 func ParseRecord(line string) (Request, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) != fieldCount && len(fields) != legacyFieldCount {
+	// Split into a fixed array rather than strings.Split's fresh slice:
+	// the fields are substrings of line, so a record costs no allocation
+	// beyond the line itself. n counts every field, kept or not, for the
+	// error text.
+	var fields [fieldCount]string
+	n := 0
+	for more := true; more; n++ {
+		var field string
+		field, line, more = strings.Cut(line, "\t")
+		if n < fieldCount {
+			fields[n] = field
+		}
+	}
+	if n != fieldCount && n != legacyFieldCount {
 		return Request{}, fmt.Errorf("%d fields, want %d or %d: %w",
-			len(fields), fieldCount, legacyFieldCount, ErrBadRecord)
+			n, fieldCount, legacyFieldCount, ErrBadRecord)
 	}
 	ns, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
@@ -187,7 +199,7 @@ func ParseRecord(line string) (Request, error) {
 		Referrer:  dashEmpty(fields[7]),
 		Status:    status,
 	}
-	if len(fields) == fieldCount {
+	if n == fieldCount {
 		req.PayloadDigest = dashEmpty(fields[9])
 	}
 	return req, nil

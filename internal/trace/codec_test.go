@@ -80,16 +80,21 @@ func TestReaderErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		line string
+		want string
 	}{
-		{"too few fields", "123\ta\tb"},
-		{"bad time", "abc\tc\th\ti\tp\tq\tu\tr\t200"},
-		{"bad status", "123\tc\th\ti\tp\tq\tu\tr\tXX"},
+		{"too few fields", "123\ta\tb", "line 1: 3 fields, want 10 or 9: malformed trace record"},
+		{"too many fields", "1\tc\th\ti\tp\tq\tu\tr\t200\td\tx\ty", "line 1: 12 fields, want 10 or 9: malformed trace record"},
+		{"bad time", "abc\tc\th\ti\tp\tq\tu\tr\t200", "line 1: time: malformed trace record"},
+		{"bad status", "123\tc\th\ti\tp\tq\tu\tr\tXX", "line 1: status: malformed trace record"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := NewReader(strings.NewReader(tt.line)).Read()
 			if !errors.Is(err, ErrBadRecord) {
 				t.Errorf("err = %v, want ErrBadRecord", err)
+			}
+			if err != nil && err.Error() != tt.want {
+				t.Errorf("err = %q, want %q", err, tt.want)
 			}
 		})
 	}

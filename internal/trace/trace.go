@@ -213,6 +213,11 @@ func (sy *Symbols) queryPatternID(rawQuery string) uint32 {
 	return id
 }
 
+// hostID interns the normalized form of a raw Host header.
+func (sy *Symbols) hostID(host string) uint32 {
+	return sy.Hosts.ID(domain.Normalize(host))
+}
+
 // ServerInfo aggregates everything SMASH needs to know about one logical
 // server, accumulated over a trace. All aggregates are id-keyed counted
 // multisets over the index's Symbols; use the name-resolving helpers (or
@@ -429,13 +434,14 @@ func BuildIndex(t *Trace) *Index {
 	return idx
 }
 
-// newServerInfo builds an empty ServerInfo — the single place the per-field
-// map set is constructed, shared by Add and Merge so a new field cannot be
-// initialized in one path and forgotten in the other.
-func newServerInfo(syms *Symbols, key string) *ServerInfo {
+// newServerInfo builds an empty ServerInfo for key, whose Servers id is
+// sid — the single place the per-field map set is constructed, shared by
+// Add and Merge so a new field cannot be initialized in one path and
+// forgotten in the other.
+func newServerInfo(syms *Symbols, key string, sid uint32) *ServerInfo {
 	return &ServerInfo{
 		Key:        key,
-		SID:        syms.Servers.ID(key),
+		SID:        sid,
 		syms:       syms,
 		Clients:    make(Counts),
 		IPs:        make(Counts),
@@ -458,7 +464,7 @@ func (idx *Index) invalidate() { idx.nodes = nil }
 func (idx *Index) EnsureServer(key string) *ServerInfo {
 	info := idx.Servers[key]
 	if info == nil {
-		info = newServerInfo(idx.Syms, key)
+		info = newServerInfo(idx.Syms, key, idx.Syms.Servers.ID(key))
 		idx.Servers[key] = info
 		idx.invalidate()
 	}
@@ -467,39 +473,47 @@ func (idx *Index) EnsureServer(key string) *ServerInfo {
 
 // Add incorporates one request into the index.
 func (idx *Index) Add(r *Request) {
-	sy := idx.Syms
-	key := sy.RequestServerKey(r)
+	idx.AddKeyed(r, idx.Syms.RequestServerKey(r), nil)
+}
+
+// AddKeyed is Add for a caller that already holds r's server key (from
+// Symbols.RequestServerKey or Interner.ServerKey) and interns through in,
+// its own front cache; a nil in interns straight into the shared tables.
+// The index is the same either way.
+func (idx *Index) AddKeyed(r *Request, key string, in *Interner) {
 	if key == "" {
 		return
 	}
+	sy := idx.Syms
+	in.bind(sy)
 	info := idx.Servers[key]
 	if info == nil {
-		info = newServerInfo(sy, key)
+		info = newServerInfo(sy, key, in.id(nsServers, key, sy.Servers.ID))
 		idx.Servers[key] = info
 	}
-	cid := sy.Clients.ID(r.Client)
+	cid := in.id(nsClients, r.Client, sy.Clients.ID)
 	info.Clients[cid]++
 	if r.ServerIP != "" {
-		info.IPs[sy.IPs.ID(r.ServerIP)]++
+		info.IPs[in.id(nsIPs, r.ServerIP, sy.IPs.ID)]++
 	}
-	info.Files[sy.Files.ID(r.URIFile())]++
+	info.Files[in.id(nsFiles, r.URIFile(), sy.Files.ID)]++
 	if r.Referrer != "" {
-		refKey := sy.SLD(r.Referrer)
+		refKey := in.sld(sy, r.Referrer)
 		if refKey != key {
-			info.Referrers[sy.Servers.ID(refKey)]++
+			info.Referrers[in.id(nsServers, refKey, sy.Servers.ID)]++
 		}
 	}
 	if r.UserAgent != "" {
-		info.UserAgents[sy.Agents.ID(r.UserAgent)]++
+		info.UserAgents[in.id(nsAgents, r.UserAgent, sy.Agents.ID)]++
 	}
 	if r.Query != "" {
-		info.Queries[sy.queryPatternID(r.Query)]++
+		info.Queries[in.id(nsPatterns, r.Query, sy.queryPatternID)]++
 	}
 	if r.PayloadDigest != "" {
-		info.Payloads[sy.Payloads.ID(r.PayloadDigest)]++
+		info.Payloads[in.id(nsPayloads, r.PayloadDigest, sy.Payloads.ID)]++
 	}
 	if r.Host != "" {
-		info.Hosts[sy.Hosts.ID(domain.Normalize(r.Host))]++
+		info.Hosts[in.id(nsHosts, r.Host, sy.hostID)]++
 	}
 	info.Requests++
 	if r.Status >= 400 {
@@ -642,7 +656,17 @@ func remapCounts(dst Counts, to *intern.Table, src Counts, from *intern.Table) {
 // When other shares idx's Symbols (the only arrangement the engine
 // produces), the merge is a pure integer-map fold; otherwise ids are
 // remapped through their names.
-func (idx *Index) Merge(other *Index) {
+func (idx *Index) Merge(other *Index) { idx.merge(other, false) }
+
+// Absorb is Merge for an other that is thrown away afterwards: where the
+// two share Symbols it adopts other's servers and client rows that idx
+// lacks instead of copying them, and folds the rest as Merge does. other
+// must not be used after the call. The streaming sealer absorbs the shard
+// fragments it is handed and the ring fragments that expire.
+func (idx *Index) Absorb(other *Index) { idx.merge(other, true) }
+
+// merge is Merge, and with adopt set, Absorb.
+func (idx *Index) merge(other *Index, adopt bool) {
 	if other == nil {
 		return
 	}
@@ -650,7 +674,11 @@ func (idx *Index) Merge(other *Index) {
 		for k, src := range other.Servers {
 			dst := idx.Servers[k]
 			if dst == nil {
-				dst = newServerInfo(idx.Syms, k)
+				if adopt {
+					idx.Servers[k] = src
+					continue
+				}
+				dst = newServerInfo(idx.Syms, k, src.SID)
 				idx.Servers[k] = dst
 			}
 			mergeCounts(dst.Clients, src.Clients)
@@ -667,6 +695,10 @@ func (idx *Index) Merge(other *Index) {
 		for c, set := range other.ClientServers {
 			cs := idx.ClientServers[c]
 			if cs == nil {
+				if adopt {
+					idx.ClientServers[c] = set
+					continue
+				}
 				cs = make(Counts, len(set))
 				idx.ClientServers[c] = cs
 			}
@@ -677,7 +709,7 @@ func (idx *Index) Merge(other *Index) {
 		for k, src := range other.Servers {
 			dst := idx.Servers[k]
 			if dst == nil {
-				dst = newServerInfo(sy, k)
+				dst = newServerInfo(sy, k, sy.Servers.ID(k))
 				idx.Servers[k] = dst
 			}
 			remapCounts(dst.Clients, sy.Clients, src.Clients, osy.Clients)

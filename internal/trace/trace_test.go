@@ -228,7 +228,7 @@ func TestIndexShallowClone(t *testing.T) {
 
 func TestFileListSorted(t *testing.T) {
 	sy := NewSymbols()
-	info := newServerInfo(sy, "a.com")
+	info := NewIndexWith(sy).EnsureServer("a.com")
 	info.Files[sy.Files.ID("z.php")] = 1
 	info.Files[sy.Files.ID("a.php")] = 2
 	info.Files[sy.Files.ID("m.gif")] = 1
@@ -242,7 +242,7 @@ func TestFileListSorted(t *testing.T) {
 }
 
 func TestDominantReferrerEmpty(t *testing.T) {
-	info := newServerInfo(NewSymbols(), "a.com")
+	info := NewIndex().EnsureServer("a.com")
 	info.Requests = 5
 	if ref, share := info.DominantReferrer(); ref != "" || share != 0 {
 		t.Errorf("DominantReferrer on empty = %q %g", ref, share)
@@ -326,37 +326,70 @@ func mergeTestRequests() []Request {
 // A sharded build (partial indexes merged in any order) must equal the
 // sequential build — the invariant the streaming engine depends on. Both
 // merge paths are covered: shards sharing one Symbols (the engine's
-// arrangement, id fast path) and shards with private Symbols (name remap).
+// arrangement, id fast path) and shards with private Symbols (name remap),
+// each by Merge and by Absorb, which adopts what the first shard brings
+// into the empty index and folds the rest.
 func TestIndexMergeEqualsSequentialBuild(t *testing.T) {
 	reqs := mergeTestRequests()
 	want := canonicalIndex(BuildIndex(&Trace{Requests: reqs}))
 
 	for _, shared := range []bool{true, false} {
-		name := "private-symbols"
-		if shared {
-			name = "shared-symbols"
-		}
-		t.Run(name, func(t *testing.T) {
-			syms := NewSymbols()
-			mk := func() *Index {
-				if shared {
-					return NewIndexWith(syms)
+		for _, absorb := range []bool{false, true} {
+			name := "private-symbols"
+			if shared {
+				name = "shared-symbols"
+			}
+			if absorb {
+				name += "/absorb"
+			}
+			t.Run(name, func(t *testing.T) {
+				syms := NewSymbols()
+				mk := func() *Index {
+					if shared {
+						return NewIndexWith(syms)
+					}
+					return NewIndex()
 				}
-				return NewIndex()
+				shards := []*Index{mk(), mk(), mk()}
+				for i := range reqs {
+					shards[i%3].Add(&reqs[i])
+				}
+				got := mk()
+				// Merge in reverse shard order to exercise commutativity.
+				for i := len(shards) - 1; i >= 0; i-- {
+					if absorb {
+						got.Absorb(shards[i])
+					} else {
+						got.Merge(shards[i])
+					}
+				}
+				if g := canonicalIndex(got); g != want {
+					t.Errorf("merged index diverges from sequential build:\n got: %s\nwant: %s", g, want)
+				}
+			})
+		}
+	}
+}
+
+// AddKeyed through a front cache builds the index Add builds, across a
+// change of Symbols mid-stream (an epoch rotation): the cache starts over
+// and re-interns every key by name in the new tables.
+func TestAddKeyedThroughInterner(t *testing.T) {
+	reqs := mergeTestRequests()
+	var in Interner
+	for _, split := range []int{0, 17, len(reqs)} {
+		parts := []*Index{NewIndex(), NewIndex()}
+		for i := range reqs {
+			idx := parts[0]
+			if i >= split {
+				idx = parts[1]
 			}
-			shards := []*Index{mk(), mk(), mk()}
-			for i := range reqs {
-				shards[i%3].Add(&reqs[i])
-			}
-			got := mk()
-			// Merge in reverse shard order to exercise commutativity.
-			for i := len(shards) - 1; i >= 0; i-- {
-				got.Merge(shards[i])
-			}
-			if g := canonicalIndex(got); g != want {
-				t.Errorf("merged index diverges from sequential build:\n got: %s\nwant: %s", g, want)
-			}
-		})
+			idx.AddKeyed(&reqs[i], in.ServerKey(idx.Syms, &reqs[i]), &in)
+		}
+		parts[0].Merge(parts[1])
+		if got, want := canonicalIndex(parts[0]), canonicalIndex(BuildIndex(&Trace{Requests: reqs})); got != want {
+			t.Errorf("split %d: cached build diverges:\n got: %s\nwant: %s", split, got, want)
+		}
 	}
 }
 
