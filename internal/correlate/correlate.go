@@ -14,6 +14,8 @@
 package correlate
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"smash/internal/herd"
@@ -86,6 +88,9 @@ type Result struct {
 func Correlate(mined *herd.Result, opts Options) *Result {
 	opts = opts.normalized()
 	membership := herd.BuildMembership(mined)
+	// A server's score is a float sum over its secondary dimensions, whose
+	// bits depend on the order of the terms: add them in name order.
+	dims := slices.Sorted(maps.Keys(mined.Secondary))
 
 	scores := make(map[string]*ServerScore)
 	for i := range mined.Main {
@@ -94,14 +99,21 @@ func Correlate(mined *herd.Result, opts Options) *Result {
 		for _, s := range mainHerd.Servers {
 			memberSet[s] = struct{}{}
 		}
+		// |secondary herd ∩ main herd|, once per pair rather than per member.
+		inters := make(map[*herd.ASH]int)
 		for _, server := range mainHerd.Servers {
 			byDim := membership[server]
 			var entry *ServerScore
-			for dim, secHerd := range byDim {
-				if dim == mined.MainDimension {
+			for _, dim := range dims {
+				secHerd := byDim[dim]
+				if secHerd == nil {
 					continue
 				}
-				inter := intersectionSize(secHerd.Servers, memberSet)
+				inter, ok := inters[secHerd]
+				if !ok {
+					inter = intersectionSize(secHerd.Servers, memberSet)
+					inters[secHerd] = inter
+				}
 				if inter < 2 {
 					// The intersection must associate the server with at
 					// least one other server; a singleton intersection
@@ -114,10 +126,7 @@ func Correlate(mined *herd.Result, opts Options) *Result {
 				}
 				entry.Score += secHerd.Density * mainHerd.Density *
 					stats.Sigma(float64(inter), opts.Mu, opts.Beta)
-				entry.Dimensions = append(entry.Dimensions, dim)
-			}
-			if entry != nil {
-				sort.Strings(entry.Dimensions)
+				entry.Dimensions = append(entry.Dimensions, dim) // sorted, as dims
 			}
 		}
 	}

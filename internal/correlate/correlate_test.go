@@ -162,6 +162,42 @@ func TestDimensionDecomposition(t *testing.T) {
 	}
 }
 
+// A server's score sums one term per secondary dimension, and float
+// addition is not associative: with three or more dimensions the terms
+// must be added in one fixed (name) order, or the score's bits change from
+// run to run with the map order.
+func TestCorrelateScoreDeterministic(t *testing.T) {
+	servers := []string{"a.com", "b.com", "c.com", "d.com", "e.com", "f.com"}
+	densities := map[string]float64{"d1": 0.07, "d2": 0.13, "d3": 0.29}
+	secondary := make(map[string][]herd.ASH)
+	for dim, d := range densities {
+		h := mkHerd(dim, 0, servers...)
+		h.Density = d
+		secondary[dim] = []herd.ASH{h}
+	}
+	mined := minedResult([]herd.ASH{mkHerd(similarity.DimClient, 0, servers...)}, secondary)
+	sigma := stats.Sigma(6, stats.DefaultMu, stats.DefaultBeta)
+	sum := func(order ...string) uint64 {
+		s := 0.0
+		for _, dim := range order {
+			s += densities[dim] * 1.0 * sigma
+		}
+		return math.Float64bits(s)
+	}
+	want := sum("d1", "d2", "d3")
+	if sum("d1", "d3", "d2") == want && sum("d2", "d3", "d1") == want {
+		t.Fatal("fixture broken: every order of the terms sums to the same bits")
+	}
+	for run := 0; run < 200; run++ {
+		res := Correlate(mined, Options{Threshold: 0.01})
+		for _, s := range servers {
+			if got := math.Float64bits(res.Scores[s].Score); got != want {
+				t.Fatalf("run %d: %s score bits %x, want %x (the name-order sum)", run, s, got, want)
+			}
+		}
+	}
+}
+
 func TestCorrelateGroupsWithOneSurvivorDropped(t *testing.T) {
 	// Construct scores where only one server in the herd passes: herd must
 	// be dropped even though that server scores high.

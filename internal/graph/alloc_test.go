@@ -47,6 +47,32 @@ func TestLouvainAllocsBounded(t *testing.T) {
 	}
 }
 
+// A similarity graph is built and released once per dimension per window:
+// in steady state its chunks come back from the pool, so a build allocates
+// the per-node arrays and the chunk lists — a few dozen objects whatever
+// the edge count, never one per edge or per chunk.
+func TestBuilderAllocsIndependentOfEdges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold on production builds")
+	}
+	const n = 2000
+	for _, span := range []int{60, 120} { // 118 170 and 232 740 edges
+		cycle := func() {
+			b := NewBuilder(n)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < min(n, u+1+span); v++ {
+					_ = b.AddEdge(u, v, 1)
+				}
+			}
+			b.Graph().Release()
+		}
+		cycle() // fill the pool
+		if allocs := testing.AllocsPerRun(5, cycle); allocs > 32 {
+			t.Errorf("build + Release of span %d = %.0f allocs, want <= 32", span, allocs)
+		}
+	}
+}
+
 // Herd density is computed for every community of every dimension of every
 // window: the pooled stamp arrays must leave it nothing to allocate.
 func TestSubgraphDensityAllocs(t *testing.T) {

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -33,34 +36,99 @@ func sameGraph(t *testing.T, got, want *Graph) {
 	}
 }
 
-// The one-pass build must be indistinguishable from the AddEdge sequence
-// it replaces — Louvain's float sums follow the adjacency order — for any
-// edge order, with self-loops, parallel edges and rejected edges mixed in.
+// edge is one AddEdge call.
+type edge struct {
+	u, v int
+	w    float64
+}
+
+// rowEdges returns random edges over n nodes in Builder's row order: rows
+// ascending, partners ascending within a row, with self-loops (v == u) and
+// parallel edges (a pair drawn twice) mixed in.
+func rowEdges(rng *rand.Rand, n, edges int) []edge {
+	es := make([]edge, edges)
+	for i := range es {
+		u := rng.Intn(n)
+		es[i] = edge{u, u + rng.Intn(n-u), 0.05 + rng.Float64()}
+	}
+	slices.SortStableFunc(es, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
+	return es
+}
+
+// The row-order build must be indistinguishable from the AddEdge sequence
+// it replaces — Louvain's float sums follow the adjacency order — across
+// the row buffer's chunk seams, for a node whose run exceeds a chunk, with
+// self-loops and parallel edges mixed in, and on pooled chunks that a
+// released graph handed back.
 func TestBuilderMatchesAddEdgeSequence(t *testing.T) {
 	rng := stats.NewRand(5, "builder")
-	const n = 40
-	// More edges than one chunk holds, so the chunk seam is crossed.
-	for _, edges := range []int{0, 1, 300, builderChunk + 500} {
-		want, b := New(n), NewBuilder(n)
-		for i := 0; i < edges; i++ {
-			u, v, w := rng.Intn(n+2)-1, rng.Intn(n+2)-1, rng.Float64()-0.05
-			errWant, errGot := want.AddEdge(u, v, w), b.AddEdge(u, v, w)
-			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("edge (%d,%d,%g): Builder err = %v, Graph err = %v", u, v, w, errGot, errWant)
-			}
-		}
-		got := b.Graph()
-		sameGraph(t, got, want)
-
-		// The nodes share one backing array; growing one must not spill
-		// into the next node's run.
-		for u := 0; u+1 < n; u += 2 {
-			if err := errors.Join(want.AddEdge(u, u+1, 0.25), got.AddEdge(u, u+1, 0.25)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameGraph(t, got, want)
+	star := make([]edge, chunkLen+100) // node 0's degree exceeds one chunk
+	for i := range star {
+		star[i] = edge{0, i + 1, 0.05 + rng.Float64()}
 	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []edge
+	}{
+		{"empty", 40, nil},
+		{"one", 40, []edge{{3, 7, 0.5}}},
+		{"small", 40, rowEdges(rng, 40, 300)},
+		{"seams", 40, rowEdges(rng, 40, 3*chunkLen+500)},
+		{"star", len(star) + 1, star},
+		// Laid out in the chunks the graphs above released.
+		{"after release", 300, rowEdges(rng, 300, 2*chunkLen)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, b := New(tc.n), NewBuilder(tc.n)
+			for _, e := range tc.edges {
+				if err := errors.Join(want.AddEdge(e.u, e.v, e.w), b.AddEdge(e.u, e.v, e.w)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := b.Graph()
+			sameGraph(t, got, want)
+
+			// Growing a node must not spill into the next node's run.
+			for u := 0; u+1 < tc.n; u += 2 {
+				if err := errors.Join(want.AddEdge(u, u+1, 0.25), got.AddEdge(u, u+1, 0.25)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameGraph(t, got, want)
+			got.Release()
+		})
+	}
+
+	// An edge out of row order, out of range or not positive is refused
+	// and leaves the graph as if it had never been offered.
+	t.Run("rejected", func(t *testing.T) {
+		want, b := New(10), NewBuilder(10)
+		for _, e := range []struct {
+			edge
+			ok bool
+		}{
+			{edge{2, 5, 1}, true},
+			{edge{5, 3, 1}, false}, // v < u: it belongs to row 3
+			{edge{2, 2, 1}, true},  // a self-loop in the current row
+			{edge{4, 9, 1}, true},
+			{edge{3, 8, 1}, false}, // row 3 after row 4
+			{edge{3, 3, 1}, false},
+			{edge{4, 10, 1}, false}, // out of range
+			{edge{4, 6, 0}, false},  // not positive
+			{edge{4, 6, 2}, true},
+		} {
+			if err := b.AddEdge(e.u, e.v, e.w); (err == nil) != e.ok {
+				t.Errorf("AddEdge(%d, %d, %g) = %v, want accepted %v", e.u, e.v, e.w, err, e.ok)
+			}
+			if e.ok {
+				_ = want.AddEdge(e.u, e.v, e.w)
+			}
+		}
+		sameGraph(t, b.Graph(), want)
+	})
 }
 
 // multiLevelGraph is a ring of 64 small cliques with irregular weights:
@@ -93,6 +161,11 @@ func multiLevelGraph(t *testing.T) *Graph {
 	return g
 }
 
+// louvainLocal runs one local-move phase on fresh scratch.
+func (g *Graph) louvainLocal(seed int64) (bool, []int) {
+	return new(louvainScratch).local(g, seed)
+}
+
 // The super-graph used to be filled by ranging over a map, so its adjacency
 // order — and the float summation order of every level past the first —
 // changed from run to run.
@@ -123,6 +196,109 @@ func TestAggregateDeterministic(t *testing.T) {
 		sameGraph(t, again, first)
 		if got := g.Louvain(3); !slices.Equal(got, labels) {
 			t.Fatalf("run %d: labels = %v, want %v", run, got, labels)
+		}
+	}
+}
+
+// referenceLocal is the local-move phase before its sort-free candidate
+// choice: every visit sorts the touched communities and scans them all.
+// Kept as the oracle.
+func referenceLocal(g *Graph, seed int64) (bool, []int) {
+	n := g.N()
+	community := make([]int, n)
+	degree := make([]float64, n)
+	tot := make([]float64, n)
+	for i := 0; i < n; i++ {
+		community[i] = i
+		degree[i] = g.Degree(i)
+		tot[i] = degree[i]
+	}
+	m2 := 2 * g.sumWeight
+	if m2 == 0 {
+		return false, compactLabels(community)
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rng := stats.NewRand(seed, "order")
+	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	neighW := make([]float64, n)
+	seen := make([]bool, n)
+	var touched []int32
+	improvedAny := false
+	for pass := 0; pass < 100; pass++ {
+		improved := false
+		for _, u := range order {
+			cu := community[u]
+			for i, v := range g.to[u] {
+				c := community[v]
+				if !seen[c] {
+					seen[c] = true
+					touched = append(touched, int32(c))
+				}
+				neighW[c] += g.w[u][i]
+			}
+			tot[cu] -= degree[u]
+			bestC, bestGain := cu, neighW[cu]-tot[cu]*degree[u]/m2
+			slices.Sort(touched)
+			for _, c32 := range touched {
+				c := int(c32)
+				if gain := neighW[c] - tot[c]*degree[u]/m2; gain > bestGain+1e-12 {
+					bestC, bestGain = c, gain
+				}
+			}
+			tot[bestC] += degree[u]
+			if bestC != cu {
+				community[u] = bestC
+				improved, improvedAny = true, true
+			}
+			for _, c := range touched {
+				neighW[c], seen[c] = 0, false
+			}
+			touched = touched[:0]
+		}
+		if !improved {
+			break
+		}
+	}
+	return improvedAny, compactLabels(community)
+}
+
+// The sort-free candidate choice must move every node where the sorted scan
+// does — on exact ties (integer weights), near-ties (< 1e-12 apart) and
+// distinct gains — level after level, on one scratch resliced per level.
+func TestLouvainLocalMatchesSortedScan(t *testing.T) {
+	rng := stats.NewRand(13, "ties")
+	random := func(weight func() float64) *Graph {
+		g := New(300)
+		for i := 0; i < 1500; i++ {
+			_ = g.AddEdge(rng.Intn(300), rng.Intn(300), weight()) // u == v: a self-loop
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"multilevel", multiLevelGraph(t)},
+		{"integer", random(func() float64 { return float64(1 + rng.Intn(3)) })},
+		{"near-tie", random(func() float64 { return 1 + float64(rng.Intn(4))*3e-13 })},
+		{"float", random(func() float64 { return 0.05 + rng.Float64() })},
+	} {
+		var s louvainScratch
+		work := tc.g
+		for level := 0; ; level++ {
+			seed := stats.DeriveSeed(1, fmt.Sprintf("louvain-%d", level))
+			wantMoved, want := referenceLocal(work, seed)
+			moved, got := s.local(work, seed)
+			if moved != wantMoved || !slices.Equal(got, want) {
+				t.Fatalf("%s level %d: moved %v labels %v, want %v %v", tc.name, level, moved, got, wantMoved, want)
+			}
+			if !moved || level == 10 {
+				break
+			}
+			work, _ = work.aggregate(want)
 		}
 	}
 }

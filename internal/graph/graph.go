@@ -3,6 +3,10 @@
 // "Fast unfolding of communities in large networks", J. Stat. Mech. 2008)
 // that SMASH uses to extract Associated Server Herds from per-dimension
 // similarity graphs (§III-B1 of the paper).
+//
+// A similarity graph is per-window scratch: Builder lays it out from edges
+// in row order into pooled fixed-size chunks, and its owner hands them back
+// with Release once the herds are mined.
 package graph
 
 import (
@@ -24,7 +28,8 @@ type Graph struct {
 	to        [][]int32
 	w         [][]float64
 	selfLoop  []float64
-	sumWeight float64 // sum of all edge weights, each undirected edge once
+	sumWeight float64  // sum of all edge weights, each undirected edge once
+	chunks    []*chunk // the pooled storage Builder laid the adjacency out in
 }
 
 // New returns a graph with n isolated nodes.
@@ -61,79 +66,126 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	return nil
 }
 
-// builderChunk is the number of edges per Builder buffer chunk: growth
-// never copies and over-allocates by less than one chunk (64 KiB).
-const builderChunk = 4096
-
-type pendingEdge struct {
-	u, v int32
-	w    float64
+// Release hands the graph's pooled storage back for later builds. The graph
+// must not be used afterwards: its adjacency is gone, so a use panics
+// instead of reading another graph's edges.
+func (g *Graph) Release() {
+	for _, c := range g.chunks {
+		chunkPool.Put(c)
+	}
+	*g = Graph{}
 }
 
-// Builder collects a graph's edges and lays its adjacency out in one pass:
-// two flat backing arrays sliced per node, instead of growing slices per
-// node. Graph returns exactly the graph that New(n) followed by the same
-// AddEdge sequence produces — same adjacency order per node (on which
-// Degree's and Louvain's float sums depend), same TotalWeight bits — at
-// two allocations for the adjacency instead of several per node.
+// chunkLen is the number of half-edges in one storage chunk (96 KiB).
+// Uniform chunks keep the pooled bytes close to the bytes in use, where a
+// pooled per-graph arena would let every small graph hold a large one's.
+const chunkLen = 8192
+
+// chunk is the unit of pooled graph storage.
+type chunk struct {
+	to [chunkLen]int32
+	w  [chunkLen]float64
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// Builder lays a graph out from edges that arrive in row order: u <= v and
+// u non-decreasing, as sparse.CoOccurrence emits pairs (partners ascending
+// within a row). Graph returns exactly the graph that New(n) followed by the
+// same AddEdge sequence produces — same adjacency order per node (on which
+// Degree's and Louvain's float sums depend), same TotalWeight bits — with
+// the row buffer and the adjacency in pooled chunks.
 type Builder struct {
-	g      *Graph
-	degree []int32
-	chunks [][]pendingEdge
+	g    *Graph
+	low  []int32  // per node: edges from lower rows; in Graph, a fill cursor
+	up   []int32  // per node: edges in its own row
+	rows []*chunk // the row buffer: each edge's (v, w) in arrival order
+	n    int      // edges in the row buffer
+	row  int      // the row of the last edge
 }
 
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{g: New(n), degree: make([]int32, n)}
+	return &Builder{g: New(n), low: make([]int32, n), up: make([]int32, n)}
 }
 
-// AddEdge records weight w between u and v, under Graph.AddEdge's contract.
+// AddEdge records weight w between u and v under Graph.AddEdge's contract.
+// An edge out of row order returns an error.
 func (b *Builder) AddEdge(u, v int, w float64) error {
-	if u == v || u < 0 || u >= len(b.degree) || v < 0 || v >= len(b.degree) || w <= 0 {
+	if u < b.row || v < u {
+		return fmt.Errorf("graph: edge (%d,%d) out of row order after row %d", u, v, b.row)
+	}
+	if u == v || v >= len(b.up) || w <= 0 {
 		return b.g.AddEdge(u, v, w) // a self-loop, or the error
 	}
-	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == builderChunk {
-		b.chunks = append(b.chunks, make([]pendingEdge, 0, builderChunk))
-		last++
+	b.row = u
+	i := b.n % chunkLen
+	if i == 0 {
+		b.rows = append(b.rows, chunkPool.Get().(*chunk))
 	}
-	b.chunks[last] = append(b.chunks[last], pendingEdge{u: int32(u), v: int32(v), w: w})
-	b.degree[u]++
-	b.degree[v]++
+	c := b.rows[len(b.rows)-1]
+	c.to[i], c.w[i] = int32(v), w
+	b.n++
+	b.up[u]++
+	b.low[v]++
 	b.g.sumWeight += w
 	return nil
 }
 
-// Graph returns the built graph. The builder must not be used afterwards.
+// Graph returns the built graph and hands the row buffer back to the pool.
+// The builder must not be used afterwards.
+//
+// Node x's adjacency is its lower neighbours, rows ascending, then its own
+// row: the order the AddEdge sequence gives. Every slot is written, so
+// pooled chunks need no clearing.
 func (b *Builder) Graph() *Graph {
 	g := b.g
-	// b.degree becomes each node's fill cursor into the flat arrays: first
-	// the start of its run, then, once every edge is laid out, its end.
-	total := int32(0)
-	for u, d := range b.degree {
-		b.degree[u] = total
-		total += d
-	}
-	to, w := make([]int32, total), make([]float64, total)
-	for i, chunk := range b.chunks {
-		for _, e := range chunk {
-			k := b.degree[e.u]
-			to[k], w[k] = e.v, e.w
-			b.degree[e.u]++
-			k = b.degree[e.v]
-			to[k], w[k] = e.u, e.w
-			b.degree[e.v]++
+	// One contiguous run of deg(x) slots per node that never straddles two
+	// chunks; a node with more than a chunk's worth gets arrays of its own.
+	var out *chunk
+	used := chunkLen
+	for x, low := range b.low {
+		d := int(low + b.up[x])
+		b.low[x] = 0
+		switch {
+		case d == 0:
+			continue
+		case d > chunkLen:
+			g.to[x], g.w[x] = make([]int32, d), make([]float64, d)
+			continue
+		case used+d > chunkLen:
+			out, used = chunkPool.Get().(*chunk), 0
+			g.chunks = append(g.chunks, out)
 		}
-		b.chunks[i] = nil // laid out: let the collector have it now
+		// Capacity ends with the run, so a later AddEdge on the graph
+		// reallocates the node instead of overwriting its neighbour.
+		g.to[x], g.w[x] = out.to[used:used+d:used+d], out.w[used:used+d:used+d]
+		used += d
 	}
-	start := int32(0)
-	for u, end := range b.degree {
-		// Capacity ends with the node's own run, so a later AddEdge on the
-		// graph reallocates that node instead of overwriting its neighbour.
-		g.to[u], g.w[u] = to[start:end:end], w[start:end:end]
-		start = end
+	// Rows ascend, so when row u is reached every lower neighbour of u has
+	// been scattered into its run and the cursor b.low[u] is where the row
+	// itself goes.
+	i := 0
+	for u, up := range b.up {
+		at := int(b.low[u])
+		for left := int(up); left > 0; {
+			c, k := b.rows[i/chunkLen], i%chunkLen
+			m := min(left, chunkLen-k)
+			vs, ws := c.to[k:k+m], c.w[k:k+m]
+			copy(g.to[u][at:], vs)
+			copy(g.w[u][at:], ws)
+			for j, v := range vs {
+				p := b.low[v]
+				g.to[v][p], g.w[v][p] = int32(u), ws[j]
+				b.low[v] = p + 1
+			}
+			i, at, left = i+m, at+m, left-m
+		}
 	}
-	b.chunks = nil
+	for _, c := range b.rows {
+		chunkPool.Put(c)
+	}
+	b.rows = nil
 	return g
 }
 
@@ -237,17 +289,19 @@ func (g *Graph) Modularity(community []int) float64 {
 // Louvain runs the multi-level Louvain method and returns the community
 // label of each node. Labels are compacted to 0..k-1. The node visit order
 // is shuffled deterministically from seed, making results reproducible for a
-// fixed (graph, seed) pair.
+// fixed (graph, seed) pair. The super-graphs it builds are released level by
+// level; g itself is left as it was.
 func (g *Graph) Louvain(seed int64) []int {
 	n := g.N()
 	assignment := make([]int, n)
 	for i := range assignment {
 		assignment[i] = i
 	}
+	var scratch louvainScratch
 	work := g
 	level := 0
 	for {
-		moved, local := work.louvainLocal(stats.DeriveSeed(seed, fmt.Sprintf("louvain-%d", level)))
+		moved, local := scratch.local(work, stats.DeriveSeed(seed, fmt.Sprintf("louvain-%d", level)))
 		// Project the local labels back onto the original nodes.
 		for i := range assignment {
 			assignment[i] = local[assignment[i]]
@@ -255,9 +309,12 @@ func (g *Graph) Louvain(seed int64) []int {
 		if !moved {
 			break
 		}
-		var k int
-		work, k = work.aggregate(local)
-		if k == work.N() && k == n {
+		next, k := work.aggregate(local)
+		if work != g {
+			work.Release()
+		}
+		work = next
+		if k == n {
 			break
 		}
 		level++
@@ -265,23 +322,40 @@ func (g *Graph) Louvain(seed int64) []int {
 			break
 		}
 	}
+	if work != g {
+		work.Release()
+	}
 	return compactLabels(assignment)
 }
 
-// louvainLocal performs one local-move phase. It returns whether any node
+// louvainScratch is the local-move state, sized once per Louvain call.
+type louvainScratch struct {
+	community, order []int
+	degree           []float64
+	tot              []float64 // community -> sum of member degrees
+	neighW           []float64 // community -> weight from u
+	seen             []bool    // community touched by u's neighbours
+	touched          []int32
+}
+
+// local performs one local-move phase on g. It returns whether any node
 // changed community and the (compacted) community label of each node.
 //
 // The per-node neighbor-community weights accumulate into a dense scratch
 // array indexed by community id (community ids stay < n), with a touched
-// list swept in sorted order — the candidate visit order is therefore the
-// same sorted-community order the original map-based implementation used,
-// keeping results identical while removing all hashing and allocation from
-// the innermost loop.
-func (g *Graph) louvainLocal(seed int64) (bool, []int) {
+// list of the communities seen: no hashing or allocation in the innermost
+// loop. The choice is that of an ascending scan over the touched
+// communities which moves u only to one beating the best so far by more
+// than 1e-12.
+func (s *louvainScratch) local(g *Graph, seed int64) (bool, []int) {
 	n := g.N()
-	community := make([]int, n)
-	degree := make([]float64, n)
-	tot := make([]float64, n) // community -> sum of member degrees
+	if cap(s.community) < n {
+		s.community, s.order = make([]int, n), make([]int, n)
+		s.degree, s.tot, s.neighW = make([]float64, n), make([]float64, n), make([]float64, n)
+		s.seen = make([]bool, n)
+	}
+	community, order, degree := s.community[:n], s.order[:n], s.degree[:n]
+	tot, neighW, seen := s.tot[:n], s.neighW[:n], s.seen[:n]
 	for i := 0; i < n; i++ {
 		community[i] = i
 		degree[i] = g.Degree(i)
@@ -292,16 +366,13 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 		return false, compactLabels(community)
 	}
 
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	rng := stats.NewRand(seed, "order")
 	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	neighW := make([]float64, n) // community -> weight from u (dense scratch)
-	seen := make([]bool, n)      // community touched by u's neighbors
-	touched := make([]int32, 0, 64)
+	touched := s.touched[:0]
 	improvedAny := false
 	for pass := 0; pass < 100; pass++ {
 		improved := false
@@ -323,13 +394,33 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 			// Best community by modularity gain. The constant parts of
 			// the gain cancel, so compare k_i,in - tot_c*k_i/m2.
 			bestC, bestGain := cu, neighW[cu]-tot[cu]*degree[u]/m2
-			// Deterministic iteration: candidates in sorted order.
-			slices.Sort(touched)
+			// When the top candidate beats both staying and the runner-up
+			// by the margin, the ascending scan provably ends on it, so
+			// only near-ties pay for the sort.
+			top, runner, topC := math.Inf(-1), math.Inf(-1), cu
 			for _, c32 := range touched {
-				c := int(c32)
-				gain := neighW[c] - tot[c]*degree[u]/m2
-				if gain > bestGain+1e-12 {
-					bestC, bestGain = c, gain
+				if c := int(c32); c != cu {
+					switch gain := neighW[c] - tot[c]*degree[u]/m2; {
+					case gain > top:
+						top, runner, topC = gain, top, c
+					case gain > runner:
+						runner = gain
+					}
+				}
+			}
+			switch {
+			case top <= bestGain+1e-12:
+				// Nothing beats staying.
+			case top > runner+1e-12:
+				bestC = topC
+			default:
+				slices.Sort(touched)
+				for _, c32 := range touched {
+					c := int(c32)
+					gain := neighW[c] - tot[c]*degree[u]/m2
+					if gain > bestGain+1e-12 {
+						bestC, bestGain = c, gain
+					}
 				}
 			}
 			tot[bestC] += degree[u]
@@ -348,6 +439,7 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 			break
 		}
 	}
+	s.touched = touched
 	return improvedAny, compactLabels(community)
 }
 
@@ -355,10 +447,11 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 // weights summed, intra-community weight folded into self-loops. It returns
 // the new graph and the number of communities.
 //
-// Like louvainLocal it accumulates per community into a dense scratch with
-// a sorted touched list, so every super-node's adjacency is in ascending
-// neighbour order and every float sum has one fixed order: the super-graph,
-// and with it each Louvain level past the first, is the same on every run.
+// Like the local-move phase it accumulates per community into a dense
+// scratch with a touched list, sorted here, so every super-node's adjacency
+// is in ascending neighbour order and every float sum has one fixed order:
+// the super-graph, and with it each Louvain level past the first, is the
+// same on every run, and it reaches Builder in row order.
 func (g *Graph) aggregate(community []int) (*Graph, int) {
 	groups := Communities(community)
 	k := len(groups)
@@ -368,7 +461,7 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 	for c, members := range groups {
 		for _, u := range members {
 			if g.selfLoop[u] > 0 {
-				_ = agg.AddEdge(c, c, g.selfLoop[u]) // in range, positive
+				_ = agg.AddEdge(c, c, g.selfLoop[u]) // in range and order, positive
 			}
 		}
 		for _, u := range members {

@@ -48,7 +48,9 @@ func (a *ASH) Contains(server string) bool {
 
 // MineFunc extracts the ASHs of one dimension from its similarity graph.
 // MineGraph (Louvain, the paper's choice) is the default; MineComponents is
-// the connected-components baseline used by the ablation benchmarks.
+// the connected-components baseline used by the ablation benchmarks. The
+// function must not retain sg past its return: MineContext then releases
+// the graph's storage for the next build.
 type MineFunc func(dim string, sg *similarity.ServerGraph, seed int64) []ASH
 
 // MineGraph extracts the ASHs of one dimension from its similarity graph:
@@ -229,7 +231,7 @@ func (m *Miner) SetMineFunc(fn MineFunc) {
 	}
 }
 
-// Result holds the mined herds and graphs of all dimensions.
+// Result holds the mined herds of all dimensions.
 type Result struct {
 	// MainDimension is the main dimension's name.
 	MainDimension string
@@ -237,8 +239,9 @@ type Result struct {
 	Main []ASH
 	// Secondary maps secondary dimension name -> its herds.
 	Secondary map[string][]ASH
-	// Graphs maps dimension name -> the similarity graph it was mined
-	// from, kept for density computations and diagnostics.
+	// Graphs is left nil by MineContext, which releases each dimension's
+	// similarity graph once its herds are mined. The field stays only
+	// because bench/smashload builds a Result literal with it.
 	Graphs map[string]*similarity.ServerGraph
 }
 
@@ -276,11 +279,7 @@ func (m *Miner) MineContext(ctx context.Context, idx *trace.Index, workers int) 
 	if workers > len(dims) {
 		workers = len(dims)
 	}
-	type mined struct {
-		graph *similarity.ServerGraph
-		herds []ASH
-	}
-	results := make([]mined, len(dims))
+	results := make([][]ASH, len(dims))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -295,7 +294,8 @@ func (m *Miner) MineContext(ctx context.Context, idx *trace.Index, workers int) 
 				}
 				d := dims[i]
 				sg := d.Build(idx)
-				results[i] = mined{graph: sg, herds: m.mine(d.Name(), sg, m.seed)}
+				results[i] = m.mine(d.Name(), sg, m.seed)
+				sg.G.Release() // nothing reads it past mining: reuse its storage
 			}
 		}()
 	}
@@ -320,15 +320,11 @@ feed:
 
 	res := &Result{
 		MainDimension: m.main.Name(),
+		Main:          append(results[0], SingleClientASHes(m.main.Name(), idx, len(results[0]))...),
 		Secondary:     make(map[string][]ASH, len(m.secondary)),
-		Graphs:        make(map[string]*similarity.ServerGraph, 1+len(m.secondary)),
 	}
-	res.Graphs[m.main.Name()] = results[0].graph
-	res.Main = results[0].herds
-	res.Main = append(res.Main, SingleClientASHes(m.main.Name(), idx, len(res.Main))...)
 	for i, d := range m.secondary {
-		res.Graphs[d.Name()] = results[i+1].graph
-		res.Secondary[d.Name()] = results[i+1].herds
+		res.Secondary[d.Name()] = results[i+1]
 	}
 	return res, nil
 }

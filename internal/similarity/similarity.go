@@ -217,7 +217,9 @@ func newServerGraph(idx *trace.Index) (*ServerGraph, *trace.NodeTable) {
 // pair (a < b, in (a, b) order) with its shared-feature count, and builds
 // the graph of the pairs scoring above zero and at least minSim in one
 // pass. Scoring inside the sweep means neither the pair list nor a growing
-// per-node adjacency is ever materialized.
+// per-node adjacency is ever materialized, and the pairs reach the
+// builder in the row order it requires. The graph's storage is pooled: its
+// owner releases it once the herds are mined.
 func pairGraph(inc *sparse.Incidence, maxFanout int, minSim float64, score func(a, b, shared int) float64) *graph.Graph {
 	b := graph.NewBuilder(inc.Rows())
 	inc.CoOccurrence(maxFanout, func(a int, partners, counts []int32) {
