@@ -221,7 +221,10 @@ func newAssembler(cfg assemblerConfig) *assembler {
 }
 
 // Submit hands one decoded fragment to the assembly loop, blocking while
-// the inbox is full (that blocking is the cluster's backpressure). With a
+// the inbox is full (that blocking is the cluster's backpressure). From the
+// call on the assembler owns frag and its Index: a sealed window adopts one
+// fragment's index and absorbs the others into it, so the caller must not
+// touch either again. With a
 // fragment log the fragment is durable before Submit returns, so an ack
 // survives kill -9. It fails with ErrStopped once the loop has stopped;
 // an ErrUnavailable-wrapped error means the fragment could not be made
@@ -456,13 +459,22 @@ func (s *assembler) seal(ctx context.Context, w int64, aborted bool) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	merged := trace.NewIndex()
+	// The assembler owns its fragments (see Submit): the window adopts the
+	// first one's index and absorbs the rest into it, copying none.
+	var merged *trace.Index
 	var hops []wire.Hop
 	replayed := false
 	for _, n := range names {
-		merged.Merge(frags[n].idx)
+		if merged == nil {
+			merged = frags[n].idx
+		} else {
+			merged.Absorb(frags[n].idx)
+		}
 		hops = append(hops, frags[n].hops...)
 		replayed = replayed || frags[n].replayed
+	}
+	if merged == nil {
+		merged = trace.NewIndex()
 	}
 	sealedAt := time.Now()
 

@@ -284,6 +284,49 @@ func startedAggregator(t *testing.T, cfg AggregatorConfig) (*Aggregator, <-chan 
 	return agg, agg.Start(context.Background())
 }
 
+// A sealed window copies no fragment: it adopts the first one's index (in
+// node order) and absorbs the rest, so a one-child window is the child's
+// index itself and a two-child one equals a merge into a fresh index.
+func TestSealAdoptsFirstFragment(t *testing.T) {
+	window := 24 * time.Hour
+	one, oneResults := startedAggregator(t, AggregatorConfig{Window: window, Expect: 1})
+	oneGot := drainResults(oneResults)
+	frag := fragFor("a", 0, "c-a")
+	for _, f := range []*wire.Fragment{frag, {Node: "a", Final: true, Window: 0}} {
+		if err := one.Submit(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := oneGot()
+	if len(got) != 1 {
+		t.Fatalf("Expect 1: got %d windows, want 1", len(got))
+	}
+	if got[0].Index != frag.Index {
+		t.Error("Expect 1: the window copied its only fragment instead of adopting its index")
+	}
+
+	two, twoResults := startedAggregator(t, AggregatorConfig{Window: window, Expect: 2})
+	twoGot := drainResults(twoResults)
+	for _, f := range []*wire.Fragment{
+		fragFor("b", 0, "c-b"), fragFor("a", 0, "c-a"),
+		{Node: "a", Final: true, Window: 0}, {Node: "b", Final: true, Window: 0},
+	} {
+		if err := two.Submit(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := trace.NewIndex()
+	want.Merge(fragFor("a", 0, "c-a").Index)
+	want.Merge(fragFor("b", 0, "c-b").Index)
+	got = twoGot()
+	if len(got) != 1 {
+		t.Fatalf("Expect 2: got %d windows, want 1", len(got))
+	}
+	if g, w := got[0].Index.Fingerprint(), want.Fingerprint(); g != w {
+		t.Errorf("Expect 2 window diverged from a fresh-index merge:\ngot:\n%s\nwant:\n%s", g, w)
+	}
+}
+
 // The straggler watermark: a lagging node's windows seal without it once
 // the lead runs Straggler windows ahead, and its late fragments are
 // counted and dropped.

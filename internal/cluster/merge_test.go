@@ -103,9 +103,13 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 	window := 24 * time.Hour
 	det := []core.Option{core.WithSeed(1)}
 	ctx := context.Background()
-	frags := []*wire.Fragment{
-		fragFor("a", 0, "c-a"), fragFor("b", 0, "c-b"),
-		{Node: "a", Final: true, Window: 0}, {Node: "b", Final: true, Window: 0},
+	// A fresh set per consumer: an aggregator owns what it is submitted,
+	// and absorbs one window's later fragments into its first.
+	frags := func() []*wire.Fragment {
+		return []*wire.Fragment{
+			fragFor("a", 0, "c-a"), fragFor("b", 0, "c-b"),
+			{Node: "a", Final: true, Window: 0}, {Node: "b", Final: true, Window: 0},
+		}
 	}
 
 	// Reference: the same children feeding an aggregator directly.
@@ -113,7 +117,7 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 		Name: "dup", Window: window, Expect: 2, Detector: det,
 	})
 	refGot := drainResults(refResults)
-	for _, f := range frags {
+	for _, f := range frags() {
 		if err := ref.Submit(f); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +143,7 @@ func TestMergerDuplicateForwardDedupes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range frags {
+		for _, f := range frags() {
 			if err := flog.Append(f); err != nil {
 				t.Fatal(err)
 			}

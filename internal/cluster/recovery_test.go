@@ -200,12 +200,16 @@ func TestAggregatorRedoWindow(t *testing.T) {
 		Name: "redo", Window: window, Expect: 2, Detector: det,
 	})
 	refGot := drainResults(refResults)
-	frags := []*wire.Fragment{
-		fragFor("a", 0, "c-a"), fragFor("b", 0, "c-b"),
-		fragFor("a", 1, "c-a"), fragFor("b", 1, "c-b"),
-		{Node: "a", Final: true, Window: 1}, {Node: "b", Final: true, Window: 1},
+	// A fresh set per consumer: an aggregator owns what it is submitted,
+	// and absorbs one window's later fragments into its first.
+	frags := func() []*wire.Fragment {
+		return []*wire.Fragment{
+			fragFor("a", 0, "c-a"), fragFor("b", 0, "c-b"),
+			fragFor("a", 1, "c-a"), fragFor("b", 1, "c-b"),
+			{Node: "a", Final: true, Window: 1}, {Node: "b", Final: true, Window: 1},
+		}
 	}
-	for _, f := range frags {
+	for _, f := range frags() {
 		if err := ref.Submit(f); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +227,7 @@ func TestAggregatorRedoWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range frags {
+	for _, f := range frags() {
 		if err := flog.Append(f); err != nil {
 			t.Fatal(err)
 		}

@@ -87,33 +87,43 @@ type Result struct {
 // Correlate runs ASH correlation over mined herds.
 func Correlate(mined *herd.Result, opts Options) *Result {
 	opts = opts.normalized()
-	membership := herd.BuildMembership(mined)
 	// A server's score is a float sum over its secondary dimensions, whose
 	// bits depend on the order of the terms: add them in name order.
 	dims := slices.Sorted(maps.Keys(mined.Secondary))
+	// herdOf[d] maps a server to its herd in dimension dims[d]: at most
+	// one, since a dimension's herds are disjoint (see herd.MineFunc).
+	herdOf := make([]map[string]*herd.ASH, len(dims))
+	for d, dim := range dims {
+		herds := mined.Secondary[dim]
+		herdOf[d] = make(map[string]*herd.ASH)
+		for i := range herds {
+			for _, s := range herds[i].Servers {
+				herdOf[d][s] = &herds[i]
+			}
+		}
+	}
 
 	scores := make(map[string]*ServerScore)
 	for i := range mined.Main {
 		mainHerd := &mined.Main[i]
-		memberSet := make(map[string]struct{}, len(mainHerd.Servers))
-		for _, s := range mainHerd.Servers {
-			memberSet[s] = struct{}{}
-		}
-		// |secondary herd ∩ main herd|, once per pair rather than per member.
+		// |secondary herd ∩ main herd| is the number of main-herd members
+		// in it: each member sits in at most one herd per dimension.
 		inters := make(map[*herd.ASH]int)
 		for _, server := range mainHerd.Servers {
-			byDim := membership[server]
+			for _, of := range herdOf {
+				if h := of[server]; h != nil {
+					inters[h]++
+				}
+			}
+		}
+		for _, server := range mainHerd.Servers {
 			var entry *ServerScore
-			for _, dim := range dims {
-				secHerd := byDim[dim]
+			for d, dim := range dims {
+				secHerd := herdOf[d][server]
 				if secHerd == nil {
 					continue
 				}
-				inter, ok := inters[secHerd]
-				if !ok {
-					inter = intersectionSize(secHerd.Servers, memberSet)
-					inters[secHerd] = inter
-				}
+				inter := inters[secHerd]
 				if inter < 2 {
 					// The intersection must associate the server with at
 					// least one other server; a singleton intersection
@@ -160,16 +170,6 @@ func Correlate(mined *herd.Result, opts Options) *Result {
 		return res.Herds[i].Servers[0] < res.Herds[j].Servers[0]
 	})
 	return res
-}
-
-func intersectionSize(sorted []string, set map[string]struct{}) int {
-	n := 0
-	for _, s := range sorted {
-		if _, ok := set[s]; ok {
-			n++
-		}
-	}
-	return n
 }
 
 // DimensionDecomposition counts, for each distinct combination of

@@ -1,7 +1,12 @@
 package correlate
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"smash/internal/herd"
@@ -224,5 +229,145 @@ func TestCorrelateGroupsWithOneSurvivorDropped(t *testing.T) {
 		if len(h.Servers) < 2 {
 			t.Errorf("herd with %d server(s) survived", len(h.Servers))
 		}
+	}
+}
+
+// referenceCorrelate is Correlate as it was before it counted
+// intersections from memberships: a server -> dimension -> herd index, and
+// each secondary herd's intersection with a main herd by string-set
+// lookups. Kept as the oracle.
+func referenceCorrelate(mined *herd.Result, opts Options) *Result {
+	opts = opts.normalized()
+	membership := make(map[string]map[string]*herd.ASH)
+	add := func(herds []herd.ASH) {
+		for i := range herds {
+			for _, s := range herds[i].Servers {
+				if membership[s] == nil {
+					membership[s] = make(map[string]*herd.ASH)
+				}
+				membership[s][herds[i].Dimension] = &herds[i]
+			}
+		}
+	}
+	add(mined.Main)
+	for _, herds := range mined.Secondary {
+		add(herds)
+	}
+	dims := slices.Sorted(maps.Keys(mined.Secondary))
+	scores := make(map[string]*ServerScore)
+	for i := range mined.Main {
+		mainHerd := &mined.Main[i]
+		memberSet := make(map[string]struct{}, len(mainHerd.Servers))
+		for _, s := range mainHerd.Servers {
+			memberSet[s] = struct{}{}
+		}
+		inters := make(map[*herd.ASH]int)
+		for _, server := range mainHerd.Servers {
+			var entry *ServerScore
+			for _, dim := range dims {
+				secHerd := membership[server][dim]
+				if secHerd == nil {
+					continue
+				}
+				inter, ok := inters[secHerd]
+				if !ok {
+					for _, s := range secHerd.Servers {
+						if _, in := memberSet[s]; in {
+							inter++
+						}
+					}
+					inters[secHerd] = inter
+				}
+				if inter < 2 {
+					continue
+				}
+				if entry == nil {
+					entry = &ServerScore{Server: server, MainHerd: mainHerd}
+					scores[server] = entry
+				}
+				entry.Score += secHerd.Density * mainHerd.Density *
+					stats.Sigma(float64(inter), opts.Mu, opts.Beta)
+				entry.Dimensions = append(entry.Dimensions, dim)
+			}
+		}
+	}
+	byMain := make(map[*herd.ASH][]string)
+	for server, sc := range scores {
+		if sc.Score >= opts.Threshold {
+			byMain[sc.MainHerd] = append(byMain[sc.MainHerd], server)
+		}
+	}
+	res := &Result{Scores: scores}
+	for mainHerd, servers := range byMain {
+		if len(servers) < 2 {
+			continue
+		}
+		sort.Strings(servers)
+		maxScore := 0.0
+		for _, s := range servers {
+			maxScore = max(maxScore, scores[s].Score)
+		}
+		res.Herds = append(res.Herds, SuspiciousASH{MainHerd: mainHerd, Servers: servers, Score: maxScore})
+	}
+	sort.Slice(res.Herds, func(i, j int) bool { return res.Herds[i].Servers[0] < res.Herds[j].Servers[0] })
+	return res
+}
+
+// randomHerds partitions a random subset of servers into disjoint herds of
+// 2-16 sorted members with random densities, as one dimension's miner does.
+func randomHerds(rng *rand.Rand, dim string, servers []string) []herd.ASH {
+	pool := slices.Clone(servers)
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	pool = pool[:len(pool)*(1+rng.Intn(4))/4]
+	var herds []herd.ASH
+	for len(pool) >= 2 {
+		n := min(len(pool), 2+rng.Intn(15))
+		members := slices.Sorted(slices.Values(pool[:n]))
+		pool = pool[n:]
+		herds = append(herds, herd.ASH{Dimension: dim, ID: len(herds), Servers: members, Density: 0.05 + 0.95*rng.Float64()})
+	}
+	return herds
+}
+
+// Counting intersections from memberships must reproduce the string-set
+// version exactly: the same scores to the bit, contributing dimensions and
+// suspicious herds, over random disjoint herds in four secondary dimensions.
+func TestCorrelateMatchesStringSets(t *testing.T) {
+	servers := make([]string, 300)
+	for i := range servers {
+		servers[i] = fmt.Sprintf("s%03d.com", i)
+	}
+	scored, herds := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		secondary := make(map[string][]herd.ASH)
+		for _, dim := range []string{"d4", "d1", "d3", "d2"} {
+			secondary[dim] = randomHerds(rng, dim, servers)
+		}
+		mined := minedResult(randomHerds(rng, similarity.DimClient, servers), secondary)
+		for _, threshold := range []float64{0.01, 0.8} {
+			opts := Options{Threshold: threshold}
+			got, want := Correlate(mined, opts), referenceCorrelate(mined, opts)
+			if len(got.Scores) != len(want.Scores) {
+				t.Fatalf("seed %d: %d scores, want %d", seed, len(got.Scores), len(want.Scores))
+			}
+			for s, w := range want.Scores {
+				g := got.Scores[s]
+				if g == nil || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+					!slices.Equal(g.Dimensions, w.Dimensions) || g.MainHerd != w.MainHerd {
+					t.Fatalf("seed %d: score of %s = %+v, want %+v", seed, s, g, w)
+				}
+			}
+			if !slices.EqualFunc(got.Herds, want.Herds, func(a, b SuspiciousASH) bool {
+				return a.MainHerd == b.MainHerd && slices.Equal(a.Servers, b.Servers) &&
+					math.Float64bits(a.Score) == math.Float64bits(b.Score)
+			}) {
+				t.Fatalf("seed %d threshold %g: herds\n got %+v\nwant %+v", seed, threshold, got.Herds, want.Herds)
+			}
+			scored, herds = scored+len(want.Scores), herds+len(want.Herds)
+		}
+	}
+	if scored < 500 || herds < 50 {
+		t.Fatalf("only %d scores and %d herds compared: the fixture is too sparse", scored, herds)
 	}
 }

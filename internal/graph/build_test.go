@@ -27,7 +27,7 @@ func sameGraph(t *testing.T, got, want *Graph) {
 		t.Errorf("TotalWeight = %v, want %v", got.TotalWeight(), want.TotalWeight())
 	}
 	for u := 0; u < want.N(); u++ {
-		if !slices.Equal(got.to[u], want.to[u]) || !slices.Equal(got.w[u], want.w[u]) {
+		if !slices.Equal(got.to[u], want.to[u]) || !slices.EqualFunc(got.w[u], want.w[u], sameBits) {
 			t.Fatalf("node %d adjacency = %v %v, want %v %v", u, got.to[u], got.w[u], want.to[u], want.w[u])
 		}
 		if math.Float64bits(got.selfLoop[u]) != math.Float64bits(want.selfLoop[u]) {
@@ -35,6 +35,8 @@ func sameGraph(t *testing.T, got, want *Graph) {
 		}
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // edge is one AddEdge call.
 type edge struct {
@@ -131,6 +133,71 @@ func TestBuilderMatchesAddEdgeSequence(t *testing.T) {
 	})
 }
 
+// AddRow must be the AddEdge sequence of the row's kept edges: weights not
+// positive, below minW or NaN dropped, the rest in order, across the row
+// buffer's chunk seams.
+func TestBuilderAddRowMatchesAddEdge(t *testing.T) {
+	rng := stats.NewRand(17, "addrow")
+	const n, minW = 600, 0.1
+	special := []float64{-1, 0, math.NaN(), minW / 2, math.Nextafter(minW, 0), minW}
+	want, b := New(n), NewBuilder(n)
+	var vs []int32
+	var ws []float64
+	kept := 0
+	for u := 0; u < n; u++ {
+		vs, ws = vs[:0], ws[:0]
+		for v := u + 1; v < n; v++ {
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			w := 0.05 + rng.Float64()
+			if rng.Intn(5) == 0 {
+				w = special[rng.Intn(len(special))]
+			}
+			vs, ws = append(vs, int32(v)), append(ws, w)
+			if w > 0 && w >= minW {
+				if err := want.AddEdge(u, v, w); err != nil {
+					t.Fatal(err)
+				}
+				kept++
+			}
+		}
+		if err := b.AddRow(u, vs, ws, minW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept < 2*chunkLen {
+		t.Fatalf("only %d edges kept: the fixture crosses no chunk seam", kept)
+	}
+	sameGraph(t, b.Graph(), want)
+
+	// A row out of order is refused whole; a kept edge out of range stops
+	// the row after the edges before it, as the AddEdge sequence would.
+	want, b = New(10), NewBuilder(10)
+	for _, r := range []struct {
+		u  int
+		vs []int32
+		ws []float64
+		ok bool
+	}{
+		{3, []int32{5, 7}, []float64{1, 2}, true},
+		{2, []int32{4}, []float64{1}, false},                // row 2 after row 3
+		{3, []int32{2}, []float64{1}, false},                // partner below the row
+		{3, []int32{3}, []float64{1}, false},                // a self-loop is AddEdge's
+		{4, []int32{6, 8, 10}, []float64{1, 0.5, 1}, false}, // 10 out of range
+		{5, []int32{6, 7}, []float64{0, math.NaN()}, true},  // nothing kept
+		{5, []int32{9}, []float64{3}, true},
+	} {
+		if err := b.AddRow(r.u, r.vs, r.ws, 0); (err == nil) != r.ok {
+			t.Errorf("AddRow(%d, %v, %v) = %v, want accepted %v", r.u, r.vs, r.ws, err, r.ok)
+		}
+	}
+	for _, e := range []edge{{3, 5, 1}, {3, 7, 2}, {4, 6, 1}, {4, 8, 0.5}, {5, 9, 3}} {
+		_ = want.AddEdge(e.u, e.v, e.w)
+	}
+	sameGraph(t, b.Graph(), want)
+}
+
 // multiLevelGraph is a ring of 64 small cliques with irregular weights:
 // the first Louvain level finds the cliques, the second merges neighbours
 // along the ring, so aggregation runs and its float sums matter.
@@ -196,6 +263,81 @@ func TestAggregateDeterministic(t *testing.T) {
 		sameGraph(t, again, first)
 		if got := g.Louvain(3); !slices.Equal(got, labels) {
 			t.Fatalf("run %d: labels = %v, want %v", run, got, labels)
+		}
+	}
+}
+
+// referenceAggregate is aggregate as it was before it summed a community's
+// self-loop in locals: one Builder.AddEdge(c, c, ·) per member self-loop
+// and per intra-community edge. Kept as the oracle.
+func referenceAggregate(g *Graph, community []int) *Graph {
+	groups := Communities(community)
+	k := len(groups)
+	agg := NewBuilder(k)
+	neighW := make([]float64, k)
+	var touched []int32
+	for c, members := range groups {
+		for _, u := range members {
+			if g.selfLoop[u] > 0 {
+				_ = agg.AddEdge(c, c, g.selfLoop[u])
+			}
+		}
+		for _, u := range members {
+			for i, v := range g.to[u] {
+				switch cv := community[v]; {
+				case cv == c:
+					if int(v) > u {
+						_ = agg.AddEdge(c, c, g.w[u][i])
+					}
+				case cv > c:
+					if neighW[cv] == 0 {
+						touched = append(touched, int32(cv))
+					}
+					neighW[cv] += g.w[u][i]
+				}
+			}
+		}
+		slices.Sort(touched)
+		for _, cv := range touched {
+			_ = agg.AddEdge(c, int(cv), neighW[cv])
+			neighW[cv] = 0
+		}
+		touched = touched[:0]
+	}
+	return agg.Graph()
+}
+
+// aggregate's local sums must add in exactly the order the AddEdge calls
+// did: same self-loop and total weight bits, same adjacency, on Louvain's
+// own labellings and on random ones, level after level.
+func TestAggregateMatchesAddEdge(t *testing.T) {
+	rng := stats.NewRand(21, "aggregate")
+	random := func() *Graph {
+		g := New(400)
+		for i := 0; i < 3000; i++ {
+			_ = g.AddEdge(rng.Intn(400), rng.Intn(400), 0.05+rng.Float64()) // u == v: a self-loop
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"multilevel", multiLevelGraph(t)}, {"random", random()}, {"random2", random()}} {
+		work := tc.g
+		for level := 0; level < 6; level++ {
+			_, labels := work.louvainLocal(stats.DeriveSeed(2, fmt.Sprintf("louvain-%d", level)))
+			shuffled := make([]int, work.N())
+			for i := range shuffled {
+				shuffled[i] = rng.Intn(1 + work.N()/3)
+			}
+			for _, l := range [][]int{labels, compactLabels(shuffled)} {
+				got, _ := work.aggregate(l)
+				sameGraph(t, got, referenceAggregate(work, l))
+			}
+			work, _ = work.aggregate(labels)
+			if work.N() < 2 {
+				break
+			}
 		}
 	}
 }

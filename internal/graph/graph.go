@@ -118,18 +118,52 @@ func (b *Builder) AddEdge(u, v int, w float64) error {
 	if u == v || v >= len(b.up) || w <= 0 {
 		return b.g.AddEdge(u, v, w) // a self-loop, or the error
 	}
-	b.row = u
-	i := b.n % chunkLen
-	if i == 0 {
-		b.rows = append(b.rows, chunkPool.Get().(*chunk))
+	return b.AddRow(u, []int32{int32(v)}, []float64{w}, 0)
+}
+
+// AddRow records row u's edges (u, vs[i]) of weight ws[i] that pass
+// ws[i] > 0 && ws[i] >= minW, in order, in one call: the AddEdge sequence
+// of the kept edges. Every partner must lie in (u, N()). A row out of
+// order, or a kept edge out of range, returns an error; the row's edges
+// before it stay added.
+func (b *Builder) AddRow(u int, vs []int32, ws []float64, minW float64) error {
+	if u < b.row {
+		return fmt.Errorf("graph: row %d out of row order after row %d", u, b.row)
 	}
-	c := b.rows[len(b.rows)-1]
-	c.to[i], c.w[i] = int32(v), w
-	b.n++
-	b.up[u]++
-	b.low[v]++
-	b.g.sumWeight += w
-	return nil
+	// The counters and the weight sum live in locals for the row: stores
+	// through b would otherwise be reloaded after every edge.
+	n, rows, low, sum := b.n, b.rows, b.low, b.g.sumWeight
+	var c *chunk
+	if n%chunkLen != 0 {
+		c = rows[len(rows)-1]
+	}
+	var err error
+	ws = ws[:len(vs)]
+	for i, v := range vs {
+		w := ws[i]
+		if !(w > 0 && w >= minW) {
+			continue
+		}
+		if int(v) <= u || int(v) >= len(low) {
+			err = fmt.Errorf("graph: edge (%d,%d) out of row order or range [0,%d)", u, v, len(low))
+			break
+		}
+		k := n % chunkLen
+		if k == 0 {
+			c = chunkPool.Get().(*chunk)
+			rows = append(rows, c)
+		}
+		c.to[k], c.w[k] = v, w
+		n++
+		low[v]++
+		sum += w
+	}
+	if n > b.n {
+		b.up[u] += int32(n - b.n)
+		b.row = u
+	}
+	b.n, b.rows, b.g.sumWeight = n, rows, sum
+	return err
 }
 
 // Graph returns the built graph and hands the row buffer back to the pool.
@@ -163,21 +197,24 @@ func (b *Builder) Graph() *Graph {
 		used += d
 	}
 	// Rows ascend, so when row u is reached every lower neighbour of u has
-	// been scattered into its run and the cursor b.low[u] is where the row
-	// itself goes.
+	// been scattered into its run and the cursor low[u] is where the row
+	// itself goes. The cursors and the adjacency are read through locals:
+	// the scatter's stores would otherwise force b.low, g.to and g.w to be
+	// reloaded.
+	low, to, wt := b.low, g.to, g.w
 	i := 0
 	for u, up := range b.up {
-		at := int(b.low[u])
+		at := int(low[u])
 		for left := int(up); left > 0; {
 			c, k := b.rows[i/chunkLen], i%chunkLen
 			m := min(left, chunkLen-k)
 			vs, ws := c.to[k:k+m], c.w[k:k+m]
-			copy(g.to[u][at:], vs)
-			copy(g.w[u][at:], ws)
+			copy(to[u][at:], vs)
+			copy(wt[u][at:], ws)
 			for j, v := range vs {
-				p := b.low[v]
-				g.to[v][p], g.w[v][p] = int32(u), ws[j]
-				b.low[v] = p + 1
+				p := low[v]
+				to[v][p], wt[v][p] = int32(u), ws[j]
+				low[v] = p + 1
 			}
 			i, at, left = i+m, at+m, left-m
 		}
@@ -333,8 +370,7 @@ type louvainScratch struct {
 	community, order []int
 	degree           []float64
 	tot              []float64 // community -> sum of member degrees
-	neighW           []float64 // community -> weight from u
-	seen             []bool    // community touched by u's neighbours
+	neighW           []float64 // community -> weight from u; 0 = untouched
 	touched          []int32
 }
 
@@ -352,10 +388,9 @@ func (s *louvainScratch) local(g *Graph, seed int64) (bool, []int) {
 	if cap(s.community) < n {
 		s.community, s.order = make([]int, n), make([]int, n)
 		s.degree, s.tot, s.neighW = make([]float64, n), make([]float64, n), make([]float64, n)
-		s.seen = make([]bool, n)
 	}
 	community, order, degree := s.community[:n], s.order[:n], s.degree[:n]
-	tot, neighW, seen := s.tot[:n], s.neighW[:n], s.seen[:n]
+	tot, neighW := s.tot[:n], s.neighW[:n]
 	for i := 0; i < n; i++ {
 		community[i] = i
 		degree[i] = g.Degree(i)
@@ -383,8 +418,7 @@ func (s *louvainScratch) local(g *Graph, seed int64) (bool, []int) {
 			ws = ws[:len(tos)]
 			for i, v := range tos {
 				c := community[v]
-				if !seen[c] {
-					seen[c] = true
+				if neighW[c] == 0 { // edge weights are positive
 					touched = append(touched, int32(c))
 				}
 				neighW[c] += ws[i]
@@ -431,7 +465,6 @@ func (s *louvainScratch) local(g *Graph, seed int64) (bool, []int) {
 			}
 			for _, c := range touched {
 				neighW[c] = 0
-				seen[c] = false
 			}
 			touched = touched[:0]
 		}
@@ -459,9 +492,14 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 	neighW := make([]float64, k) // community -> weight from c (dense scratch)
 	var touched []int32
 	for c, members := range groups {
+		// The community's self-loop and the running total weight are
+		// summed in locals, in the order AddEdge(c, c, ·) would add them,
+		// and stored once.
+		loop, sum := 0.0, agg.g.sumWeight
 		for _, u := range members {
-			if g.selfLoop[u] > 0 {
-				_ = agg.AddEdge(c, c, g.selfLoop[u]) // in range and order, positive
+			if l := g.selfLoop[u]; l > 0 {
+				loop += l
+				sum += l
 			}
 		}
 		for _, u := range members {
@@ -473,7 +511,8 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 				switch cv := community[v]; {
 				case cv == c:
 					if int(v) > u {
-						_ = agg.AddEdge(c, c, ws[i])
+						loop += ws[i]
+						sum += ws[i]
 					}
 				case cv > c:
 					if neighW[cv] == 0 { // edge weights are positive
@@ -483,6 +522,7 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 				}
 			}
 		}
+		agg.g.selfLoop[c], agg.g.sumWeight = loop, sum
 		slices.Sort(touched)
 		for _, cv := range touched {
 			_ = agg.AddEdge(c, int(cv), neighW[cv])

@@ -49,8 +49,10 @@ func (a *ASH) Contains(server string) bool {
 // MineFunc extracts the ASHs of one dimension from its similarity graph.
 // MineGraph (Louvain, the paper's choice) is the default; MineComponents is
 // the connected-components baseline used by the ablation benchmarks. The
-// function must not retain sg past its return: MineContext then releases
-// the graph's storage for the next build.
+// herds it returns must be disjoint, as both of those partitions' are:
+// correlation counts an intersection from each server's one herd per
+// dimension. The function must not retain sg past its return: MineContext
+// then releases the graph's storage for the next build.
 type MineFunc func(dim string, sg *similarity.ServerGraph, seed int64) []ASH
 
 // MineGraph extracts the ASHs of one dimension from its similarity graph:
@@ -373,31 +375,4 @@ func (m *Miner) SecondaryNames() []string {
 		out[i] = d.Name()
 	}
 	return out
-}
-
-// MembershipIndex maps each server to the herd (at most one per dimension,
-// since Louvain is a partition) that contains it.
-type MembershipIndex map[string]map[string]*ASH // server -> dimension -> herd
-
-// BuildMembership indexes herd membership for fast correlation.
-func BuildMembership(res *Result) MembershipIndex {
-	idx := make(MembershipIndex)
-	add := func(herds []ASH) {
-		for i := range herds {
-			h := &herds[i]
-			for _, s := range h.Servers {
-				byDim := idx[s]
-				if byDim == nil {
-					byDim = make(map[string]*ASH, 4)
-					idx[s] = byDim
-				}
-				byDim[h.Dimension] = h
-			}
-		}
-	}
-	add(res.Main)
-	for _, herds := range res.Secondary {
-		add(herds)
-	}
-	return idx
 }

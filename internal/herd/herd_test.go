@@ -2,6 +2,7 @@ package herd
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -138,30 +139,28 @@ func TestMinerMine(t *testing.T) {
 	if len(names) != 3 || names[0] != similarity.DimFile {
 		t.Errorf("SecondaryNames = %v", names)
 	}
-}
 
-func TestBuildMembership(t *testing.T) {
-	idx := campaignIndex(4, 3, 5)
-	m, err := NewMiner(
-		ClientDimension(similarity.Options{}),
-		[]Dimension{FileDimension(similarity.Options{})}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.Mine(idx)
-	mem := BuildMembership(res)
-	byDim := mem["evil0.com"]
-	if byDim == nil {
-		t.Fatal("evil0.com has no membership")
-	}
-	if byDim[similarity.DimClient] == nil {
-		t.Error("evil0.com missing main herd")
-	}
-	if byDim[similarity.DimFile] == nil {
-		t.Error("evil0.com missing file herd")
-	}
-	if mem["benign0.com"][similarity.DimClient] != nil {
-		t.Error("benign server assigned to a client herd")
+	// Correlation counts intersections from each server's one herd per
+	// dimension: both partitions must give disjoint herds.
+	for _, mine := range []struct {
+		name string
+		fn   MineFunc
+	}{{"MineGraph", MineGraph}, {"MineComponents", MineComponents}} {
+		m.SetMineFunc(mine.fn)
+		res := m.Mine(idx)
+		dims := map[string][]ASH{res.MainDimension: res.Main}
+		maps.Copy(dims, res.Secondary)
+		for dim, herds := range dims {
+			owner := make(map[string]int)
+			for _, h := range herds {
+				for _, s := range h.Servers {
+					if prev, ok := owner[s]; ok {
+						t.Errorf("%s: %s is in %s herds %d and %d", mine.name, s, dim, prev, h.ID)
+					}
+					owner[s] = h.ID
+				}
+			}
+		}
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"smash/internal/graph"
+	"smash/internal/sparse"
 	"smash/internal/trace"
 )
 
@@ -182,6 +184,121 @@ func TestBuildFileGraphMatchesBruteForce(t *testing.T) {
 	}
 	if edges < 1000 {
 		t.Fatalf("only %d edges compared: the fixture is too sparse to prove anything", edges)
+	}
+}
+
+// The quotient table holds the divisions themselves: every lookup, and so
+// every SetSim, has the bits of the float expression it replaced.
+func TestQuotientMatchesDivision(t *testing.T) {
+	for n := 0; n <= 100; n++ {
+		for i := 0; i <= n+2; i++ {
+			if got, want := quotient(i, n), float64(i)/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("quotient(%d, %d) = %v, want %v", i, n, got, want)
+			}
+		}
+	}
+	old := func(inter, sizeA, sizeB int) float64 {
+		if sizeA == 0 || sizeB == 0 || inter == 0 {
+			return 0
+		}
+		i := float64(inter)
+		return (i / float64(sizeA)) * (i / float64(sizeB))
+	}
+	for na := 0; na <= 100; na++ {
+		for nb := 0; nb <= 100; nb++ {
+			for i := 0; i <= min(na, nb); i++ {
+				if got, want := SetSim(i, na, nb), old(i, na, nb); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("SetSim(%d, %d, %d) = %v, want %v", i, na, nb, got, want)
+				}
+			}
+		}
+	}
+}
+
+// hubFileIndex builds a seeded index of short file names only, where three
+// hub files sit on about a third of the servers each: under a cap of 30
+// some servers have hub files skipped and others none.
+func hubFileIndex(seed int64, servers int) *trace.Index {
+	rng := rand.New(rand.NewSource(seed))
+	tr := &trace.Trace{}
+	add := func(server int, file string) {
+		tr.Requests = append(tr.Requests, trace.Request{
+			Time: time.Unix(0, 0), Client: "c", Host: fmt.Sprintf("s%03d.com", server),
+			ServerIP: "1.1.1.1", Path: "/x/" + file, Status: 200,
+		})
+	}
+	for s := 0; s < servers; s++ {
+		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+			add(s, fmt.Sprintf("f%d.php", rng.Intn(40)))
+		}
+		for hub := 0; hub < 3; hub++ {
+			if rng.Intn(3) == 0 {
+				add(s, fmt.Sprintf("hub%d.css", hub))
+			}
+		}
+	}
+	return trace.BuildIndex(tr)
+}
+
+// perPairFileGraph is the file dimension's exact branch as it was before
+// the row scorer: one SharedSkipped call and two divisions per candidate
+// pair, one AddEdge per kept edge. Kept as the oracle for indexes without
+// long names.
+func perPairFileGraph(idx *trace.Index, opts Options) *graph.Graph {
+	opts = opts.normalized()
+	nodes := idx.Nodes()
+	inc := sparse.NewIncidence(len(nodes.Infos))
+	nFiles := make([]float64, len(nodes.Infos))
+	for id, info := range nodes.Infos {
+		nFiles[id] = float64(len(info.Files))
+		for f := range info.Files {
+			inc.Set(id, uint64(f))
+		}
+	}
+	g := graph.New(len(nodes.Infos))
+	inc.CoOccurrence(opts.MaxFanout, func(a int, partners, counts []int32) {
+		for _, p := range partners {
+			exact := float64(int(counts[p]) + inc.SharedSkipped(a, int(p)))
+			if sim := (exact / nFiles[a]) * (exact / nFiles[p]); sim > 0 && sim >= opts.MinSimilarity {
+				_ = g.AddEdge(a, int(p), sim)
+			}
+		}
+	})
+	return g
+}
+
+// The file scorer skips SharedSkipped for rows the cap skipped nothing of
+// and reads its fractions from the quotient table: bit for bit the per-pair
+// form, on rows with and without skipped hub files.
+func TestFileScorerMatchesPerPair(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		idx := hubFileIndex(seed, 150)
+		hub, clean := 0, 0
+		for _, info := range idx.Nodes().Infos {
+			if slices.ContainsFunc(info.FileList(), func(f string) bool { return strings.HasPrefix(f, "hub") }) {
+				hub++
+			} else {
+				clean++
+			}
+		}
+		if hub == 0 || clean == 0 {
+			t.Fatalf("seed %d: %d servers with hub files, %d without: the fixture needs both", seed, hub, clean)
+		}
+		for _, maxFanout := range []int{30, -1} {
+			opts := Options{MaxFanout: maxFanout}
+			got, want := BuildFileGraph(idx, opts).G, perPairFileGraph(idx, opts)
+			if want.EdgeCount() < 100 {
+				t.Fatalf("seed %d cap %d: only %d edges: the fixture is too sparse", seed, maxFanout, want.EdgeCount())
+			}
+			if math.Float64bits(got.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+				t.Errorf("seed %d cap %d: total weight %v, want %v", seed, maxFanout, got.TotalWeight(), want.TotalWeight())
+			}
+			for u := 0; u < want.N(); u++ {
+				if g, w := adjacency(got, u), adjacency(want, u); !slices.Equal(g, w) {
+					t.Fatalf("seed %d cap %d: node %d adjacency\n got %v\nwant %v", seed, maxFanout, u, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -56,8 +56,10 @@ func BuildTemporalGraph(t *trace.Trace, idx *trace.Index, opts Options) *ServerG
 		windows[id][token] = struct{}{}
 		inc.Set(id, token)
 	}
-	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
-		return SetSim(shared, len(windows[a]), len(windows[b]))
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a int, partners, counts []int32, w []float64) {
+		for i, p := range partners {
+			w[i] = SetSim(int(counts[p]), len(windows[a]), len(windows[p]))
+		}
 	})
 	return sg
 }

@@ -48,8 +48,31 @@ func SetSim(intersection, sizeA, sizeB int) float64 {
 	if sizeA == 0 || sizeB == 0 || intersection == 0 {
 		return 0
 	}
-	i := float64(intersection)
-	return (i / float64(sizeA)) * (i / float64(sizeB))
+	return quotient(intersection, sizeA) * quotient(intersection, sizeB)
+}
+
+// quotientMax is the largest denominator quotient serves from its table.
+const quotientMax = 64
+
+// quotients holds float64(i)/float64(n) for 0 <= i <= n <= quotientMax at
+// n(n+1)/2 + i. The entries are those divisions themselves, so a lookup is
+// bit-identical to dividing; a multiplication by 1/n would not be.
+var quotients = func() (q [(quotientMax + 1) * (quotientMax + 2) / 2]float64) {
+	for n := 0; n <= quotientMax; n++ {
+		for i := 0; i <= n; i++ {
+			q[n*(n+1)/2+i] = float64(i) / float64(n)
+		}
+	}
+	return q
+}()
+
+// quotient returns float64(i)/float64(n): the similarity equations' set
+// fractions, whose denominators are small set sizes, come from a table.
+func quotient(i, n int) float64 {
+	if 0 <= i && i <= n && n <= quotientMax {
+		return quotients[n*(n+1)/2+i]
+	}
+	return float64(i) / float64(n)
 }
 
 // DefaultLenThreshold is the paper's len parameter (Appendix B): filenames
@@ -170,7 +193,7 @@ func serverFileSimSets(a, b fileSet, lenThreshold int, cosThreshold float64) flo
 		}
 		return m
 	}
-	return (float64(count(a, b)) / float64(na)) * (float64(count(b, a)) / float64(nb))
+	return quotient(count(a, b), na) * quotient(count(b, a), nb)
 }
 
 // ServerFileSim implements eq. (7): the product of (fraction of Si's files
@@ -213,21 +236,21 @@ func newServerGraph(idx *trace.Index) (*ServerGraph, *trace.NodeTable) {
 }
 
 // pairGraph is the one candidate-scoring loop behind every dimension: it
-// streams the co-occurrence product of inc, hands score each candidate
-// pair (a < b, in (a, b) order) with its shared-feature count, and builds
-// the graph of the pairs scoring above zero and at least minSim in one
-// pass. Scoring inside the sweep means neither the pair list nor a growing
-// per-node adjacency is ever materialized, and the pairs reach the
-// builder in the row order it requires. The graph's storage is pooled: its
-// owner releases it once the herds are mined.
-func pairGraph(inc *sparse.Incidence, maxFanout int, minSim float64, score func(a, b, shared int) float64) *graph.Graph {
+// streams the co-occurrence product of inc and hands score each row a's
+// candidate partners (ascending, all > a) with the dense shared-feature
+// counts, counts[p] for partner p; score fills w[i] with partners[i]'s
+// similarity. The row's pairs scoring above zero and at least minSim
+// become edges in one builder call. Scoring inside the sweep means neither
+// the pair list nor a growing per-node adjacency is ever materialized, and
+// the rows reach the builder in the order it requires. The graph's storage
+// is pooled: its owner releases it once the herds are mined.
+func pairGraph(inc *sparse.Incidence, maxFanout int, minSim float64, score func(a int, partners, counts []int32, w []float64)) *graph.Graph {
 	b := graph.NewBuilder(inc.Rows())
+	buf := make([]float64, inc.Rows())
 	inc.CoOccurrence(maxFanout, func(a int, partners, counts []int32) {
-		for _, p := range partners {
-			if sim := score(a, int(p), int(counts[p])); sim > 0 && sim >= minSim {
-				_ = b.AddEdge(a, int(p), sim) // a < p in range, sim > 0: cannot fail
-			}
-		}
+		w := buf[:len(partners)]
+		score(a, partners, counts, w)
+		_ = b.AddRow(a, partners, w, minSim) // rows ascend, partners in (a, n): cannot fail
 	})
 	return b.Graph()
 }
@@ -247,11 +270,13 @@ func setGraph(idx *trace.Index, opts Options, minShared int, set func(*trace.Ser
 			inc.Set(id, uint64(f))
 		}
 	}
-	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
-		if shared < minShared {
-			return 0
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a int, partners, counts []int32, w []float64) {
+		for i, p := range partners {
+			w[i] = 0
+			if shared := int(counts[p]); shared >= minShared {
+				w[i] = SetSim(shared, sizes[a], sizes[p])
+			}
 		}
-		return SetSim(shared, sizes[a], sizes[b])
 	})
 	return sg
 }
@@ -350,9 +375,9 @@ func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 	// similarity so that similar-but-unequal names map to one token.
 	longNames := make(map[string][]int) // long file -> server node ids
 	hasLong := make([]bool, len(nodes.Infos))
-	nFiles := make([]float64, len(nodes.Infos)) // |F| of eq. (7)
+	nFiles := make([]int, len(nodes.Infos)) // |F| of eq. (7)
 	for id, info := range nodes.Infos {
-		nFiles[id] = float64(len(info.Files))
+		nFiles[id] = len(info.Files)
 		for f := range info.Files {
 			name := fileNames[f]
 			if len(name) > opts.LenThreshold {
@@ -393,18 +418,28 @@ func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 		return fileSets[id]
 	}
 
-	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a, b, shared int) float64 {
-		if hasLong[a] && hasLong[b] {
-			return serverFileSimSets(setOf(a), setOf(b), opts.LenThreshold, opts.CosineThreshold)
+	sg.G = pairGraph(inc, opts.MaxFanout, opts.MinSimilarity, func(a int, partners, counts []int32, w []float64) {
+		// When the fan-out cap skipped none of row a's files, SharedSkipped
+		// is 0 for every partner: asked once per row, not per pair.
+		skips := inc.SkipsAny(a)
+		for i, p := range partners {
+			b := int(p)
+			if hasLong[a] && hasLong[b] {
+				w[i] = serverFileSimSets(setOf(a), setOf(b), opts.LenThreshold, opts.CosineThreshold)
+				continue
+			}
+			// With long names on at most one side the cosine fallback has
+			// nothing to match against, so eq. (7) counts exact matches
+			// only — the shared file ids: the product's count (such a pair
+			// shares no long-name group token) plus the hub files its
+			// fan-out cap skipped. Same quotients as serverFileSimSets, so
+			// the weight is bit-identical to the string walk's.
+			exact := int(counts[p])
+			if skips {
+				exact += inc.SharedSkipped(a, b)
+			}
+			w[i] = quotient(exact, nFiles[a]) * quotient(exact, nFiles[b])
 		}
-		// With long names on at most one side the cosine fallback has
-		// nothing to match against, so eq. (7) counts exact matches only —
-		// the shared file ids: the product's count (such a pair shares no
-		// long-name group token) plus the hub files its fan-out cap
-		// skipped. Same float expression as serverFileSimSets, so the
-		// weight is bit-identical to the string walk's.
-		exact := float64(shared + inc.SharedSkipped(a, b))
-		return (exact / nFiles[a]) * (exact / nFiles[b])
 	})
 	return sg
 }
@@ -483,8 +518,10 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 			inc.SetString(id, token)
 		}
 	}
-	sg.G = pairGraph(inc, opts.MaxFanout, 0, func(a, b, _ int) float64 {
-		return whois.Similarity(records[a], records[b])
+	sg.G = pairGraph(inc, opts.MaxFanout, 0, func(a int, partners, _ []int32, w []float64) {
+		for i, p := range partners {
+			w[i] = whois.Similarity(records[a], records[int(p)])
+		}
 	})
 	return sg
 }

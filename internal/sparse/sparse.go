@@ -282,6 +282,12 @@ func (m *Incidence) SharedSkipped(a, b int) int {
 	return n
 }
 
+// SkipsAny reports whether the last CoOccurrence call's fan-out cap skipped
+// any of row a's features. When it did not, SharedSkipped(a, b) is 0 for
+// every b, so a row scorer can ask once per row instead of once per pair.
+// Valid when SharedSkipped is.
+func (m *Incidence) SkipsAny(a int) bool { return m.skipOff[a+1] > m.skipOff[a] }
+
 var incPool = sync.Pool{New: func() any { return NewIncidence(0) }}
 
 // Get returns a pooled empty Incidence over nRows rows. Release it when the

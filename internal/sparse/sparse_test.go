@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +139,50 @@ func TestCoOccurrenceMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A row scorer asks SkipsAny once per row and calls SharedSkipped only for
+// rows where it holds. On random incidences whose hub features exceed the
+// cap on some rows and not on others, that must give every pair the
+// per-pair count + SharedSkipped.
+func TestSkipsAnyShortCircuit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const rows, maxFanout = 200, 30
+	for round := 0; round < 5; round++ {
+		m := NewIncidence(rows)
+		for r := 0; r < rows; r++ {
+			for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+				m.Set(r, uint64(rng.Intn(60)))
+			}
+			for hub := uint64(1000); hub < 1003; hub++ {
+				if rng.Intn(3) == 0 { // about 67 rows: over the cap
+					m.Set(r, hub)
+				}
+			}
+		}
+		skipping, clean := 0, 0
+		m.CoOccurrence(maxFanout, func(a int, partners, counts []int32) {
+			skips := m.SkipsAny(a)
+			if skips {
+				skipping++
+			} else {
+				clean++
+			}
+			for _, p := range partners {
+				want := int(counts[p]) + m.SharedSkipped(a, int(p))
+				got := int(counts[p])
+				if skips {
+					got += m.SharedSkipped(a, int(p))
+				}
+				if got != want {
+					t.Fatalf("round %d pair (%d,%d): short-circuit count %d, per-pair %d", round, a, p, got, want)
+				}
+			}
+		})
+		if skipping == 0 || clean == 0 {
+			t.Fatalf("round %d: %d rows with skipped features, %d without: the fixture needs both", round, skipping, clean)
+		}
 	}
 }
 
