@@ -51,21 +51,21 @@
 // is behind — backpressure reaches the client as a stalled POST. With
 // file arguments the files replay first, then the push queue drains.
 //
-// -state-dir makes campaign lineages durable: every window is appended to
-// a write-ahead log and snapshotted periodically (internal/store), and a
-// restarted smashd pointed at the same directory resumes its lineages
-// exactly where the previous process — even one killed with SIGKILL —
-// left off. -retire-after N retires lineages idle for more than N windows
-// (excluded from matching, member history pruned, scalar summary kept for
-// reporting), bounding tracker memory on endless streams. Retired
-// lineages emit a "retire" delta in the window they idle out.
+// -state-dir makes campaign lineages durable: every window is written to
+// the per-window history log (DIR/history/) and snapshotted periodically
+// (internal/store), and a restarted smashd pointed at the same directory
+// resumes its lineages exactly where the previous process — even one
+// killed with SIGKILL — left off. -retire-after N retires lineages idle
+// for more than N windows (excluded from matching, member history pruned,
+// scalar summary kept for reporting), bounding tracker memory on endless
+// streams. Retired lineages emit a "retire" delta in the window they idle
+// out.
 //
-// The store also keeps a per-window history log (DIR/history/) backing
-// the analytics endpoints: time-range window queries, lineage timelines
-// and SSE delta replay all survive restarts. -retain-windows N caps it
-// at the newest N windows; -retain-age D drops windows more than D of
-// event time behind the newest — so months-long runs stay bounded on
-// disk. Both default to 0 (keep everything).
+// The same history log backs the analytics endpoints: time-range window
+// queries, lineage timelines and SSE delta replay all survive restarts.
+// -retain-windows N caps it at the newest N windows; -retain-age D drops
+// windows more than D of event time behind the newest — so months-long
+// runs stay bounded on disk. Both default to 0 (keep everything).
 //
 // -listen ADDR exposes the HTTP query/ops API (internal/serve) while the
 // daemon runs: /v1/lineages (paginated via ?limit&offset, filtered via
@@ -141,7 +141,7 @@
 // The detecting back runs detection, tracking and persistence on every
 // sealed window, whichever front sealed it — an aggregate run's output is
 // byte-identical to a standalone run over the same traffic. -state-dir
-// holds the store (snapshot, WAL, DIR/history); a restarted fragments
+// holds the store (snapshot, DIR/history); a restarted fragments
 // front reconciles the one window a crash can interrupt against it.
 //
 // The forwarding back runs no detection and keeps no lineage state: it
@@ -315,11 +315,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	fs.BoolVar(&o.push, "push", false, "accept raw events POSTed to /v1/ingest on the API listener")
 	fs.StringVar(&o.sourceHost, "source-host", "", "server hostname assumed for access-log lines without a vhost token")
 	fs.StringVar(&o.jsonlMap, "jsonl-map", "", "jsonl field mapping overrides, comma-separated field=key pairs (e.g. time=timestamp,client=ip)")
-	fs.StringVar(&o.stateDir, "state-dir", "", "durable campaign-state directory (snapshot + WAL); empty disables persistence")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable campaign-state directory (snapshot + per-window history log); empty disables persistence")
 	fs.StringVar(&o.listen, "listen", "", "HTTP query/ops API address (e.g. :8080); empty disables serving")
 	fs.IntVar(&o.retireAfter, "retire-after", 0, "retire lineages idle for more than N windows (0 = never)")
-	fs.IntVar(&o.snapEvery, "snapshot-every", 64, "windows between state snapshots / WAL compactions")
-	fs.BoolVar(&o.walSync, "wal-sync", true, "fsync the WAL after every window (survives machine death, not just process death)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", 64, "windows between state snapshots; a restart replays at most this many history records")
+	fs.BoolVar(&o.walSync, "wal-sync", true, "fsync every window's history file and directory (survives machine death, not just process death)")
 	fs.IntVar(&o.retainWin, "retain-windows", 0, "cap the queryable window history log at N windows (0 = keep all)")
 	fs.DurationVar(&o.retainAge, "retain-age", 0, "drop history windows more than this behind the newest window, in event time (0 = keep all)")
 	fs.StringVar(&o.role, "role", "standalone", "process role: standalone, ingest (window + forward fragments), merge (fan in child fragments) or aggregate (merge fragments + detect)")
@@ -746,7 +746,7 @@ func serveRole(ctx context.Context, o *options, r role, stdin io.Reader, out io.
 	// again); lineage state lives at the root, so its ops API serves an
 	// empty store. A detecting node's store is the durability layer and
 	// the HTTP read model: with -state-dir it restores lineage state from
-	// snapshot + WAL and keeps persisting, with only a listener it mirrors
+	// snapshot + history and keeps persisting, with only a listener it mirrors
 	// state in memory for serving. The store opens before the source: a
 	// -follow tailer checkpoints into the same -state-dir, and resuming
 	// needs the store's last applied window as the dedup horizon.
@@ -789,7 +789,7 @@ func serveRole(ctx context.Context, o *options, r role, stdin io.Reader, out io.
 			defer st.Close()
 			if restored := st.Applied(); restored > 0 {
 				o.logger.Info("restored durable state",
-					"windows", restored, "walRecords", st.Stats().Replayed, "dir", o.stateDir)
+					"windows", restored, "replayed", st.Stats().Replayed, "dir", o.stateDir)
 			}
 			tk = st.Restore()
 			sinks = []stream.Sink{st}
@@ -977,9 +977,9 @@ func serveRole(ctx context.Context, o *options, r role, stdin io.Reader, out io.
 	// straggler policy; CloseContext drains any spool first and keeps
 	// retrying through a parent outage until a shutdown signal cancels
 	// the context. A hard-aborted fragment tier skips it: its restart
-	// owns the stream's tail. A store takes its final snapshot + WAL
-	// compaction, so the next start restores without replay (the deferred
-	// Close is then a no-op).
+	// owns the stream's tail. A store takes its final snapshot, so the
+	// next start restores without replay (the deferred Close is then a
+	// no-op).
 	rec := make(map[string]any)
 	text := summary(rec)
 	if r.forwards {

@@ -21,9 +21,10 @@
 //     sharded incremental indexing, watermark, worker pool, lineage
 //     deltas, pluggable result sinks
 //   - internal/store       — durable campaign-state store: snapshot +
-//     NDJSON WAL with compaction, crash-safe restore, live mirror,
-//     per-window history log with count/age retention and GC, and
-//     gap-free delta subscriptions for live consumers
+//     per-window history log (the one log a restart replays),
+//     crash-safe restore, live mirror, count/age retention and GC that
+//     snapshots before it drops unreplayed history, and gap-free delta
+//     subscriptions for live consumers
 //   - internal/serve       — embedded HTTP query/ops API over the store:
 //     /v1/lineages (paginated, filterable), /v1/lineages/{id}/timeline,
 //     /v1/windows (seq/time ranges), /v1/windows/latest,

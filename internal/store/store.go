@@ -3,30 +3,31 @@
 // as the read model for the HTTP API (internal/serve).
 //
 // The store consumes the same per-window results the CLI prints — it plugs
-// into internal/stream as a stream.Sink — and persists them with the
-// classic snapshot + write-ahead-log pattern:
+// into internal/stream as a stream.Sink — and persists them as a snapshot
+// plus a log of per-window records:
 //
 //	state-dir/
 //	  snapshot.json   full tracker state + cumulative counters, written
-//	                  atomically (tmp + rename) every SnapshotEvery
-//	                  windows and on Close
-//	  wal.ndjson      one JSON record per window applied since the last
-//	                  snapshot (append-only; flushed per record, fsynced
-//	                  when Sync is set)
+//	                  atomically (tmp + rename, fsynced) every
+//	                  SnapshotEvery windows, before retention would drop a
+//	                  record it does not cover, and on Close
+//	  history/        one JSON Record file per window (see history.go):
+//	                  the store's only log, written tmp + rename per
+//	                  window (file and directory fsynced when Sync is set)
 //	  lock            flock held for the store's lifetime, so a second
 //	                  process cannot corrupt the directory; released by
 //	                  the kernel on process death
 //
 // Every record carries a global monotonic sequence number (the tracker's
 // window clock), and the snapshot records how many windows it has applied.
-// Replay skips WAL records older than the snapshot, so a crash between
-// "snapshot renamed" and "WAL truncated" double-applies nothing: recovery
-// is idempotent. A torn final WAL line (the kill -9 case) is detected and
-// truncated away on open.
+// Open replays the history records with seq >= applied, so a crash at any
+// point double-applies nothing: recovery is idempotent. A write the kill
+// interrupted leaves only a .tmp file, which Open removes — that window
+// was never durable.
 //
 // Restore rebuilds a tracker.Tracker that is byte-identical — Summary and
 // all future Observe decisions — to the tracker of a process that never
-// died, because the WAL records exactly the ordered campaign sets the
+// died, because the log records exactly the ordered campaign sets the
 // original tracker observed and tracker.Observe is deterministic.
 //
 // The store also keeps an in-memory mirror tracker fed by the same records
@@ -36,12 +37,9 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,7 +53,6 @@ import (
 
 const (
 	snapshotFile = "snapshot.json"
-	walFile      = "wal.ndjson"
 	lockFile     = "lock"
 	// formatVersion guards the on-disk schema.
 	formatVersion = 1
@@ -66,12 +63,11 @@ type Config struct {
 	// Dir is the state directory. Empty means memory-only: the store still
 	// mirrors state for serving, but persists nothing.
 	Dir string
-	// SnapshotEvery is the number of windows between snapshots (and WAL
-	// compactions). Default 64.
+	// SnapshotEvery is the number of windows between snapshots. Default 64.
 	SnapshotEvery int
-	// Sync fsyncs the WAL after every appended record. Without it a record
-	// survives process death (the file write has happened) but not
-	// necessarily OS/machine death.
+	// Sync fsyncs every window's history file and the history directory.
+	// Without it a record survives process death (the file write has
+	// happened) but not necessarily OS/machine death.
 	Sync bool
 	// NewTracker builds the mirror (and Restore) trackers, carrying policy
 	// knobs like RetireAfter. Default tracker.New.
@@ -86,7 +82,7 @@ type Config struct {
 
 // Record is one window's durable state change: everything needed to replay
 // the tracker's Observe call and to serve /v1/windows/latest. The JSON
-// shape is stable; one Record per line in the WAL.
+// shape is stable; one Record per history file.
 type Record struct {
 	// Seq is the global window sequence — the tracker's window clock. It
 	// keeps counting across restarts, unlike Window.
@@ -131,11 +127,12 @@ type Stats struct {
 	// Lineages and RetiredLineages count the mirror tracker's state.
 	Lineages        int `json:"lineages"`
 	RetiredLineages int `json:"retiredLineages"`
-	// Replayed is the number of WAL records replayed when the store
-	// opened (0 after a clean shutdown, which compacts on Close).
+	// Replayed is the number of history records replayed past the
+	// snapshot when the store opened (0 after a clean shutdown, which
+	// snapshots on Close).
 	Replayed int `json:"replayed"`
 	// Restored is the number of windows recovered at open from snapshot
-	// plus WAL together.
+	// plus replay together.
 	Restored int `json:"restored"`
 }
 
@@ -153,21 +150,25 @@ type snapshot struct {
 type Store struct {
 	cfg Config
 
-	mu        sync.Mutex
-	mirror    *tracker.Tracker
-	ctr       Counters
-	last      *Record
-	applied   int // windows applied == mirror.Day()
-	replayed  int
-	restored  int
-	sinceSnap int
-	wal       *os.File
-	walBuf    *bufio.Writer
-	lock      *os.File // flock guarding the state dir against a second process
+	mu       sync.Mutex
+	mirror   *tracker.Tracker
+	ctr      Counters
+	last     *Record
+	applied  int // windows applied == mirror.Day()
+	replayed int
+	restored int
+	// durable is set while the store persists: it has a state dir and no
+	// write has failed. snapApplied is the applied count snapshot.json
+	// covers; the history records at or past it are what a restart
+	// replays.
+	durable     bool
+	snapApplied int
+	lock        *os.File // flock guarding the state dir against a second process
 
 	// History log + live delta subscriptions (see history.go). hist is
-	// contiguous ascending by Seq; histSizes holds each record's on-disk
-	// size so retention can account bytes without re-statting.
+	// contiguous ascending by Seq and ends at applied-1; histSizes holds
+	// each record's on-disk size so retention can account bytes without
+	// re-statting.
 	hist        []*Record
 	histSizes   []int64
 	histBytes   int64
@@ -176,9 +177,9 @@ type Store struct {
 	subsDropped int64
 }
 
-// Open loads (or creates) the store under cfg.Dir, replaying any snapshot
-// and WAL into the in-memory mirror. With an empty Dir the store is
-// memory-only.
+// Open loads (or creates) the store under cfg.Dir, replaying the snapshot
+// and the history records past it into the in-memory mirror. With an
+// empty Dir the store is memory-only.
 func Open(cfg Config) (*Store, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 64
@@ -190,55 +191,51 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(cfg.Dir, historyDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := s.acquireLock(); err != nil {
 		return nil, err
 	}
-	hadSnapshot, err := s.loadSnapshot()
-	if err != nil {
+	s.durable = true
+	if err := s.recover(); err != nil {
 		s.releaseLock()
 		return nil, err
-	}
-	// History loads before WAL replay: replay heals any history files a
-	// crash between "WAL appended" and "history renamed" failed to write,
-	// and appendHistory's idempotence needs the loaded index to dedupe
-	// against.
-	if err := s.loadHistory(); err != nil {
-		s.releaseLock()
-		return nil, err
-	}
-	if err := s.replayWAL(); err != nil {
-		s.releaseLock()
-		return nil, err
-	}
-	s.retain()
-	// Policy knobs (RetireAfter, MinClientOverlap) switch to the current
-	// configuration only once recovery is complete: recorded history must
-	// replay under the policy it was observed with — retroactively
-	// retiring a lineage mid-replay would contradict the deltas already in
-	// the WAL — while future windows follow the operator's new settings.
-	fresh := cfg.NewTracker()
-	s.mirror.MinClientOverlap = fresh.MinClientOverlap
-	s.mirror.RetireAfter = fresh.RetireAfter
-	s.restored = s.applied
-	// A birth snapshot records the policy a fresh state dir starts under,
-	// so a crash before the first periodic snapshot still replays its WAL
-	// under the recorded policy on the next open.
-	if !hadSnapshot {
-		if err := s.snapshotLocked(); err != nil {
-			s.wal.Close()
-			s.releaseLock()
-			return nil, err
-		}
 	}
 	return s, nil
 }
 
-// acquireLock flocks DIR/lock so a second process cannot corrupt the WAL
-// and snapshots. The kernel releases the lock on process death, so a
-// kill -9'd daemon never wedges its state dir.
+// recover loads the snapshot, replays the history log past it, applies
+// retention, and snapshots the result under the configured policy. Caller
+// is Open, before the store is shared.
+func (s *Store) recover() error {
+	if err := s.loadSnapshot(); err != nil {
+		return err
+	}
+	if err := s.loadHistory(); err != nil {
+		return err
+	}
+	if err := s.retain(); err != nil {
+		return err
+	}
+	// Policy knobs (RetireAfter, MinClientOverlap) switch to the current
+	// configuration only once recovery is complete: recorded history must
+	// replay under the policy it was observed with — retroactively
+	// retiring a lineage mid-replay would contradict the deltas already in
+	// the log — while future windows follow the operator's new settings.
+	fresh := s.cfg.NewTracker()
+	s.mirror.MinClientOverlap = fresh.MinClientOverlap
+	s.mirror.RetireAfter = fresh.RetireAfter
+	s.restored = s.applied
+	// The snapshot records the policy the windows after this open are
+	// observed under, so a crash before the next periodic snapshot replays
+	// them under that policy too.
+	return s.snapshotLocked()
+}
+
+// acquireLock flocks DIR/lock so a second process cannot corrupt the
+// snapshot and history. The kernel releases the lock on process death, so
+// a kill -9'd daemon never wedges its state dir.
 func (s *Store) acquireLock() error {
 	f, err := os.OpenFile(filepath.Join(s.cfg.Dir, lockFile), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -261,82 +258,35 @@ func (s *Store) releaseLock() {
 }
 
 // loadSnapshot restores mirror, counters and applied count from
-// snapshot.json. It reports whether a snapshot existed.
-func (s *Store) loadSnapshot() (bool, error) {
+// snapshot.json, if it exists.
+func (s *Store) loadSnapshot() error {
 	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return nil
 	}
 	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return false, fmt.Errorf("store: corrupt snapshot: %w", err)
+		return fmt.Errorf("store: corrupt snapshot: %w", err)
 	}
 	if snap.Version != formatVersion {
-		return false, fmt.Errorf("store: snapshot format v%d, want v%d", snap.Version, formatVersion)
+		return fmt.Errorf("store: snapshot format v%d, want v%d", snap.Version, formatVersion)
 	}
-	if snap.Tracker.Day != snap.Applied {
-		return false, fmt.Errorf("store: snapshot tracker day %d != applied %d", snap.Tracker.Day, snap.Applied)
+	if snap.Applied < 0 || snap.Tracker.Day != snap.Applied {
+		return fmt.Errorf("store: corrupt snapshot: tracker day %d, applied %d", snap.Tracker.Day, snap.Applied)
+	}
+	for i, l := range snap.Tracker.Lineages {
+		if l == nil || l.ID != i {
+			return fmt.Errorf("store: corrupt snapshot: lineage %d", i)
+		}
 	}
 	s.mirror = tracker.FromState(snap.Tracker)
 	s.ctr = snap.Counters
 	s.last = snap.LastWindow
 	s.applied = snap.Applied
-	return true, nil
-}
-
-// replayWAL applies WAL records newer than the snapshot to the mirror,
-// truncates any torn tail, and leaves the file open for appending.
-func (s *Store) replayWAL() error {
-	path := filepath.Join(s.cfg.Dir, walFile)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	good := int64(0)
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: a kill mid-append leaves no final newline
-		}
-		line := data[off : off+nl]
-		var rec Record
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			// A newline-terminated line that does not parse is corruption,
-			// not a torn tail — silently truncating here would discard
-			// every valid record after it. Refuse to open.
-			return fmt.Errorf("store: corrupt wal record at byte %d: %w", off, uerr)
-		}
-		off += nl + 1
-		good = int64(off)
-		if rec.Seq < s.applied {
-			continue // already in the snapshot (crash before compaction)
-		}
-		if rec.Seq > s.applied {
-			return fmt.Errorf("store: wal gap: record seq %d, want %d", rec.Seq, s.applied)
-		}
-		s.apply(&rec)
-		if herr := s.appendHistory(&rec); herr != nil {
-			return herr
-		}
-		s.replayed++
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.wal = f
-	s.walBuf = bufio.NewWriter(f)
+	s.snapApplied = snap.Applied
 	return nil
 }
 
@@ -374,9 +324,10 @@ func (s *Store) SinkName() string { return "store" }
 
 // Consume implements stream.Sink: it records one emitted window — the
 // in-memory mirror first (so the read model and the seq clock stay in
-// lockstep with the engine even when persistence fails), then the WAL
-// append — and snapshots every SnapshotEvery windows. A window visible in
-// the mirror is therefore durable only once Consume has returned nil.
+// lockstep with the engine even when persistence fails), then its history
+// file — publishes it, applies retention, and snapshots every
+// SnapshotEvery windows. A window visible in the mirror is therefore
+// durable only once Consume has returned nil.
 func (s *Store) Consume(w *stream.WindowResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,78 +343,32 @@ func (s *Store) Consume(w *stream.WindowResult) error {
 	if w.Report != nil {
 		rec.Campaigns = w.Report.AllCampaigns()
 	}
-	// Mirror first: the in-memory read model and the seq clock stay
-	// consistent with the engine's tracker even when persistence fails.
 	s.apply(rec)
-	if s.wal != nil {
-		if err := s.appendWAL(rec); err != nil {
-			// A failed append may have left partial bytes on disk; appending
-			// more records after it would hide good records behind the torn
-			// line and replay records under reused offsets. Disable
-			// persistence for the rest of the process instead — serving stays
-			// correct, the error surfaces through the engine, and the WAL on
-			// disk still recovers everything up to the failure.
-			s.wal.Close()
-			s.wal = nil
-			s.walBuf = nil
-			return err
-		}
-	}
-	// History after the WAL: a crash between the two heals on open (the
-	// record is still in the WAL); the reverse order could retain history
-	// for a window the store never applied. Subscribers see the record
-	// only once it is in history, so Last-Event-ID resume never skips.
-	if err := s.appendHistory(rec); err != nil {
-		return err
-	}
+	err := s.appendHistory(rec)
+	// Subscribers see the record only once it is in history, so
+	// Last-Event-ID resume never skips.
 	s.publish(rec)
-	s.retain()
-	if s.wal != nil {
-		s.sinceSnap++
-		if s.sinceSnap >= s.cfg.SnapshotEvery {
-			if err := s.snapshotLocked(); err != nil {
-				return err
-			}
-		}
+	if rerr := s.retain(); err == nil {
+		err = rerr
 	}
-	return nil
+	if s.durable && s.applied-s.snapApplied >= s.cfg.SnapshotEvery {
+		err = s.snapshotLocked()
+	}
+	return err
 }
 
-// appendWAL writes one record line, flushing (and fsyncing under
-// Config.Sync). Caller holds mu.
-func (s *Store) appendWAL(rec *Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := s.walBuf.Write(line); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	if err := s.walBuf.Flush(); err != nil {
-		return fmt.Errorf("store: wal flush: %w", err)
-	}
-	if s.cfg.Sync {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// Snapshot forces a snapshot + WAL compaction now. No-op when
-// memory-only.
+// Snapshot forces a snapshot now. No-op when memory-only.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
+	if !s.durable {
 		return nil
 	}
 	return s.snapshotLocked()
 }
 
-// snapshotLocked writes snapshot.json atomically, then compacts the WAL.
-// Caller holds mu.
+// snapshotLocked writes snapshot.json atomically and durably. Caller holds
+// mu.
 func (s *Store) snapshotLocked() error {
 	snap := snapshot{
 		Version:    formatVersion,
@@ -476,62 +381,42 @@ func (s *Store) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	path := filepath.Join(s.cfg.Dir, snapshotFile)
-	if err := WriteFileAtomic(path, data, true); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.cfg.Dir, snapshotFile), data, true); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// The rename must be durable before the WAL shrinks: without the
-	// directory fsync a machine crash could surface the OLD snapshot next
-	// to the already-compacted WAL — an unrecoverable gap.
+	// The rename must be durable before retention deletes the history it
+	// now covers: without the directory fsync a machine crash could
+	// surface the OLD snapshot next to a log missing its records.
 	if err := SyncDir(s.cfg.Dir); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// Compaction: every WAL record is now covered by the snapshot. A crash
-	// before the truncate lands is fine — replay skips seq < applied.
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: wal compact: %w", err)
-	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: wal compact: %w", err)
-	}
-	s.walBuf.Reset(s.wal)
-	s.sinceSnap = 0
+	s.snapApplied = s.applied
 	return nil
 }
 
-// Close flushes, snapshots (compacting the WAL) and releases the state
-// directory. The store must not be used afterwards.
+// Close snapshots and releases the state directory. The store must not be
+// used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.releaseLock()
 	s.closeSubs()
-	if s.wal == nil {
+	if !s.durable {
 		return nil
 	}
-	err := s.snapshotLocked()
-	if cerr := s.wal.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("store: %w", cerr)
-	}
-	s.wal = nil
-	s.walBuf = nil
-	return err
+	s.durable = false
+	return s.snapshotLocked()
 }
 
-// Abandon simulates process death for tests and benchmarks: the WAL file
-// handle and the state-dir lock are dropped with no final snapshot or
-// compaction — exactly the on-disk state a kill -9 leaves, but with the
-// kernel-held flock released so the same process can reopen the
-// directory. The store must not be used afterwards.
+// Abandon simulates process death for tests and benchmarks: the state-dir
+// lock is dropped with no final snapshot — exactly the on-disk state a
+// kill -9 leaves, but with the kernel-held flock released so the same
+// process can reopen the directory. The store must not be used afterwards.
 func (s *Store) Abandon() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeSubs()
-	if s.wal != nil {
-		s.wal.Close()
-		s.wal = nil
-		s.walBuf = nil
-	}
+	s.durable = false
 	s.releaseLock()
 }
 

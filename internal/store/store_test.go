@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,7 +114,7 @@ func TestRoundTripReopen(t *testing.T) {
 		t.Errorf("counters diverged: %+v vs %+v", gotStats.Counters, wantStats.Counters)
 	}
 	if gotStats.Replayed != 0 {
-		t.Errorf("clean shutdown left %d WAL records", gotStats.Replayed)
+		t.Errorf("clean shutdown left %d records to replay", gotStats.Replayed)
 	}
 	if st2.Applied() != 4 {
 		t.Errorf("applied = %d, want 4", st2.Applied())
@@ -121,9 +122,10 @@ func TestRoundTripReopen(t *testing.T) {
 }
 
 // The acceptance scenario: a run killed without Close (kill -9 analogue —
-// the WAL is flushed per record but no final snapshot lands), restarted on
-// the remaining input, must end in exactly the state of an uninterrupted
-// run. Exercised over both persistence paths: pure WAL and snapshot+WAL.
+// every window's history file has landed but no final snapshot), restarted
+// on the remaining input, must end in exactly the state of an
+// uninterrupted run. Exercised over both recovery paths: pure history
+// replay and snapshot + replay.
 func TestKillRestartEquivalence(t *testing.T) {
 	days := worldEvents(t, 4)
 	uninterrupted := runDays(t, days, nil).Tracker().Summary()
@@ -164,9 +166,81 @@ func TestKillRestartEquivalence(t *testing.T) {
 	}
 }
 
-// A torn final WAL line — the canonical kill -9 artifact — is truncated
-// away on open, and appends continue cleanly after it.
-func TestTornWALTailTruncated(t *testing.T) {
+// Systematic fault enumeration: for every snapshot cadence and retention
+// setting, a kill after any window must reopen to exactly the windows
+// consumed, resume to the uninterrupted tracker, and end with the history
+// of a store that was never killed.
+func TestKillAnywhereEquivalence(t *testing.T) {
+	const n = 5
+	days := worldEvents(t, n)
+	uninterrupted := runDays(t, days, nil).Tracker().Summary()
+	for _, snapEvery := range []int{1, 2, 3, 100} {
+		for _, retain := range []int{0, 1, 2, 3} {
+			cfg := Config{SnapshotEvery: snapEvery, RetainWindows: retain}
+			cfg.Dir = t.TempDir()
+			ref, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDays(t, days, nil, ref)
+			want := historyJSONNoWindow(t, ref)
+			ref.Close()
+			for k := 1; k < n; k++ {
+				name := fmt.Sprintf("snap%d/retain%d/kill%d", snapEvery, retain, k)
+				cfg.Dir = t.TempDir()
+				st1, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runDays(t, days[:k], nil, st1)
+				st1.Abandon()
+
+				st2, err := Open(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if st2.Applied() != k {
+					t.Errorf("%s: applied = %d, want %d", name, st2.Applied(), k)
+				}
+				eng := runDays(t, days[k:], st2.Restore(), st2)
+				if got := eng.Tracker().Summary(); got != uninterrupted {
+					t.Errorf("%s: resumed summary diverged:\n%s\nvs:\n%s", name, got, uninterrupted)
+				}
+				if got := historyJSONNoWindow(t, st2); got != want {
+					t.Errorf("%s: history diverged:\n%s\nvs:\n%s", name, got, want)
+				}
+				st2.Close()
+			}
+		}
+	}
+}
+
+// historyJSONNoWindow renders History(0) with the per-process window
+// numbers zeroed: Record.Window and Delta.Window restart at 0 in every
+// process, everything else must match byte for byte.
+func historyJSONNoWindow(t *testing.T, st *Store) string {
+	t.Helper()
+	var recs []Record
+	for _, r := range st.History(0) {
+		rec := *r
+		rec.Window = 0
+		rec.Deltas = append([]stream.Delta(nil), r.Deltas...)
+		for i := range rec.Deltas {
+			rec.Deltas[i].Window = 0
+		}
+		recs = append(recs, rec)
+	}
+	data, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// A history write the kill interrupted leaves only a .tmp file: that
+// window was never durable. Open removes it, and the resumed run matches
+// an uninterrupted one.
+func TestTornHistoryWriteDiscarded(t *testing.T) {
 	days := worldEvents(t, 3)
 	dir := t.TempDir()
 	st1, err := Open(Config{Dir: dir, SnapshotEvery: 100})
@@ -176,22 +250,20 @@ func TestTornWALTailTruncated(t *testing.T) {
 	runDays(t, days[:2], nil, st1)
 	st1.Abandon() // killed: no Close, no final snapshot
 
-	wal := filepath.Join(dir, walFile)
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	torn := historyFile(dir, 2) + ".tmp"
+	if err := os.WriteFile(torn, []byte(`{"seq":2,"window":9,"req`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":2,"window":9,"req`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	st2, err := Open(Config{Dir: dir, SnapshotEvery: 100})
 	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
+		t.Fatalf("torn write rejected: %v", err)
 	}
 	if st2.Applied() != 2 || st2.Stats().Replayed != 2 {
 		t.Fatalf("applied=%d replayed=%d, want 2/2", st2.Applied(), st2.Stats().Replayed)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("torn write still on disk: %v", err)
 	}
 	eng := runDays(t, days[2:], st2.Restore(), st2)
 	if err := st2.Close(); err != nil {
@@ -199,22 +271,13 @@ func TestTornWALTailTruncated(t *testing.T) {
 	}
 	want := runDays(t, days, nil).Tracker().Summary()
 	if got := eng.Tracker().Summary(); got != want {
-		t.Errorf("post-torn-tail resume diverged:\n%s\nvs:\n%s", got, want)
-	}
-	// The torn bytes are gone from disk.
-	data, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"req`) && !strings.Contains(string(data), `"requests"`) {
-		t.Error("torn tail still on disk")
+		t.Errorf("post-torn-write resume diverged:\n%s\nvs:\n%s", got, want)
 	}
 }
 
-// A crash between snapshot rename and WAL truncation leaves records the
-// snapshot already covers; replay must skip them instead of double
-// applying.
-func TestCompactionCrashIdempotent(t *testing.T) {
+// A snapshot followed by a kill leaves history records the snapshot
+// already covers; reopening must skip them instead of double applying.
+func TestSnapshotCrashIdempotent(t *testing.T) {
 	days := worldEvents(t, 2)
 	dir := t.TempDir()
 	st1, err := Open(Config{Dir: dir, SnapshotEvery: 100})
@@ -223,20 +286,10 @@ func TestCompactionCrashIdempotent(t *testing.T) {
 	}
 	runDays(t, days, nil, st1)
 	want := st1.Restore().Summary()
-
-	// Save the WAL (2 records), snapshot (which compacts it away), then
-	// put the stale WAL back: exactly the crash-before-truncate state.
-	stale, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := st1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st1.Abandon() // crashed process: flock gone, file handles moot
+	st1.Abandon() // crashed process: flock gone, no final snapshot
 
 	st2, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -244,7 +297,7 @@ func TestCompactionCrashIdempotent(t *testing.T) {
 	}
 	defer st2.Close()
 	if st2.Applied() != 2 || st2.Stats().Replayed != 0 {
-		t.Errorf("applied=%d replayed=%d, want 2/0 (snapshot covers the WAL)",
+		t.Errorf("applied=%d replayed=%d, want 2/0 (snapshot covers the history)",
 			st2.Applied(), st2.Stats().Replayed)
 	}
 	if got := st2.Restore().Summary(); got != want {
@@ -252,7 +305,7 @@ func TestCompactionCrashIdempotent(t *testing.T) {
 	}
 }
 
-// A WAL append failure disables persistence but keeps the in-memory
+// A history write failure disables persistence but keeps the in-memory
 // mirror tracking in lockstep with the engine — and everything durable up
 // to the failure still restores.
 func TestWALFailureDisablesPersistenceKeepsMirror(t *testing.T) {
@@ -264,9 +317,17 @@ func TestWALFailureDisablesPersistenceKeepsMirror(t *testing.T) {
 	}
 	runDays(t, days[:1], nil, st)
 
-	// Break the WAL out from under the store: the next Consume's flush
-	// fails, which must poison persistence (not the store).
-	st.wal.Close()
+	// Break the history directory out from under the store: the next
+	// Consume's write fails, which must poison persistence (not the
+	// store).
+	hdir := filepath.Join(dir, historyDir)
+	saved := filepath.Join(dir, "history.saved")
+	if err := os.Rename(hdir, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(hdir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var rest []trace.Request
 	for _, d := range days[1:] {
 		rest = append(rest, d...)
@@ -286,19 +347,26 @@ func TestWALFailureDisablesPersistenceKeepsMirror(t *testing.T) {
 		t.Errorf("engine error = %v, want surfaced store error", err)
 	}
 	// The mirror observed all 3 windows' campaigns in sequence, so it must
-	// match a continuous tracker over the same days despite the WAL dying.
+	// match a continuous tracker over the same days despite the write
+	// failure.
 	want := runDays(t, days, nil).Tracker().Summary()
 	if got := st.Restore().Summary(); got != want {
-		t.Errorf("mirror fell behind after WAL failure:\n%s\nvs:\n%s", got, want)
+		t.Errorf("mirror fell behind after write failure:\n%s\nvs:\n%s", got, want)
 	}
 	if st.Stats().Windows != 3 {
 		t.Errorf("mirror windows = %d, want 3", st.Stats().Windows)
 	}
 	if err := st.Close(); err != nil {
-		t.Errorf("Close after poisoned WAL: %v", err)
+		t.Errorf("Close after poisoned persistence: %v", err)
 	}
 
 	// Only the pre-failure window survives on disk, cleanly.
+	if err := os.Remove(hdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, hdir); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -310,11 +378,12 @@ func TestWALFailureDisablesPersistenceKeepsMirror(t *testing.T) {
 }
 
 // Changing -retire-after across a restart must not rewrite history:
-// snapshot + WAL replay under the recorded policy, and the new policy
-// takes effect only for windows after recovery.
+// snapshot + history replay under the recorded policy, and the new policy
+// takes effect only for windows after recovery — also across a second
+// crash.
 func TestPolicyChangeAppliesOnlyForward(t *testing.T) {
-	// SnapshotEvery 3: replay spans snapshot + trailing WAL record.
-	// SnapshotEvery 100: everything after the birth snapshot is WAL-only —
+	// SnapshotEvery 3: replay spans snapshot + trailing history record.
+	// SnapshotEvery 100: everything after the birth snapshot is replayed —
 	// the birth snapshot is what records the original policy.
 	for _, snapEvery := range []int{3, 100} {
 		t.Run(fmt.Sprintf("snapEvery=%d", snapEvery), func(t *testing.T) {
@@ -354,8 +423,8 @@ func testPolicyChange(t *testing.T, snapEvery int) {
 	}
 
 	// Under retire-never: one active window, then three idle ones. The
-	// snapshot lands after window 2 (SnapshotEvery=3), window 3 stays in
-	// the WAL. No Close: the kill -9 state.
+	// snapshot lands after window 2 (SnapshotEvery=3), window 3 is only
+	// in history. No Close: the kill -9 state.
 	st1, err := Open(mk(0))
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +455,18 @@ func testPolicyChange(t *testing.T, snapEvery int) {
 	if st2.Stats().RetiredLineages != 1 {
 		t.Errorf("new policy not applied forward: %+v", st2.Stats())
 	}
+	// Killed again before any periodic snapshot: window 4 was observed
+	// under the new policy and must replay under it.
+	want = st2.Restore().Summary()
+	st2.Abandon()
+	st3, err := Open(mk(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if got := st3.Restore().Summary(); got != want {
+		t.Errorf("second restart replayed under the old policy:\n%s\nvs:\n%s", got, want)
+	}
 }
 
 // The state dir is exclusively locked: a second Open fails while the
@@ -409,10 +490,9 @@ func TestStateDirLocked(t *testing.T) {
 	st2.Close()
 }
 
-// A corrupt record in the middle of the WAL (newline-terminated but
-// unparsable) must refuse to open rather than silently discarding every
-// valid record after it. Only a torn FINAL line is recoverable.
-func TestCorruptMidWALRejected(t *testing.T) {
+// A history record that does not parse must refuse to open rather than
+// silently replaying around it.
+func TestCorruptHistoryRejected(t *testing.T) {
 	days := worldEvents(t, 2)
 	dir := t.TempDir()
 	st1, err := Open(Config{Dir: dir, SnapshotEvery: 100})
@@ -422,30 +502,72 @@ func TestCorruptMidWALRejected(t *testing.T) {
 	runDays(t, days, nil, st1)
 	st1.Abandon() // killed
 
-	wal := filepath.Join(dir, walFile)
-	data, err := os.ReadFile(wal)
+	path := historyFile(dir, 0)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Break the FIRST record's JSON structure, keeping its newline.
+	// Break the FIRST record's JSON structure.
 	data[0] = 'X'
-	if err := os.WriteFile(wal, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "corrupt wal") {
-		t.Errorf("mid-file corruption accepted: %v", err)
+	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "corrupt history record") {
+		t.Errorf("corrupt record accepted: %v", err)
 	}
 }
 
-// A WAL from the future (gap against the snapshot) is corruption, not
+// History from the future (a gap against the snapshot) is corruption, not
 // something to guess around.
-func TestWALGapRejected(t *testing.T) {
+func TestHistoryGapRejected(t *testing.T) {
 	dir := t.TempDir()
-	line := `{"seq":7,"window":0,"start":"2020-01-01T00:00:00Z","end":"2020-01-02T00:00:00Z","requests":0}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(line), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, historyDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "gap") {
+	line := `{"seq":7,"window":0,"start":"2020-01-01T00:00:00Z","end":"2020-01-02T00:00:00Z","requests":0}` + "\n"
+	if err := os.WriteFile(historyFile(dir, 7), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "history gap") {
 		t.Errorf("gap accepted: %v", err)
 	}
+}
+
+// A state dir is input from outside the process: a snapshot whose
+// lineage list holds a null must be refused, not crash Open.
+func TestNullLineageSnapshotRejected(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"version":1,"applied":0,"tracker":{"day":0,"lineages":[null]}}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "store: corrupt snapshot") {
+		t.Errorf("null lineage accepted: %v", err)
+	}
+}
+
+// FuzzOpen feeds arbitrary bytes to the store's durable decoders, as
+// snapshot.json and as the first history record. A state dir is input
+// from outside the process: Open must refuse it or return a store that
+// closes cleanly, and never panic.
+func FuzzOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, snap, rec []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, historyDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(historyFile(dir, 0), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(Config{Dir: dir})
+		if err != nil {
+			return
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close after a clean Open: %v", err)
+		}
+	})
 }

@@ -12,8 +12,7 @@ import (
 // payload length followed by the payload bytes; writers emit header and
 // payload as one buffer (one write syscall), so a crash tears at most the
 // final frame, and ReadFrames reports exactly where the intact prefix
-// ends so the owner can truncate the torn tail — the same healing
-// discipline internal/store applies to its WAL.
+// ends so the owner can truncate the torn tail.
 
 // MaxFrameBytes bounds one frame's payload — the same ceiling
 // internal/serve puts on a POSTed fragment body. A length past it is
