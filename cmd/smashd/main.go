@@ -36,7 +36,7 @@
 // (-source-host names the server for lines without a vhost token), or
 // jsonl — one JSON object per line, with -jsonl-map renaming fields
 // (e.g. -jsonl-map time=timestamp,client=ip). Malformed lines are
-// counted (smash_source_parse_errors_total) and skipped, never fatal.
+// counted (/v1/stats .sources[].parseErrors) and skipped, never fatal.
 //
 // -follow tails a single live log file the way tail -F does: growth is
 // picked up as it is written, rotation (rename/recreate) and truncation
@@ -87,20 +87,21 @@
 // expose them at /metrics and /v1/windows/{seq}/trace. -trace-log FILE
 // additionally appends every span as one NDJSON line; the file rotates
 // past -trace-log-max-bytes (default 64 MiB, 0 disables), keeping
-// -trace-log-keep rotated segments (FILE.1 oldest-last), with the active
-// segment's size exported as smash_trace_log_bytes. -version prints the
-// build version (set via -ldflags "-X main.version=...") and the Go
+// -trace-log-keep rotated segments (FILE.1 oldest-last). -version prints
+// the build version (set via -ldflags "-X main.version=...") and the Go
 // toolchain, also exported as the constant smash_build_info gauge with
-// version, goversion and role labels.
+// version, goversion and role labels. Counts are not repeated on
+// /metrics: process-wide ones live in /v1/stats, per-child rows and the
+// forwarding leg in /v1/cluster.
 //
 // In cluster roles every fragment carries an append-only hop trail —
 // which node sent it, in which role, when it was sent and accepted, after
 // how many attempts and how long in the spool — so the aggregator's
 // window traces include one span per hop and GET /v1/cluster on any node
 // returns its subtree: each known child's role, watermark, lag, estimated
-// clock skew (smash_cluster_node_clock_skew_seconds) and last spool
-// dwell, recursively through merge tiers. Diagnostics log
-// through log/slog: -log-format picks text or json, -log-level one of
+// clock skew (.children[].clockSkewSeconds) and last spool dwell,
+// recursively through merge tiers. Diagnostics log through log/slog:
+// -log-format picks text or json, -log-level one of
 // debug, info, warn, error.
 //
 // # Cluster roles
@@ -269,7 +270,7 @@ type options struct {
 	tracer *obs.Tracer
 
 	// Live source state, populated by openSource: per-source counters
-	// (rendered as smash_source_* metrics), the tailer behind -follow and
+	// (the sources block of /v1/stats), the tailer behind -follow and
 	// the queue behind -push.
 	srcCtrs   []*source.Counters
 	tailer    *source.Tailer
@@ -369,9 +370,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		}
 		defer w.Close()
 		o.tracer.LogTo(w)
-		o.reg.GaugeFunc("smash_trace_log_bytes",
-			"Active -trace-log segment size in bytes (drops back to zero at each rotation).",
-			func(emit obs.Emit) { emit(float64(w.Size())) })
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

@@ -239,16 +239,28 @@ func TestRunListenServesLiveState(t *testing.T) {
 		t.Error("no lineages served while the stream was live")
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get("http://" + addr + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Store struct {
+			Windows int `json:"windows"`
+		} `json:"store"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil || stats.Store.Windows != 1 {
+		t.Errorf("live /v1/stats store windows = %d (%v), want 1", stats.Store.Windows, err)
+	}
+	resp, err = http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"smash_store_windows_total 1", `smash_pipeline_stage_seconds_count{stage="mine"} 1`} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("live metrics missing %q", want)
-		}
+	if want := `smash_pipeline_stage_seconds_count{stage="mine"} 1`; !strings.Contains(string(metrics), want) {
+		t.Errorf("live metrics missing %q", want)
 	}
 
 	pw.Close() // EOF: drain remaining windows, shut the server down

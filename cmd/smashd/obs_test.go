@@ -108,11 +108,19 @@ func TestRunObservabilityEndpoints(t *testing.T) {
 		"smash_sink_consume_seconds_count",
 		"smash_watermark_lag_seconds",
 		"smash_go_goroutines",
-		"smash_store_windows_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	_, body := get("/v1/stats")
+	var stats struct {
+		Store struct {
+			Windows int `json:"windows"`
+		} `json:"store"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil || stats.Store.Windows != 1 {
+		t.Errorf("/v1/stats store windows = %d (%v), want 1", stats.Store.Windows, err)
 	}
 
 	pw.Close()

@@ -725,14 +725,12 @@ func (s *assembler) run(ctx context.Context) {
 	}
 }
 
-// registerFragLogMetrics exposes a fragment log's counters on reg.
+// registerFragLogMetrics exposes a fragment log's appends and on-disk
+// size on reg (its replay count is /v1/stats' .cluster.replayed).
 func registerFragLogMetrics(reg *obs.Registry, l *FragLog) {
 	reg.CounterFunc("smash_cluster_fraglog_appends_total",
 		"Fragments made durable in the fragment log before acknowledgement.",
 		func(emit obs.Emit) { emit(float64(l.Stats().Appends)) })
-	reg.CounterFunc("smash_cluster_replayed_fragments_total",
-		"Fragments replayed from the fragment log at startup (crash recovery).",
-		func(emit obs.Emit) { emit(float64(l.Stats().Replayed)) })
 	reg.GaugeFunc("smash_cluster_fraglog_bytes",
 		"Current on-disk size of the fragment log.",
 		func(emit obs.Emit) { emit(float64(l.Stats().Bytes)) })

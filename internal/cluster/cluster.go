@@ -151,7 +151,7 @@ type ForwarderConfig struct {
 	// forwarder POSTs to URL + "/v1/ingest".
 	URL string
 	// Node names this ingest node in fragments (required; the aggregator
-	// keys watermarks and metrics by it).
+	// keys watermarks and /v1/cluster rows by it).
 	Node string
 	// Role labels this node's hop records ("ingest", "merge"); default
 	// "ingest". The receiver folds it into topology and trace views.
@@ -159,8 +159,6 @@ type ForwarderConfig struct {
 	// Stride is the cluster window stride — must match the aggregator's
 	// and the ingest engine's (required, > 0).
 	Stride time.Duration
-	// Client overrides the HTTP client (default: 30s-timeout client).
-	Client *http.Client
 	// MaxAttempts bounds delivery attempts per fragment (default 5).
 	MaxAttempts int
 	// Backoff caps the first retry delay; the cap doubles per attempt and
@@ -172,12 +170,11 @@ type ForwarderConfig struct {
 	// delivery attempts exhaust are written to this directory (fsynced)
 	// and drained in order once the aggregator answers again, instead of
 	// being dropped with an error. Spooled fragments survive restarts.
+	// The spool holds at most 256 MiB; past that the oldest entries are
+	// dropped and counted.
 	SpoolDir string
-	// SpoolMaxBytes bounds the spool's on-disk size; when exceeded the
-	// oldest entries are dropped and counted (default 256 MiB).
-	SpoolMaxBytes int64
-	// Metrics registers the forward POST latency histogram and the
-	// fragment/retry/byte counters (nil disables metrics).
+	// Metrics registers the forward POST latency histogram (nil disables
+	// metrics); the counters are Stats', served on /v1/cluster.
 	Metrics *obs.Registry
 	// Logger receives structured retry and failure logs (nil discards).
 	Logger *slog.Logger
@@ -245,18 +242,12 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
 	}
-	if cfg.SpoolMaxBytes <= 0 {
-		cfg.SpoolMaxBytes = defaultSpoolMaxBytes
-	}
-	f := &Forwarder{cfg: cfg, client: cfg.Client, log: cfg.Logger}
-	if f.client == nil {
-		f.client = &http.Client{Timeout: 30 * time.Second}
-	}
+	f := &Forwarder{cfg: cfg, client: &http.Client{Timeout: 30 * time.Second}, log: cfg.Logger}
 	if f.log == nil {
 		f.log = obs.Discard()
 	}
 	if cfg.SpoolDir != "" {
-		sp, err := openSpool(cfg.SpoolDir, cfg.SpoolMaxBytes, f.log)
+		sp, err := openSpool(cfg.SpoolDir, spoolMaxBytes, f.log)
 		if err != nil {
 			return nil, err
 		}
@@ -269,29 +260,6 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 	if reg := cfg.Metrics; reg != nil {
 		f.mPost = reg.Histogram("smash_forward_post_seconds",
 			"Wall-clock delivering one fragment to the aggregator, retries included.")
-		reg.CounterFunc("smash_forward_fragments_total",
-			"Fragments acknowledged by the aggregator (including the final marker).",
-			func(emit obs.Emit) { emit(float64(f.ctrForwarded.Load())) })
-		reg.CounterFunc("smash_forward_retries_total",
-			"Failed fragment delivery attempts that were retried.",
-			func(emit obs.Emit) { emit(float64(f.ctrRetries.Load())) })
-		reg.CounterFunc("smash_forward_bytes_total",
-			"Encoded fragment bytes acknowledged by the aggregator.",
-			func(emit obs.Emit) { emit(float64(f.ctrBytes.Load())) })
-		if f.sp != nil {
-			reg.CounterFunc("smash_forward_spooled_total",
-				"Fragments spilled to the on-disk spool after delivery attempts exhausted.",
-				func(emit obs.Emit) { n, _ := f.sp.counters(); emit(float64(n)) })
-			reg.CounterFunc("smash_forward_spool_dropped_total",
-				"Spooled fragments evicted to respect the spool's byte bound.",
-				func(emit obs.Emit) { _, n := f.sp.counters(); emit(float64(n)) })
-			reg.GaugeFunc("smash_forward_spool_pending",
-				"Fragments waiting in the on-disk spool.",
-				func(emit obs.Emit) { emit(float64(f.sp.pending())) })
-			reg.GaugeFunc("smash_forward_spool_bytes",
-				"On-disk size of the fragment spool.",
-				func(emit obs.Emit) { emit(float64(f.sp.pendingBytes())) })
-		}
 	}
 	f.lastWindow.Store(-1 << 62)
 	return f, nil

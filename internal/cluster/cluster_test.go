@@ -627,8 +627,8 @@ func TestAggregatorCustomTracker(t *testing.T) {
 }
 
 // Topology must list nodes in name order no matter the order their
-// fragments arrived — /v1/cluster responses and per-node metric series
-// stay deterministic across runs.
+// fragments arrived — /v1/cluster responses stay deterministic across
+// runs.
 func TestNodeStatsOrdered(t *testing.T) {
 	agg, results := startedAggregator(t, AggregatorConfig{
 		Window: 24 * time.Hour, Expect: 3,

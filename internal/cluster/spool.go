@@ -43,9 +43,9 @@ type spool struct {
 
 const spoolSuffix = ".frag"
 
-// defaultSpoolMaxBytes bounds the spool when the config leaves the limit
-// unset — the same ceiling serve puts on one fragment body.
-const defaultSpoolMaxBytes = 256 << 20
+// spoolMaxBytes bounds a Forwarder's spool — the same ceiling serve puts
+// on one fragment body.
+const spoolMaxBytes = 256 << 20
 
 func openSpool(dir string, max int64, log *slog.Logger) (*spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -58,6 +58,12 @@ func openSpool(dir string, max int64, log *slog.Logger) (*spool, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".tmp") {
+			// A put the process died in (or that hit ENOSPC): that
+			// fragment never became durable.
+			os.Remove(filepath.Join(dir, name))
+			continue
+		}
 		if e.IsDir() || !strings.HasSuffix(name, spoolSuffix) {
 			continue
 		}

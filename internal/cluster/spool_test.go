@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,6 +216,41 @@ func TestSpoolBound(t *testing.T) {
 	}
 	if sp.pendingBytes() != 0 {
 		t.Errorf("pendingBytes = %d after full drain", sp.pendingBytes())
+	}
+}
+
+// A put torn by a crash or a full disk leaves only its ".frag.tmp"
+// file, which never became a spool entry: open removes it, so it neither
+// survives restarts nor hides from the spool's byte count.
+func TestTornSpoolWriteDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := openSpool(dir, 1<<20, obs.Discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.put(wire.EncodeFragment(fragFor("n", 0, "c"))); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "000000000001.frag.tmp")
+	if err := os.WriteFile(torn, []byte("half a fragm"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, err = openSpool(dir, 1<<20, obs.Discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("torn %s survived open (stat err %v)", filepath.Base(torn), err)
+	}
+	if n := sp.pending(); n != 1 {
+		t.Errorf("pending = %d, want the one whole entry", n)
+	}
+	// The next put continues the sequence past the whole entry.
+	if err := sp.put(wire.EncodeFragment(fragFor("n", 1, "c"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "000000000001.frag")); err != nil {
+		t.Errorf("second entry: %v", err)
 	}
 }
 

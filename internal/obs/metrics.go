@@ -1,11 +1,12 @@
 // Package obs is SMASH's observability core: a dependency-free metrics
-// registry (atomic counters, gauges and log-bucketed latency histograms
-// rendered in Prometheus text format), a window-lifecycle span tracer, and
-// structured-logging helpers on log/slog. Every long-running component —
-// the stream engine, the cluster forwarder and aggregator, the store sink
-// and the HTTP ops API — instruments itself through this package, so one
-// /metrics scrape and one /v1/windows/{seq}/trace fetch answer "where is
-// my latency and what happened to window N" without a debugger.
+// registry (log-bucketed latency histograms and scrape-time counter and
+// gauge collectors rendered in Prometheus text format), a
+// window-lifecycle span tracer, and structured-logging helpers on
+// log/slog. Every long-running component — the stream engine, the cluster
+// forwarder and aggregator, the store sink and the HTTP ops API —
+// instruments itself through this package, so one /metrics scrape and one
+// /v1/windows/{seq}/trace fetch answer "where is my latency and what
+// happened to window N" without a debugger.
 //
 // The package imports only the standard library and sits below every other
 // internal package; nothing in it knows about traces, windows or
@@ -29,7 +30,7 @@ import (
 )
 
 // Counter is a monotonically increasing float64 (atomic; safe for
-// concurrent Add and scrape). Prometheus type: counter.
+// concurrent Add and read) — a Histogram's running sum.
 type Counter struct {
 	bits atomic.Uint64
 }
@@ -48,37 +49,12 @@ func (c *Counter) Add(v float64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
 	return math.Float64frombits(c.bits.Load())
-}
-
-// Gauge is a settable float64 (atomic; safe for concurrent Set and
-// scrape). Prometheus type: gauge.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v (no-op on a nil receiver).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last value set.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram buckets: geometric, growing by 2^(1/4) (~19%) per bucket from
@@ -218,13 +194,13 @@ const (
 	kindHistogram = "histogram"
 )
 
-// family is one named metric family: help, type and either concrete label
+// family is one named metric family: help, type and either histogram
 // series or a scrape-time collector.
 type family struct {
 	name, help, kind string
 
 	mu     sync.Mutex
-	series map[string]any // label signature -> *Counter / *Gauge / *Histogram
+	series map[string]*Histogram // label signature -> series
 
 	collect func(Emit) // set for CounterFunc/GaugeFunc families
 }
@@ -254,7 +230,7 @@ func (r *Registry) lookup(name, help, kind string) *family {
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]any)}
+		f = &family{name: name, help: help, kind: kind, series: make(map[string]*Histogram)}
 		r.families[name] = f
 		return f
 	}
@@ -298,46 +274,16 @@ func escapeLabelValue(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// Counter returns the counter series for name + labels, registering the
-// family (with help) on first use. Repeated calls with the same name and
-// labels return the same Counter.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	f := r.lookup(name, help, kindCounter)
-	sig := labelSignature(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.series[sig]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{}
-	f.series[sig] = c
-	return c
-}
-
-// Gauge returns the gauge series for name + labels, registering the family
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	f := r.lookup(name, help, kindGauge)
-	sig := labelSignature(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.series[sig]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{}
-	f.series[sig] = g
-	return g
-}
-
 // Histogram returns the histogram series for name + labels, registering
-// the family on first use.
+// the family (with help) on first use. Repeated calls with the same name
+// and labels return the same Histogram.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	f := r.lookup(name, help, kindHistogram)
 	sig := labelSignature(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if h, ok := f.series[sig]; ok {
-		return h.(*Histogram)
+		return h
 	}
 	h := &Histogram{}
 	f.series[sig] = h
@@ -347,8 +293,8 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 // CounterFunc registers a scrape-time counter collector: collect is called
 // on every render and emits any number of samples (with per-sample
 // labels), which makes it the bridge for components that already keep
-// their own atomic counters and for dynamic label sets (e.g. per-node
-// series). Re-registering the same name replaces the collector.
+// their own atomic counters and for dynamic label sets. Re-registering the
+// same name replaces the collector.
 func (r *Registry) CounterFunc(name, help string, collect func(Emit)) {
 	f := r.lookup(name, help, kindCounter)
 	f.mu.Lock()
@@ -376,8 +322,8 @@ func formatValue(v float64) string {
 }
 
 // WritePrometheus renders every family in name order: # HELP and # TYPE
-// first, then the family's series (static series in label order, collector
-// series in emission order). Histograms render cumulative non-empty
+// first, then the family's series (histogram series in label order,
+// collector series in emission order). Histograms render cumulative non-empty
 // buckets plus +Inf, _sum and _count per series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
@@ -415,13 +361,9 @@ func (f *family) render(b *strings.Builder) {
 		sigs = append(sigs, s)
 	}
 	sort.Strings(sigs)
-	type snap struct {
-		sig string
-		m   any
-	}
-	series := make([]snap, 0, len(sigs))
-	for _, s := range sigs {
-		series = append(series, snap{s, f.series[s]})
+	series := make([]*Histogram, len(sigs))
+	for i, s := range sigs {
+		series[i] = f.series[s]
 	}
 	f.mu.Unlock()
 
@@ -431,15 +373,8 @@ func (f *family) render(b *strings.Builder) {
 		})
 		return
 	}
-	for _, s := range series {
-		switch m := s.m.(type) {
-		case *Counter:
-			writeSample(b, f.name, s.sig, m.Value())
-		case *Gauge:
-			writeSample(b, f.name, s.sig, m.Value())
-		case *Histogram:
-			m.render(b, f.name, s.sig)
-		}
+	for i, h := range series {
+		h.render(b, f.name, sigs[i])
 	}
 }
 

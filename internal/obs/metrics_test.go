@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -106,14 +107,8 @@ func TestHistogramEdgeCases(t *testing.T) {
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Add(1)
-	c.Inc()
 	if c.Value() != 0 {
 		t.Error("nil counter value")
-	}
-	var g *Gauge
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Error("nil gauge value")
 	}
 	var h *Histogram
 	h.Observe(1)
@@ -133,10 +128,12 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("smash_test_total", "A test counter.").Add(3)
-	r.Counter("smash_test_labeled_total", "A labeled counter.", "kind", "a").Add(1)
-	r.Counter("smash_test_labeled_total", "A labeled counter.", "kind", "b").Add(2)
-	r.Gauge("smash_test_gauge", "A gauge.").Set(0.25)
+	r.CounterFunc("smash_test_total", "A test counter.", func(emit Emit) { emit(3) })
+	r.CounterFunc("smash_test_labeled_total", "A labeled counter.", func(emit Emit) {
+		emit(1, "kind", "a")
+		emit(2, "kind", "b")
+	})
+	r.GaugeFunc("smash_test_gauge", "A gauge.", func(emit Emit) { emit(0.25) })
 	r.Histogram("smash_test_seconds", "A histogram.").Observe(0.004)
 	r.GaugeFunc("smash_test_func", "A collector.", func(emit Emit) {
 		emit(7, "node", "n0")
@@ -174,8 +171,8 @@ func TestRegistryRender(t *testing.T) {
 
 func TestRegistryIdempotentSeries(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("smash_same_total", "h", "k", "v")
-	b := r.Counter("smash_same_total", "h", "k", "v")
+	a := r.Histogram("smash_same_seconds", "h", "k", "v")
+	b := r.Histogram("smash_same_seconds", "h", "k", "v")
 	if a != b {
 		t.Error("same name+labels must return the same series")
 	}
@@ -184,17 +181,17 @@ func TestRegistryIdempotentSeries(t *testing.T) {
 			t.Error("kind conflict must panic")
 		}
 	}()
-	r.Gauge("smash_same_total", "h")
+	r.GaugeFunc("smash_same_seconds", "h", func(Emit) {})
 }
 
-// TestRegistryRace hammers one registry with concurrent increments,
-// observes and scrapes; run under -race this is the registry's data-race
-// proof.
+// TestRegistryRace hammers one registry with concurrent observes, series
+// registrations and scrapes; run under -race this is the registry's
+// data-race proof.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("smash_race_total", "h")
+	var c atomic.Int64
+	r.CounterFunc("smash_race_total", "h", func(emit Emit) { emit(float64(c.Load())) })
 	h := r.Histogram("smash_race_seconds", "h")
-	g := r.Gauge("smash_race_gauge", "h")
 	RegisterRuntimeMetrics(r)
 
 	var writers, scrapers sync.WaitGroup
@@ -205,11 +202,10 @@ func TestRegistryRace(t *testing.T) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for j := 0; j < 5000; j++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(rng.Float64())
-				g.Set(rng.Float64())
 				// New labeled series mid-scrape exercise family locking.
-				r.Counter("smash_race_labeled_total", "h", "w", string(rune('a'+seed))).Inc()
+				r.Histogram("smash_race_labeled_seconds", "h", "w", string(rune('a'+seed))).Observe(1)
 			}
 		}(int64(i))
 	}
@@ -234,8 +230,8 @@ func TestRegistryRace(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	scrapers.Wait()
-	if c.Value() != 4*5000 {
-		t.Errorf("counter = %g, want %d", c.Value(), 4*5000)
+	if c.Load() != 4*5000 {
+		t.Errorf("counter = %d, want %d", c.Load(), 4*5000)
 	}
 	if h.Count() != 4*5000 {
 		t.Errorf("histogram count = %d", h.Count())

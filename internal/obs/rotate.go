@@ -82,14 +82,6 @@ func (w *RotatingWriter) segment(i int) string {
 	return fmt.Sprintf("%s.%d", w.path, i)
 }
 
-// Size returns the active file's current byte size (for the
-// smash_trace_log_bytes gauge).
-func (w *RotatingWriter) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
 // Close closes the active file.
 func (w *RotatingWriter) Close() error {
 	w.mu.Lock()

@@ -62,8 +62,8 @@ func windowFragment(node string, window int64, client string) *wire.Fragment {
 }
 
 // /v1/ingest decodes fragments into the aggregator, rejects garbage, and
-// reports cluster counts on /v1/stats, per-node rows on /v1/cluster, and
-// both on /metrics.
+// reports cluster counts on /v1/stats and per-node rows on /v1/cluster —
+// each count in one place.
 func TestIngestEndpoint(t *testing.T) {
 	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
 		Window: 24 * time.Hour, Expect: 1,
@@ -113,7 +113,8 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cs cluster.Stats
-	if err := json.Unmarshal(stats["cluster"], &cs); err != nil || cs.Fragments != 1 || cs.Windows != 1 {
+	if err := json.Unmarshal(stats["cluster"], &cs); err != nil || cs.Fragments != 1 || cs.Windows != 1 ||
+		cs.FinishedNodes != 1 || cs.LateFragments != 0 {
 		t.Errorf("cluster stats = %s (%v)", stats["cluster"], err)
 	}
 	if _, ok := stats["nodes"]; ok {
@@ -122,6 +123,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 	var tree struct {
 		Children []cluster.TreeNode `json:"children"`
+		Cluster  json.RawMessage    `json:"cluster"`
 	}
 	if err := json.Unmarshal(get(t, h, "/v1/cluster").Body.Bytes(), &tree); err != nil {
 		t.Fatal(err)
@@ -129,22 +131,14 @@ func TestIngestEndpoint(t *testing.T) {
 	if c := tree.Children; len(c) != 1 || c[0].Node != "n0" || c[0].Fragments != 1 || c[0].Requests != 1 || !c[0].Finished {
 		t.Errorf("/v1/cluster children = %+v, want finished n0 with 1 fragment, 1 request", c)
 	}
-
-	metrics := get(t, h, "/metrics").Body.String()
-	for _, want := range []string{
-		"smash_cluster_fragments_total 1",
-		`smash_cluster_node_fragments_total{node="n0"} 1`,
-		`smash_cluster_nodes{state="finished"} 1`,
-		`smash_cluster_dropped_fragments_total{reason="late"} 0`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if tree.Cluster != nil {
+		t.Errorf("/v1/cluster repeats /v1/stats' cluster counts: %s", tree.Cluster)
 	}
 }
 
-// smash_cluster_nodes partitions the nodes: a node still streaming after a
-// peer finished counts as overdue only, not also as active.
+// /v1/cluster's finished and finalOverdue flags partition the nodes: a
+// node still streaming after a peer finished is overdue only, not also
+// active.
 func TestClusterNodesStatePartition(t *testing.T) {
 	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{Window: 24 * time.Hour, Expect: 2})
 	if err != nil {
@@ -173,15 +167,27 @@ func TestClusterNodesStatePartition(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	metrics := get(t, h, "/metrics").Body.String()
-	for _, want := range []string{
-		`smash_cluster_nodes{state="active"} 0`,
-		`smash_cluster_nodes{state="finished"} 1`,
-		`smash_cluster_nodes{state="overdue"} 1`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q", want)
+	var tree struct {
+		Children []cluster.TreeNode `json:"children"`
+	}
+	if err := json.Unmarshal(get(t, h, "/v1/cluster").Body.Bytes(), &tree); err != nil {
+		t.Fatal(err)
+	}
+	var active, finished, overdue []string
+	for _, n := range tree.Children {
+		switch {
+		case n.Finished && n.FinalOverdue:
+			t.Errorf("node %s is both finished and overdue", n.Node)
+		case n.Finished:
+			finished = append(finished, n.Node)
+		case n.FinalOverdue:
+			overdue = append(overdue, n.Node)
+		default:
+			active = append(active, n.Node)
 		}
+	}
+	if len(active) != 0 || fmt.Sprint(finished) != "[b]" || fmt.Sprint(overdue) != "[a]" {
+		t.Errorf("active %v, finished %v, overdue %v; want none, [b], [a]", active, finished, overdue)
 	}
 
 	if rec := postFragment(t, h, &wire.Fragment{Node: "a", Window: 0, Final: true}); rec.Code != http.StatusAccepted {
@@ -417,7 +423,6 @@ func TestClusterTreeEndpoint(t *testing.T) {
 	var view struct {
 		Node     string             `json:"node"`
 		Role     string             `json:"role"`
-		Cluster  *cluster.Stats     `json:"cluster"`
 		Children []cluster.TreeNode `json:"children"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
@@ -426,8 +431,14 @@ func TestClusterTreeEndpoint(t *testing.T) {
 	if view.Node != "root" || view.Role != "aggregate" {
 		t.Errorf("self = %s/%s, want root/aggregate", view.Node, view.Role)
 	}
-	if view.Cluster == nil || view.Cluster.Fragments != 1 {
-		t.Errorf("cluster stats = %+v, want 1 fragment", view.Cluster)
+	var stats struct {
+		Cluster *cluster.Stats `json:"cluster"`
+	}
+	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cluster == nil || stats.Cluster.Fragments != 1 {
+		t.Errorf("cluster stats = %+v, want 1 fragment", stats.Cluster)
 	}
 	if len(view.Children) != 1 {
 		t.Fatalf("children = %+v, want exactly merge0", view.Children)

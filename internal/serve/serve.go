@@ -6,13 +6,12 @@
 //
 //	GET  /healthz                   liveness probe
 //	GET  /metrics                   Prometheus text metrics rendered from
-//	                                an obs.Registry: store counters,
-//	                                lineage gauges, live engine counters,
-//	                                per-stage pipeline totals, per-node
-//	                                cluster counters on an aggregator,
-//	                                latency histograms from the engine /
-//	                                aggregator / forwarder, and Go runtime
-//	                                stats
+//	                                an obs.Registry: latency histograms
+//	                                from the engine / aggregator /
+//	                                forwarder, live gauges, the store's
+//	                                disk and history gauges, build
+//	                                identity and Go runtime stats — only
+//	                                what no JSON field carries
 //	GET  /v1/lineages               lineages (summaries, ordered by ID;
 //	                                ?limit=N&offset=M paginate;
 //	                                ?server=&kind=&minServers=&minClients=
@@ -28,7 +27,9 @@
 //	GET  /v1/windows/{seq}/trace    one window's lifecycle spans (build,
 //	                                seal, detect stages, sink consumes)
 //	                                from the obs.Tracer ring
-//	GET  /v1/stats                  store + engine (+ cluster) counters
+//	GET  /v1/stats                  store + engine (+ cluster, sources)
+//	                                counters: the one home of every
+//	                                process-wide count
 //	GET  /v1/cluster                this node's place in the cluster tree:
 //	                                role, upstream delivery leg, and (on
 //	                                aggregator/merge roles) every known
@@ -84,12 +85,12 @@ type Config struct {
 	// (required).
 	Store *store.Store
 	// EngineStats, when set, contributes live engine ingestion counters to
-	// /v1/stats and /metrics (use Engine.Stats).
+	// /v1/stats (use Engine.Stats).
 	EngineStats func() stream.Stats
 	// Aggregator, when set, enables the POST /v1/ingest fragment intake
-	// and contributes cluster counters (global and per ingest node) to
-	// /v1/stats and /metrics — the aggregate and merge roles' wiring (a
-	// merge tier is an IndexOnly aggregator).
+	// and contributes cluster counters to /v1/stats and per-child rows to
+	// /v1/cluster — the aggregate and merge roles' wiring (a merge tier
+	// is an IndexOnly aggregator).
 	Aggregator *cluster.Aggregator
 	// Push, when set, enables raw-event intake on POST /v1/ingest:
 	// NDJSON / TSV / access-log request bodies (format negotiated by
@@ -102,9 +103,8 @@ type Config struct {
 	// JSONL field mapping) — usually the same Options the daemon's file
 	// source was built with.
 	PushOptions source.Options
-	// Sources, when set, contributes per-source smash_source_* series to
-	// /metrics and a sources block to /v1/stats (push intake counters are
-	// appended automatically when Push is set).
+	// Sources, when set, contributes a sources block to /v1/stats (push
+	// intake counters are appended automatically when Push is set).
 	Sources func() []source.Stats
 	// Node and Role identify this process in the /v1/cluster topology
 	// view ("shard0"/"ingest", "merge0"/"merge", "" defaults to the
@@ -119,9 +119,9 @@ type Config struct {
 	Started time.Time
 	// Metrics is the registry rendered at /metrics. Pass the registry the
 	// engine/aggregator/forwarder instruments live on so their latency
-	// histograms appear alongside the store/engine/cluster collectors this
-	// handler registers. Nil builds a private registry (the collectors and
-	// runtime stats still render).
+	// histograms and gauges appear alongside the store disk and history
+	// gauges this handler registers. Nil builds a private registry (those
+	// gauges and runtime stats still render).
 	Metrics *obs.Registry
 	// Tracer, when set, enables GET /v1/windows/{seq}/trace over the
 	// tracer's ring of recent window traces.
@@ -137,9 +137,8 @@ type Config struct {
 // confused or hostile client, not a bigger window.
 const maxFragmentBytes = 256 << 20
 
-// NewHandler builds the API's http.Handler and registers the
-// store/engine/cluster/pipeline collectors plus Go runtime stats on the
-// metrics registry.
+// NewHandler builds the API's http.Handler and registers the store's
+// disk and history gauges plus Go runtime stats on the metrics registry.
 func NewHandler(cfg Config) http.Handler {
 	if cfg.Store == nil {
 		panic("serve: Config.Store is required")
@@ -152,7 +151,7 @@ func NewHandler(cfg Config) http.Handler {
 	if cfg.Push != nil {
 		s.pushCtrs = make(map[string]*source.Counters)
 	}
-	registerCollectors(reg, cfg, s.sourceStats)
+	registerCollectors(reg, cfg.Store)
 	obs.RegisterRuntimeMetrics(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
@@ -186,17 +185,16 @@ type server struct {
 	reg *obs.Registry
 
 	// pushCtrs holds one counter block per push body format, created on
-	// first use — so /metrics separates NDJSON pushers from TSV pushers.
+	// first use — so /v1/stats separates NDJSON pushers from TSV pushers.
 	pushMu   sync.Mutex
 	pushCtrs map[string]*source.Counters
 }
 
 // sourceStats merges the daemon's file/stdin source stats with the push
-// intake's per-format counters — the one list /v1/stats and the
-// smash_source_* collectors render. The merged list is sorted by
-// (name, format) so stats responses and metric series stay in one
-// deterministic order no matter how sources were configured or in what
-// order push formats first appeared.
+// intake's per-format counters — the sources list /v1/stats renders.
+// The merged list is sorted by (name, format) so stats responses stay in
+// one deterministic order no matter how sources were configured or in
+// what order push formats first appeared.
 func (s *server) sourceStats() []source.Stats {
 	var out []source.Stats
 	if s.cfg.Sources != nil {
@@ -525,14 +523,14 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 // child it has heard from, recursively, reconstructed from the hop
 // provenance those fragments carry. Asking the root yields the whole
 // tree; asking a merge tier yields its subtree; asking an ingest node
-// yields a leaf with its forwarding stats.
+// yields a leaf with its forwarding stats. Cluster-wide counts are
+// /v1/stats's, not repeated here.
 func (s *server) clusterTree(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Node     string                  `json:"node,omitempty"`
 		Role     string                  `json:"role"`
 		Uptime   float64                 `json:"uptimeSeconds,omitempty"`
 		Forward  *cluster.ForwarderStats `json:"forward,omitempty"`
-		Cluster  *cluster.Stats          `json:"cluster,omitempty"`
 		Children []cluster.TreeNode      `json:"children,omitempty"`
 	}{Node: s.cfg.Node, Role: s.cfg.Role}
 	if out.Role == "" {
@@ -546,8 +544,6 @@ func (s *server) clusterTree(w http.ResponseWriter, r *http.Request) {
 		out.Forward = &fs
 	}
 	if s.cfg.Aggregator != nil {
-		cs := s.cfg.Aggregator.Stats()
-		out.Cluster = &cs
 		out.Children = s.cfg.Aggregator.Topology()
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -561,38 +557,12 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// registerCollectors bridges the existing counters — store mirror stats,
-// live engine atomics, aggregator counters and per-node topology, source
-// counters — onto the registry as scrape-time collectors. Each per-node
-// series reads one Topology snapshot per scrape.
-func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.Stats) {
-	st := cfg.Store.Stats
-	reg.CounterFunc("smash_store_windows_total",
-		"Windows applied to the campaign-state store.",
-		func(emit obs.Emit) { emit(float64(st().Windows)) })
-	reg.CounterFunc("smash_store_requests_total",
-		"Requests summed over applied windows.",
-		func(emit obs.Emit) { emit(float64(st().Requests)) })
-	reg.CounterFunc("smash_store_campaigns_total",
-		"Campaigns summed over applied windows.",
-		func(emit obs.Emit) { emit(float64(st().Campaigns)) })
-	reg.CounterFunc("smash_store_deltas_total",
-		"Lineage transitions by kind.",
-		func(emit obs.Emit) {
-			s := st()
-			emit(float64(s.Appeared), "kind", "appear")
-			emit(float64(s.Persisted), "kind", "persist")
-			emit(float64(s.Rotated), "kind", "rotate")
-			emit(float64(s.Retired), "kind", "retire")
-		})
-	reg.GaugeFunc("smash_lineages",
-		"Current lineage count by state.",
-		func(emit obs.Emit) {
-			s := st()
-			emit(float64(s.Lineages-s.RetiredLineages), "state", "active")
-			emit(float64(s.RetiredLineages), "state", "retired")
-		})
-	du := cfg.Store.DiskUsage
+// registerCollectors puts the store's disk, history and event-stream
+// gauges on the registry as scrape-time collectors — the store signals no
+// JSON field carries. Counts live in /v1/stats and per-child rows in
+// /v1/cluster, not here.
+func registerCollectors(reg *obs.Registry, st *store.Store) {
+	du := st.DiskUsage
 	reg.GaugeFunc("smash_store_snapshot_bytes",
 		"On-disk size of the store snapshot (0 when memory-only).",
 		func(emit obs.Emit) { emit(float64(du().SnapshotBytes)) })
@@ -602,7 +572,7 @@ func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.S
 	reg.GaugeFunc("smash_history_bytes",
 		"On-disk size of the window history log (0 when memory-only).",
 		func(emit obs.Emit) { emit(float64(du().HistoryBytes)) })
-	hs := cfg.Store.HistoryStats
+	hs := st.HistoryStats
 	reg.GaugeFunc("smash_history_windows",
 		"Windows retained in the history log.",
 		func(emit obs.Emit) { emit(float64(hs().Windows)) })
@@ -615,139 +585,6 @@ func registerCollectors(reg *obs.Registry, cfg Config, sources func() []source.S
 	reg.CounterFunc("smash_sse_dropped_total",
 		"Event-stream subscriptions dropped for falling behind.",
 		func(emit obs.Emit) { emit(float64(hs().Dropped)) })
-
-	if cfg.EngineStats != nil {
-		es := cfg.EngineStats
-		reg.CounterFunc("smash_engine_events_total",
-			"Events accepted into windows.",
-			func(emit obs.Emit) { emit(float64(es().Events)) })
-		reg.CounterFunc("smash_engine_late_events_total",
-			"Events dropped beyond the watermark.",
-			func(emit obs.Emit) { emit(float64(es().Late)) })
-		reg.CounterFunc("smash_engine_windows_total",
-			"Windows emitted by the engine this run.",
-			func(emit obs.Emit) { emit(float64(es().Windows)) })
-	}
-
-	if agg := cfg.Aggregator; agg != nil {
-		reg.CounterFunc("smash_cluster_fragments_total",
-			"Window fragments accepted from ingest nodes.",
-			func(emit obs.Emit) { emit(float64(agg.Stats().Fragments)) })
-		reg.CounterFunc("smash_cluster_dropped_fragments_total",
-			"Fragments dropped, by reason.",
-			func(emit obs.Emit) {
-				cs := agg.Stats()
-				emit(float64(cs.LateFragments), "reason", "late")
-				emit(float64(cs.DuplicateFragments), "reason", "duplicate")
-			})
-		reg.CounterFunc("smash_cluster_windows_total",
-			"Cluster-wide windows sealed and detected.",
-			func(emit obs.Emit) { emit(float64(agg.Stats().Windows)) })
-		reg.GaugeFunc("smash_cluster_nodes",
-			"Ingest nodes by state.",
-			func(emit obs.Emit) {
-				// One snapshot, three disjoint states: a node still
-				// streaming after a peer finished is overdue, not active.
-				var active, finished, overdue int
-				for _, n := range agg.Topology() {
-					switch {
-					case n.Finished:
-						finished++
-					case n.FinalOverdue:
-						overdue++
-					default:
-						active++
-					}
-				}
-				emit(float64(active), "state", "active")
-				emit(float64(finished), "state", "finished")
-				emit(float64(overdue), "state", "overdue")
-			})
-		reg.CounterFunc("smash_cluster_node_fragments_total",
-			"Fragments accepted per ingest node.",
-			func(emit obs.Emit) {
-				for _, n := range agg.Topology() {
-					emit(float64(n.Fragments), "node", n.Node)
-				}
-			})
-		reg.GaugeFunc("smash_cluster_node_last_window",
-			"Highest window id forwarded per ingest node.",
-			func(emit obs.Emit) {
-				for _, n := range agg.Topology() {
-					emit(float64(n.LastWindow), "node", n.Node)
-				}
-			})
-		reg.GaugeFunc("smash_cluster_node_clock_skew_seconds",
-			"Estimated clock skew per child node (send-to-accept EWMA; includes network transit, so it upper-bounds true skew). Absent until a hop-stamped fragment arrives.",
-			func(emit obs.Emit) {
-				for _, n := range agg.Topology() {
-					if n.ClockSkewSeconds != nil {
-						emit(*n.ClockSkewSeconds, "node", n.Node)
-					}
-				}
-			})
-	}
-
-	if cfg.Sources != nil || cfg.Push != nil {
-		reg.CounterFunc("smash_source_lines_total",
-			"Well-formed log lines parsed into events, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.Lines), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_parse_errors_total",
-			"Malformed log lines counted and dropped, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.ParseErrors), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_bytes_total",
-			"Raw line bytes consumed, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.Bytes), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_rotations_total",
-			"Log rotations (rename/recreate or truncation) followed, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.Rotations), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_skipped_events_total",
-			"Re-read events dropped below the resume horizon (already applied before a restart), per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.Skipped), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_checkpoints_total",
-			"Byte-offset checkpoints persisted, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.Checkpoints), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.CounterFunc("smash_source_push_batches_total",
-			"HTTP push batches accepted, per source.",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					emit(float64(s.PushBatches), "source", s.Name, "format", s.Format)
-				}
-			})
-		reg.GaugeFunc("smash_source_lag_seconds",
-			"Wall-clock now minus the newest event time seen, per source (how far ingestion trails real time).",
-			func(emit obs.Emit) {
-				for _, s := range sources() {
-					if s.LagSeconds >= 0 {
-						emit(s.LagSeconds, "source", s.Name, "format", s.Format)
-					}
-				}
-			})
-	}
 }
 
 // metrics renders the registry in Prometheus text exposition format.

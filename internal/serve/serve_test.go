@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"smash/internal/campaign"
+	"smash/internal/cluster"
 	"smash/internal/core"
 	"smash/internal/source"
 	"smash/internal/store"
@@ -178,14 +179,18 @@ func TestMetrics(t *testing.T) {
 	st, eng, reg, _ := fixtureObserved(t)
 	h := NewHandler(Config{Store: st, EngineStats: eng.Stats, Metrics: reg})
 
+	// Counts live in /v1/stats; /metrics carries the distributions.
+	stats := getStats(t, h)
+	if s := stats.Store; s.Windows != 1 || s.Requests != 26 || s.Appeared != 1 || s.Lineages-s.RetiredLineages != 1 {
+		t.Errorf("store stats = %+v, want 1 window, 26 requests, 1 appear, 1 active lineage", s)
+	}
+	if stats.Engine == nil || stats.Engine.Events != 26 {
+		t.Errorf("engine stats = %+v, want 26 events", stats.Engine)
+	}
+
 	rec := get(t, h, "/metrics")
 	body := rec.Body.String()
 	for _, want := range []string{
-		"smash_store_windows_total 1",
-		"smash_store_requests_total 26",
-		`smash_store_deltas_total{kind="appear"} 1`,
-		`smash_lineages{state="active"} 1`,
-		"smash_engine_events_total 26",
 		`smash_pipeline_stage_seconds_sum{stage="mine"} `,
 		`smash_pipeline_stage_seconds_count{stage="mine"} 1`,
 	} {
@@ -196,6 +201,24 @@ func TestMetrics(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("metrics content-type = %q", ct)
 	}
+}
+
+// statsResponse is the /v1/stats JSON shape.
+type statsResponse struct {
+	Store   store.Stats    `json:"store"`
+	Engine  *stream.Stats  `json:"engine"`
+	Cluster *cluster.Stats `json:"cluster"`
+	Sources []source.Stats `json:"sources"`
+}
+
+// getStats fetches and decodes /v1/stats.
+func getStats(t *testing.T, h http.Handler) statsResponse {
+	t.Helper()
+	var out statsResponse
+	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // The acceptance property: /v1/lineages reflects every window as soon as

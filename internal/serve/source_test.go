@@ -160,9 +160,9 @@ func TestPushIngestContentTypes(t *testing.T) {
 }
 
 // TestMetricsLintSources lints the exposition of a source-wired handler
-// (the standalone and ingest roles' shape) and pins the smash_source_*
-// contract: every series present, HELP/TYPE'd, labeled by source and
-// format.
+// (the standalone and ingest roles' shape) and pins the per-source
+// contract: every source's counters and lag live in /v1/stats' sources
+// block, keyed by name and format, and /metrics does not repeat them.
 func TestMetricsLintSources(t *testing.T) {
 	st := memStore(t)
 	fileCtrs := source.NewCounters("/var/log/access.log", "combined")
@@ -176,9 +176,8 @@ func TestMetricsLintSources(t *testing.T) {
 		},
 	})
 
-	// Exercise the counters so the series carry non-zero values: a file
-	// source parsing lines (with one error, a rotation, a checkpoint and
-	// a resume skip) plus one accepted push batch.
+	// Exercise the counters so they carry non-zero values: a file source
+	// parsing lines (with one error) plus one accepted push batch.
 	f, err := source.New("combined", source.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,46 +200,23 @@ func TestMetricsLintSources(t *testing.T) {
 	}
 	body := rec.Body.String()
 	lintPrometheus(t, body)
+	if strings.Contains(body, "smash_source_") {
+		t.Errorf("/metrics repeats the sources block of /v1/stats:\n%s", body)
+	}
 
-	families := []string{
-		"smash_source_lines_total",
-		"smash_source_parse_errors_total",
-		"smash_source_bytes_total",
-		"smash_source_rotations_total",
-		"smash_source_skipped_events_total",
-		"smash_source_checkpoints_total",
-		"smash_source_push_batches_total",
-		"smash_source_lag_seconds",
+	got := make(map[string]source.Stats)
+	for _, s := range getStats(t, h).Sources {
+		got[s.Name+"/"+s.Format] = s
 	}
-	for _, name := range families {
-		if !strings.Contains(body, "# HELP "+name+" ") {
-			t.Errorf("metrics missing HELP for %s", name)
-		}
-		if !strings.Contains(body, "# TYPE "+name+" ") {
-			t.Errorf("metrics missing TYPE for %s", name)
-		}
+	if s := got["/var/log/access.log/combined"]; s.Lines != 1 || s.ParseErrors != 1 || s.LagSeconds < 0 {
+		t.Errorf("file source = %+v, want 1 line, 1 parse error and a lag", s)
 	}
-	for _, want := range []string{
-		`smash_source_lines_total{source="/var/log/access.log",format="combined"} 1`,
-		`smash_source_parse_errors_total{source="/var/log/access.log",format="combined"} 1`,
-		`smash_source_lines_total{source="push",format="jsonl"} 1`,
-		`smash_source_push_batches_total{source="push",format="jsonl"} 1`,
-		`smash_source_lag_seconds{source="push",format="jsonl"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if s := got["push/jsonl"]; s.Lines != 1 || s.PushBatches != 1 || s.LagSeconds < 0 {
+		t.Errorf("push source = %+v, want 1 line, 1 batch and a lag", s)
 	}
-	if !strings.Contains(body, `smash_source_lag_seconds{source="/var/log/access.log"`) {
-		t.Errorf("file source parsed events but exports no lag gauge:\n%s", body)
-	}
-	// A source that has seen no events keeps its counters (at zero) but
-	// must not emit a lag sample — the stats sentinel is -1, not a fake
-	// zero lag.
-	if !strings.Contains(body, `smash_source_lines_total{source="idle.log",format="tsv"} 0`) {
-		t.Errorf("idle source missing its zero-valued counters:\n%s", body)
-	}
-	if strings.Contains(body, `smash_source_lag_seconds{source="idle.log"`) {
-		t.Errorf("idle source emitted a lag sample before any event:\n%s", body)
+	// A source that has seen no events keeps its counters (at zero) and
+	// reports the -1 lag sentinel, not a fake zero lag.
+	if s, ok := got["idle.log/tsv"]; !ok || s.Lines != 0 || s.LagSeconds != -1 {
+		t.Errorf("idle source = %+v (present %v), want zero counters and lag -1", s, ok)
 	}
 }

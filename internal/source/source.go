@@ -29,8 +29,8 @@
 //     client.
 //
 // Every source carries a Counters block; internal/serve renders them as
-// the smash_source_* Prometheus series (lines parsed, parse errors,
-// bytes, rotations, skipped events, checkpoints, event-time lag).
+// the sources block of /v1/stats (lines parsed, parse errors, bytes,
+// rotations, skipped events, checkpoints, push batches, event-time lag).
 package source
 
 import (
@@ -121,7 +121,7 @@ func New(name string, opt Options) (Format, error) {
 }
 
 // Counters is one source's atomic activity counters, shared between the
-// reading goroutine and concurrent /metrics scrapes. The zero value is
+// reading goroutine and concurrent /v1/stats reads. The zero value is
 // unusable; construct with NewCounters. All methods are no-ops on a nil
 // receiver so unwired decoders pay only a nil check.
 type Counters struct {
@@ -204,7 +204,7 @@ func (c *Counters) observeEvent(t time.Time) {
 }
 
 // Stats is a point-in-time snapshot of one source's counters, the shape
-// served on /v1/stats and rendered as smash_source_* metrics.
+// served on /v1/stats.
 type Stats struct {
 	// Name labels the source (file path, "push", "stdin").
 	Name string `json:"name"`

@@ -21,7 +21,6 @@ type engineObs struct {
 
 	ingestSeal *obs.Histogram // window first event -> sealed merged index
 	sealCommit *obs.Histogram // sealed index -> sinks done, result published
-	lag        *obs.Gauge     // wall clock minus max event time seen
 }
 
 // newEngineObs wires the engine instruments onto reg (nil disables
@@ -38,9 +37,21 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer, log *slog.Logger) engineObs
 		"Wall-clock from a window's first accepted event to its sealed, merged index.")
 	o.sealCommit = reg.Histogram("smash_seal_commit_seconds",
 		"Wall-clock from a window's sealed index to its committed result (sinks done, result published).")
-	o.lag = reg.Gauge("smash_watermark_lag_seconds",
-		"Event-time lag: wall clock minus the maximum event time ingested.")
 	return o
+}
+
+// registerLag puts the watermark-lag gauge on reg: wall clock at scrape
+// time minus the newest event time the windower has published, so a
+// stalled feed shows a growing lag. Nothing is emitted before the first
+// event.
+func (e *Engine) registerLag(reg *obs.Registry) {
+	reg.GaugeFunc("smash_watermark_lag_seconds",
+		"Event-time lag: wall clock now minus the maximum event time ingested (absent before the first event).",
+		func(emit obs.Emit) {
+			if ns := e.maxEvent.Load(); ns != noEvent {
+				emit(time.Since(time.Unix(0, ns)).Seconds())
+			}
+		})
 }
 
 // beginSeal stamps the seal start on the job and records the window

@@ -75,6 +75,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -213,7 +214,13 @@ type Engine struct {
 	// Counters are atomics so Stats() may be read live from HTTP serving
 	// goroutines while the windower and sequencer update them.
 	ctrEvents, ctrLate, ctrWindows, ctrEmpty atomic.Int64
+	// maxEvent is the newest event time ingested (UnixNano; noEvent
+	// before the first), published once per slab for the lag gauge.
+	maxEvent atomic.Int64
 }
+
+// noEvent marks Engine.maxEvent before the first event.
+const noEvent = math.MinInt64
 
 // New validates the config and builds an engine.
 func New(cfg Config) (*Engine, error) {
@@ -256,6 +263,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.syms.Store(trace.NewSymbols())
 	e.o = newEngineObs(cfg.Metrics, cfg.Tracer, cfg.Logger)
+	e.maxEvent.Store(noEvent)
+	if cfg.Metrics != nil {
+		e.registerLag(cfg.Metrics)
+	}
 	return e, nil
 }
 
@@ -757,7 +768,7 @@ func (e *Engine) windower(slabs <-chan *[]trace.Request, drained chan<- struct{}
 
 	handleSlab := func(slab *[]trace.Request) {
 		var now time.Time
-		if firstSeen != nil || e.o.lag != nil {
+		if firstSeen != nil {
 			now = time.Now()
 		}
 		for i := range *slab {
@@ -766,8 +777,8 @@ func (e *Engine) windower(slabs <-chan *[]trace.Request, drained chan<- struct{}
 		slabPool.Put(slab)
 		flush()
 		publish()
-		if e.o.lag != nil && !maxTime.IsZero() {
-			e.o.lag.Set(now.Sub(maxTime).Seconds())
+		if !maxTime.IsZero() {
+			e.maxEvent.Store(maxTime.UnixNano())
 		}
 	}
 

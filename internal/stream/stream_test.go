@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"smash/internal/core"
+	"smash/internal/obs"
 	"smash/internal/similarity"
 	"smash/internal/synth"
 	"smash/internal/trace"
@@ -727,5 +729,85 @@ func TestIndexNotKeptByDefault(t *testing.T) {
 	wins := collect(t, eng, &SliceSource{Requests: []trace.Request{evReq(at(0, 1), "c1", "a.com", "/x")}})
 	if len(wins) != 1 || wins[0].Index != nil {
 		t.Errorf("index retained without KeepIndex")
+	}
+}
+
+// stallSource yields one event, then blocks until release closes — a
+// live feed that went quiet.
+type stallSource struct {
+	ev      trace.Request
+	sent    bool
+	release chan struct{}
+}
+
+func (s *stallSource) ReadBatch(dst []trace.Request) (int, error) {
+	if !s.sent {
+		s.sent = true
+		dst[0] = s.ev
+		return 1, nil
+	}
+	<-s.release
+	return 0, io.EOF
+}
+
+// lagSample scrapes reg for the watermark-lag sample; ok is false while
+// the family renders no sample.
+func lagSample(t *testing.T, reg *obs.Registry) (v float64, ok bool) {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if raw, found := strings.CutPrefix(line, "smash_watermark_lag_seconds "); found {
+			v, err := strconv.ParseFloat(raw, 64)
+			if err != nil {
+				t.Fatalf("lag sample %q: %v", line, err)
+			}
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// The watermark lag is "now − newest event time" at scrape time: when the
+// feed stalls, the lag keeps growing instead of freezing at its value
+// when the last slab arrived. Before the first event there is no sample.
+func TestWatermarkLagGrowsWhileStalled(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng, err := New(Config{Window: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := lagSample(t, reg); ok {
+		t.Errorf("lag sample %g before the first event, want none", v)
+	}
+	src := &stallSource{
+		ev:      evReq(time.Now().Add(-time.Minute), "c1", "a.com", "/x"),
+		release: make(chan struct{}),
+	}
+	out := eng.Start(src)
+	var first float64
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if v, ok := lagSample(t, reg); ok && v > 0 {
+			first = v
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no lag sample after the first event")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond)
+	second, _ := lagSample(t, reg)
+	close(src.release)
+	for range out {
+	}
+	if first < 59 {
+		t.Errorf("first lag = %.3fs, want about 60s", first)
+	}
+	if second-first < 0.25 {
+		t.Errorf("lag %.3fs then %.3fs 300ms later on a stalled feed, want it to grow", first, second)
 	}
 }
