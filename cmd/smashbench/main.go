@@ -17,7 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"smash/internal/eval"
@@ -122,8 +124,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "False negatives (IDS-labelled servers SMASH missed): %d threat groups\n", len(missed))
-	for threat, servers := range missed {
-		fmt.Fprintf(out, "  %-24s %d servers\n", threat, len(servers))
+	for _, threat := range slices.Sorted(maps.Keys(missed)) {
+		fmt.Fprintf(out, "  %-24s %d servers\n", threat, len(missed[threat]))
 	}
 	fmt.Fprintf(out, "\ntotal runtime %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -15,8 +15,8 @@
 // Layout:
 //
 //   - internal/core        — the staged detection pipeline (public API):
-//     core.Pipeline with five first-class stages, context cancellation,
-//     parallel dimension mining, Observer hooks
+//     core.Pipeline running the five stages as one fixed sequence,
+//     context cancellation, parallel dimension mining, Observer hooks
 //   - internal/stream      — streaming ingestion engine: sliding windows,
 //     sharded incremental indexing, watermark, worker pool, lineage
 //     deltas, pluggable result sinks

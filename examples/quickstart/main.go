@@ -36,7 +36,7 @@ func run() error {
 		return err
 	}
 
-	// The pipeline mirrors Fig. 2 of the paper in five first-class stages:
+	// The pipeline mirrors Fig. 2 of the paper in five stages run in order:
 	// preprocessing, per-dimension ASH mining (fanned out across cores),
 	// correlation, pruning, campaign inference. The whois registry enables
 	// the whois dimension; the prober answers the pruning stage's

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"smash/internal/core"
@@ -82,22 +85,61 @@ type AggregatorConfig struct {
 }
 
 // Aggregator receives window fragments from its child nodes, aligns them
-// on epoch-derived window ids, merges each window's fragments (remap-merge
-// across foreign symbol tables) and commits the merged index through the
-// same stream.Committer a standalone stream engine drives — detection,
-// tracker and sinks at the tree's root, sinks alone on an IndexOnly merge
-// tier. Create with
-// NewAggregator, feed with Submit (typically via internal/serve's
-// /v1/ingest), consume the Start channel — always: it has capacity 1, so
-// an undrained aggregator blocks at its second seal. With FragDir set it
-// survives kill -9: see AggregatorConfig.FragDir and the package
-// comment's merge tiers section.
+// on epoch-derived window ids with per-(node, window) dedupe and
+// straggler-policy late drops, merges each window's fragments in sorted
+// node order (remap-merge across foreign symbol tables) and commits the
+// merged index through the same stream.Committer a standalone stream
+// engine drives — detection, tracker and sinks at the tree's root, sinks
+// alone on an IndexOnly merge tier. Create with NewAggregator, feed with
+// Submit (typically via internal/serve's /v1/ingest), consume the Start
+// channel — always: it has capacity 1, so an undrained aggregator blocks
+// at its second seal. With FragDir set it survives kill -9: Submit makes
+// every fragment durable before acking, and a restart replays the log
+// through the same accept path (see AggregatorConfig.FragDir and the
+// package comment's merge tiers section).
 type Aggregator struct {
-	*assembler
-
 	cfg    AggregatorConfig
 	commit *stream.Committer
 	out    chan stream.WindowResult
+	log    *slog.Logger
+	// flog enables crash recovery; nil runs in-memory only.
+	flog *FragLog
+	// mWait and mSealCommit instrument the seal path; mHop observes
+	// per-hop send→accept transit (clamped at zero when skew runs it
+	// negative); mE2E observes window-end→seal latency for live
+	// (non-replayed) windows. All nil no-op.
+	mWait, mSealCommit, mHop, mE2E *obs.Histogram
+
+	in   chan *wire.Fragment
+	done chan struct{}
+	quit chan struct{}
+	abnd chan struct{}
+
+	stopOnce sync.Once
+	abndOnce sync.Once
+	started  bool
+
+	errMu sync.Mutex
+	err   error
+
+	nodeMu sync.Mutex
+	nodes  map[string]*nodeState
+
+	ctrFragments, ctrDup, ctrLate     atomic.Int64
+	ctrWindows, ctrEmpty, ctrRequests atomic.Int64
+
+	// Loop state, owned by the run goroutine (resume touches it before
+	// the loop starts, from the same goroutine).
+	pending          map[int64]map[string]*pendingFrag
+	firstFrag        map[int64]time.Time
+	minSeen, maxSeen int64
+	nextSeal         int64
+	sealedAny        bool
+	emitted          int
+	// replaying is true while resume feeds logged fragments through
+	// accept, marking them so their spans carry a replay flag and the
+	// e2e histogram skips their windows.
+	replaying bool
 }
 
 // NewAggregator validates the config and builds an aggregator.
@@ -130,49 +172,46 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		cfg.AppliedWindows = -1
 	}
 	a := &Aggregator{
-		cfg:    cfg,
-		commit: stream.NewCommitter(cfg.Name, cfg.Detector, cfg.Tracker, cfg.Sinks, cfg.Metrics, cfg.Tracer, cfg.Logger),
-		out:    make(chan stream.WindowResult, 1),
+		cfg:      cfg,
+		commit:   stream.NewCommitter(cfg.Name, cfg.Detector, cfg.Tracker, cfg.Sinks, cfg.Metrics, cfg.Tracer, cfg.Logger),
+		out:      make(chan stream.WindowResult, 1),
+		log:      cfg.Logger,
+		in:       make(chan *wire.Fragment, cfg.Buffer),
+		done:     make(chan struct{}),
+		quit:     make(chan struct{}),
+		abnd:     make(chan struct{}),
+		nodes:    make(map[string]*nodeState),
+		pending:  make(map[int64]map[string]*pendingFrag),
+		minSeen:  math.MaxInt64,
+		maxSeen:  noWindow,
+		nextSeal: noWindow,
 	}
-	var mWait, mSealCommit, mHop, mE2E *obs.Histogram
+	if a.log == nil {
+		a.log = obs.Discard()
+	}
 	if reg := cfg.Metrics; reg != nil {
-		mWait = reg.Histogram("smash_cluster_fragment_wait_seconds",
+		a.mWait = reg.Histogram("smash_cluster_fragment_wait_seconds",
 			"Wall-clock from a cluster window's first fragment arrival to its seal.")
-		mHop = reg.Histogram("smash_hop_transit_seconds",
+		a.mHop = reg.Histogram("smash_hop_transit_seconds",
 			"Per-hop send-to-accept transit of incoming fragments (clamped at zero under clock skew).")
-		mE2E = reg.Histogram("smash_e2e_event_to_seal_seconds",
+		a.mE2E = reg.Histogram("smash_e2e_event_to_seal_seconds",
 			"Wall-clock from a window's event-time end to its seal here; live windows only (crash-recovery replays are excluded).")
-		mSealCommit = reg.Histogram("smash_seal_commit_seconds",
+		a.mSealCommit = reg.Histogram("smash_seal_commit_seconds",
 			"Wall-clock from a window's sealed index to its committed result (sinks done, result published).")
 	}
-	var flog *FragLog
+	if cfg.Tracer != nil || a.mWait != nil {
+		a.firstFrag = make(map[int64]time.Time)
+	}
 	if cfg.FragDir != "" {
 		var err error
-		flog, err = OpenFragLog(cfg.FragDir, cfg.FragSync)
+		a.flog, err = OpenFragLog(cfg.FragDir, cfg.FragSync)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.Metrics != nil {
-			registerFragLogMetrics(cfg.Metrics, flog)
+			registerFragLogMetrics(cfg.Metrics, a.flog)
 		}
 	}
-	a.assembler = newAssembler(assemblerConfig{
-		window:      cfg.Window,
-		stride:      cfg.Stride,
-		expect:      cfg.Expect,
-		straggler:   cfg.Straggler,
-		buffer:      cfg.Buffer,
-		log:         cfg.Logger,
-		tr:          cfg.Tracer,
-		mWait:       mWait,
-		mSealCommit: mSealCommit,
-		mHop:        mHop,
-		mE2E:        mE2E,
-		flog:        flog,
-		exactlyOnce: !cfg.IndexOnly,
-		applied:     cfg.AppliedWindows,
-		onSeal:      a.sealWindow,
-	})
 	return a, nil
 }
 
@@ -198,12 +237,14 @@ func (a *Aggregator) Start(ctx context.Context) <-chan stream.WindowResult {
 // summaries). Valid once the output channel has closed.
 func (a *Aggregator) Tracker() *tracker.Tracker { return a.cfg.Tracker }
 
-// sealWindow is the aggregator's half of a seal: it commits the merged
-// index — detection unless the window is empty or the run is aborting,
-// then tracker, deltas and sinks — and publishes the result. The hop trail
-// was already folded into spans by the assembler; the tree's root forwards
-// it nowhere, an IndexOnly tier hands it to its sinks instead of detecting.
-func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool) {
+// sealWindow commits a sealed window's merged index, emitted as sequence
+// seq — detection unless the window is empty or the run is aborting, then
+// tracker, deltas and sinks — and publishes the result. hops is the
+// window's combined hop trail (fragments in sorted node order), already
+// folded into spans by seal: the tree's root forwards it nowhere, an
+// IndexOnly tier hands it to its sinks instead of detecting, so the root
+// sees the whole path.
+func (a *Aggregator) sealWindow(ctx context.Context, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool) {
 	res := stream.WindowResult{
 		Seq:      seq,
 		Start:    start,

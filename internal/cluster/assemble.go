@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"smash/internal/obs"
@@ -20,7 +17,7 @@ import (
 // noWindow marks "no window seen yet" in watermark and seal bookkeeping.
 const noWindow = int64(math.MinInt64)
 
-// ErrStopped is returned by Submit once the assembler has shut down — a
+// ErrStopped is returned by Submit once the aggregator has shut down — a
 // transient condition from a sender's point of view (retry elsewhere or
 // give up), unlike the permanent validation errors Submit also returns.
 var ErrStopped = errors.New("cluster: aggregator stopped")
@@ -30,7 +27,7 @@ var ErrStopped = errors.New("cluster: aggregator stopped")
 // spool) rather than drop it. internal/serve maps it to 503.
 var ErrUnavailable = errors.New("cluster: fragment log unavailable")
 
-// Stats is a live snapshot of an assembler's counters.
+// Stats is a live snapshot of an aggregator's counters.
 type Stats struct {
 	// Nodes is the number of distinct ingest nodes seen so far.
 	Nodes int `json:"nodes"`
@@ -108,42 +105,6 @@ func (n *nodeState) skewSeconds() (*float64, bool) {
 	return &s, n.skew >= SkewWarnThreshold || n.skew <= -SkewWarnThreshold
 }
 
-// assemblerConfig parameterizes the shared fragment-assembly loop.
-type assemblerConfig struct {
-	window    time.Duration
-	stride    time.Duration
-	expect    int
-	straggler int
-	buffer    int
-	log       *slog.Logger
-	tr        *obs.Tracer
-	// mWait and mSealCommit instrument the shared seal path (nil no-ops).
-	mWait, mSealCommit *obs.Histogram
-	// mHop observes per-hop send→accept transit (clamped at zero when
-	// skew runs it negative); mE2E observes window-end→seal latency for
-	// live (non-replayed) windows. Both nil no-op.
-	mHop, mE2E *obs.Histogram
-	// flog enables crash recovery; nil runs in-memory only.
-	flog *FragLog
-	// exactlyOnce selects the frontier-commit ordering relative to
-	// onSeal: true commits before (the sink is the source of truth and
-	// must never see a window twice — a detecting aggregator, whose
-	// reconcile against applied redoes at most the interrupted window);
-	// false commits after (the downstream dedupes, so a crash between
-	// onSeal and commit costs one duplicate delivery — an IndexOnly
-	// merge tier).
-	exactlyOnce bool
-	// applied is the durable sink's lifetime window count at open, used
-	// to reconcile the frontier after a crash; -1 trusts the frontier.
-	applied int
-	// onSeal performs the commit half of a seal (Aggregator.sealWindow)
-	// given the merged index of window id w, emitted as sequence seq.
-	// hops is the window's combined hop trail (fragments in sorted node
-	// order); a merge tier copies it onto the merged fragment so the root
-	// sees the whole path.
-	onSeal func(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool)
-}
-
 // pendingFrag is one accepted fragment awaiting its window's seal.
 type pendingFrag struct {
 	idx      *trace.Index
@@ -151,78 +112,9 @@ type pendingFrag struct {
 	replayed bool
 }
 
-// assembler is the Aggregator's fragment-assembly loop: it accepts wire
-// fragments, aligns them on epoch-derived window ids with
-// per-(node, window) dedupe and straggler-policy late drops, merges each
-// sealed window's fragments in sorted node order, and hands the merged
-// index to onSeal. With a FragLog it is crash-recoverable: Submit makes
-// every fragment durable before acking, and run replays the log through
-// the same accept path at startup, so a restarted process resumes exactly
-// where the dead one stopped.
-type assembler struct {
-	cfg assemblerConfig
-	log *slog.Logger
-	tr  *obs.Tracer
-
-	in   chan *wire.Fragment
-	done chan struct{}
-	quit chan struct{}
-	abnd chan struct{}
-
-	stopOnce sync.Once
-	abndOnce sync.Once
-	started  bool
-
-	errMu sync.Mutex
-	err   error
-
-	nodeMu sync.Mutex
-	nodes  map[string]*nodeState
-
-	ctrFragments, ctrDup, ctrLate     atomic.Int64
-	ctrWindows, ctrEmpty, ctrRequests atomic.Int64
-
-	// Loop state, owned by the run goroutine (resume touches it before
-	// the loop starts, from the same goroutine).
-	pending          map[int64]map[string]*pendingFrag
-	firstFrag        map[int64]time.Time
-	minSeen, maxSeen int64
-	nextSeal         int64
-	sealedAny        bool
-	emitted          int
-	// replaying is true while resume feeds logged fragments through
-	// accept, marking them so their spans carry a replay flag and the
-	// e2e histogram skips their windows.
-	replaying bool
-}
-
-func newAssembler(cfg assemblerConfig) *assembler {
-	s := &assembler{
-		cfg:      cfg,
-		log:      cfg.log,
-		tr:       cfg.tr,
-		in:       make(chan *wire.Fragment, cfg.buffer),
-		done:     make(chan struct{}),
-		quit:     make(chan struct{}),
-		abnd:     make(chan struct{}),
-		nodes:    make(map[string]*nodeState),
-		pending:  make(map[int64]map[string]*pendingFrag),
-		minSeen:  math.MaxInt64,
-		maxSeen:  noWindow,
-		nextSeal: noWindow,
-	}
-	if s.log == nil {
-		s.log = obs.Discard()
-	}
-	if s.tr != nil || cfg.mWait != nil {
-		s.firstFrag = make(map[int64]time.Time)
-	}
-	return s
-}
-
 // Submit hands one decoded fragment to the assembly loop, blocking while
 // the inbox is full (that blocking is the cluster's backpressure). From the
-// call on the assembler owns frag and its Index: a sealed window adopts one
+// call on the aggregator owns frag and its Index: a sealed window adopts one
 // fragment's index and absorbs the others into it, so the caller must not
 // touch either again. With a
 // fragment log the fragment is durable before Submit returns, so an ack
@@ -230,7 +122,7 @@ func newAssembler(cfg assemblerConfig) *assembler {
 // an ErrUnavailable-wrapped error means the fragment could not be made
 // durable and should be retried; any other error marks the fragment
 // itself as invalid and will not heal on retry.
-func (s *assembler) Submit(frag *wire.Fragment) error {
+func (a *Aggregator) Submit(frag *wire.Fragment) error {
 	if frag.Node == "" {
 		return errors.New("cluster: fragment without a node name")
 	}
@@ -240,14 +132,14 @@ func (s *assembler) Submit(frag *wire.Fragment) error {
 		}
 		// A child started with another -window/-stride derives ids on a
 		// different grid; merged by id it would land in an unrelated slot.
-		if !frag.Start.Equal(WindowStart(frag.Window, s.cfg.stride)) || frag.End.Sub(frag.Start) != s.cfg.window {
+		if !frag.Start.Equal(WindowStart(frag.Window, a.cfg.Stride)) || frag.End.Sub(frag.Start) != a.cfg.Window {
 			return fmt.Errorf("cluster: fragment %d from %s spans [%s, %s), not window %d of this tier's window %v / stride %v; every node of the tree needs the same two",
 				frag.Window, frag.Node, frag.Start.Format(time.RFC3339), frag.End.Format(time.RFC3339),
-				frag.Window, s.cfg.window, s.cfg.stride)
+				frag.Window, a.cfg.Window, a.cfg.Stride)
 		}
 	}
 	select {
-	case <-s.done:
+	case <-a.done:
 		return ErrStopped
 	default:
 	}
@@ -257,15 +149,15 @@ func (s *assembler) Submit(frag *wire.Fragment) error {
 	if n := len(frag.Hops); n > 0 && frag.Hops[n-1].Recv.IsZero() {
 		frag.Hops[n-1].Recv = time.Now().UTC()
 	}
-	if s.cfg.flog != nil {
-		if err := s.cfg.flog.Append(frag); err != nil {
+	if a.flog != nil {
+		if err := a.flog.Append(frag); err != nil {
 			return fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
 	}
 	select {
-	case s.in <- frag:
+	case a.in <- frag:
 		return nil
-	case <-s.done:
+	case <-a.done:
 		return ErrStopped
 	}
 }
@@ -273,56 +165,56 @@ func (s *assembler) Submit(frag *wire.Fragment) error {
 // Stop asks the loop to flush every pending window (in window order,
 // without waiting for stragglers) and shut down. Safe to call
 // concurrently and more than once.
-func (s *assembler) Stop() {
-	s.stopOnce.Do(func() { close(s.quit) })
+func (a *Aggregator) Stop() {
+	a.stopOnce.Do(func() { close(a.quit) })
 }
 
 // Abandon terminates the loop immediately: no flush, no final results,
 // no fragment-log cleanup — alongside FragLog.Close it is the kill -9
 // simulator for crash-recovery tests. The on-disk state stays exactly as
 // the last acked fragment left it.
-func (s *assembler) Abandon() {
-	s.abndOnce.Do(func() { close(s.abnd) })
+func (a *Aggregator) Abandon() {
+	a.abndOnce.Do(func() { close(a.abnd) })
 }
 
 // Err returns the first detection, sink, forward or context error, if
 // any. Valid once the loop has stopped.
-func (s *assembler) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
+func (a *Aggregator) Err() error {
+	a.errMu.Lock()
+	defer a.errMu.Unlock()
+	return a.err
 }
 
-func (s *assembler) setErr(err error) {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	if s.err == nil {
-		s.err = err
+func (a *Aggregator) setErr(err error) {
+	a.errMu.Lock()
+	defer a.errMu.Unlock()
+	if a.err == nil {
+		a.err = err
 	}
 }
 
-// Stats returns a live snapshot of the assembler's counters.
-func (s *assembler) Stats() Stats {
-	s.nodeMu.Lock()
-	nodes, finished := len(s.nodes), 0
-	for _, n := range s.nodes {
+// Stats returns a live snapshot of the aggregator's counters.
+func (a *Aggregator) Stats() Stats {
+	a.nodeMu.Lock()
+	nodes, finished := len(a.nodes), 0
+	for _, n := range a.nodes {
 		if n.finished {
 			finished++
 		}
 	}
-	s.nodeMu.Unlock()
+	a.nodeMu.Unlock()
 	st := Stats{
 		Nodes:              nodes,
 		FinishedNodes:      finished,
-		Fragments:          int(s.ctrFragments.Load()),
-		DuplicateFragments: int(s.ctrDup.Load()),
-		LateFragments:      int(s.ctrLate.Load()),
-		Windows:            int(s.ctrWindows.Load()),
-		EmptyWindows:       int(s.ctrEmpty.Load()),
-		Requests:           int(s.ctrRequests.Load()),
+		Fragments:          int(a.ctrFragments.Load()),
+		DuplicateFragments: int(a.ctrDup.Load()),
+		LateFragments:      int(a.ctrLate.Load()),
+		Windows:            int(a.ctrWindows.Load()),
+		EmptyWindows:       int(a.ctrEmpty.Load()),
+		Requests:           int(a.ctrRequests.Load()),
 	}
-	if s.cfg.flog != nil {
-		st.Replayed = int(s.cfg.flog.Stats().Replayed)
+	if a.flog != nil {
+		st.Replayed = int(a.flog.Stats().Replayed)
 	}
 	return st
 }
@@ -331,13 +223,13 @@ func (s *assembler) Stats() Stats {
 // dedupe, late drop, pending index. Called from the run goroutine only —
 // both for live arrivals and for startup replay, which is what makes the
 // replayed state indistinguishable from having never crashed.
-func (s *assembler) accept(frag *wire.Fragment) {
-	s.nodeMu.Lock()
-	node := s.nodes[frag.Node]
+func (a *Aggregator) accept(frag *wire.Fragment) {
+	a.nodeMu.Lock()
+	node := a.nodes[frag.Node]
 	if node == nil {
 		node = &nodeState{last: noWindow}
-		s.nodes[frag.Node] = node
-		s.log.Info("node joined", "child", frag.Node)
+		a.nodes[frag.Node] = node
+		a.log.Info("node joined", "child", frag.Node)
 	}
 	node.lastSeen = time.Now()
 	// Fold the hop trail into per-node observability state: the trail's
@@ -370,61 +262,61 @@ func (s *assembler) accept(frag *wire.Fragment) {
 	}
 	if frag.Final {
 		node.finished = true
-		s.nodeMu.Unlock()
-		s.log.Info("node finished", "child", frag.Node, "lastWindow", frag.Window)
+		a.nodeMu.Unlock()
+		a.log.Info("node finished", "child", frag.Node, "lastWindow", frag.Window)
 		return
 	}
 	if frag.Window > node.last {
 		node.last = frag.Window
 	}
-	sealed := s.sealedAny && frag.Window < s.nextSeal
-	dup := !sealed && s.pending[frag.Window][frag.Node] != nil
+	sealed := a.sealedAny && frag.Window < a.nextSeal
+	dup := !sealed && a.pending[frag.Window][frag.Node] != nil
 	if sealed {
 		node.late++
 	} else if !dup {
 		node.fragments++
 		node.requests += frag.Index.RequestCount
 	}
-	s.nodeMu.Unlock()
+	a.nodeMu.Unlock()
 	switch {
 	case sealed:
-		s.ctrLate.Add(1)
-		s.log.Warn("late fragment dropped", "child", frag.Node, "windowID", frag.Window)
+		a.ctrLate.Add(1)
+		a.log.Warn("late fragment dropped", "child", frag.Node, "windowID", frag.Window)
 		return
 	case dup:
-		s.ctrDup.Add(1)
-		s.log.Debug("duplicate fragment dropped", "child", frag.Node, "windowID", frag.Window)
+		a.ctrDup.Add(1)
+		a.log.Debug("duplicate fragment dropped", "child", frag.Node, "windowID", frag.Window)
 		return
 	}
-	s.ctrFragments.Add(1)
-	w := s.pending[frag.Window]
+	a.ctrFragments.Add(1)
+	w := a.pending[frag.Window]
 	if w == nil {
-		w = make(map[string]*pendingFrag, s.cfg.expect)
-		s.pending[frag.Window] = w
-		if s.firstFrag != nil {
-			s.firstFrag[frag.Window] = time.Now()
+		w = make(map[string]*pendingFrag, a.cfg.Expect)
+		a.pending[frag.Window] = w
+		if a.firstFrag != nil {
+			a.firstFrag[frag.Window] = time.Now()
 		}
 	}
-	w[frag.Node] = &pendingFrag{idx: frag.Index, hops: frag.Hops, replayed: s.replaying}
-	if frag.Window < s.minSeen {
-		s.minSeen = frag.Window
+	w[frag.Node] = &pendingFrag{idx: frag.Index, hops: frag.Hops, replayed: a.replaying}
+	if frag.Window < a.minSeen {
+		a.minSeen = frag.Window
 	}
-	if frag.Window > s.maxSeen {
-		s.maxSeen = frag.Window
+	if frag.Window > a.maxSeen {
+		a.maxSeen = frag.Window
 	}
 }
 
 // watermark is the highest window id known complete: the minimum over
 // all expected nodes of their last forwarded window. Unknown nodes hold
 // it at -inf; finished nodes lift theirs to +inf.
-func (s *assembler) watermark() (int64, bool) {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	if len(s.nodes) < s.cfg.expect {
+func (a *Aggregator) watermark() (int64, bool) {
+	a.nodeMu.Lock()
+	defer a.nodeMu.Unlock()
+	if len(a.nodes) < a.cfg.Expect {
 		return noWindow, false
 	}
 	w, allDone := int64(math.MaxInt64), true
-	for _, n := range s.nodes {
+	for _, n := range a.nodes {
 		if n.finished {
 			continue
 		}
@@ -436,22 +328,23 @@ func (s *assembler) watermark() (int64, bool) {
 	return w, allDone
 }
 
-// seal merges window w's fragments in sorted node order, runs onSeal, and
-// advances the durable frontier: in exactly-once mode the frontier
-// commits before onSeal's effects (the sink's applied count reconciles a
-// crash in between), in at-least-once mode after (the downstream dedupes
-// the one window a crash can repeat).
-func (s *assembler) seal(ctx context.Context, w int64, aborted bool) {
+// seal merges window w's fragments in sorted node order, commits the
+// merged index through sealWindow, and advances the durable frontier. A
+// detecting aggregator commits the frontier before sealWindow's effects
+// (its sinks must never see a window twice; their applied count
+// reconciles a crash in between), an IndexOnly tier after (the parent
+// dedupes the one window a crash can repeat).
+func (a *Aggregator) seal(ctx context.Context, w int64, aborted bool) {
 	sealStart := time.Now()
-	seq := int64(s.emitted)
-	frags := s.pending[w]
-	delete(s.pending, w)
-	if s.firstFrag != nil {
-		if t0, ok := s.firstFrag[w]; ok {
-			delete(s.firstFrag, w)
+	seq := int64(a.emitted)
+	frags := a.pending[w]
+	delete(a.pending, w)
+	if a.firstFrag != nil {
+		if t0, ok := a.firstFrag[w]; ok {
+			delete(a.firstFrag, w)
 			d := sealStart.Sub(t0)
-			s.tr.Record(seq, "fragments", t0, d, "nodes", strconv.Itoa(len(frags)))
-			s.cfg.mWait.Observe(d.Seconds())
+			a.cfg.Tracer.Record(seq, "fragments", t0, d, "nodes", strconv.Itoa(len(frags)))
+			a.mWait.Observe(d.Seconds())
 		}
 	}
 	names := make([]string, 0, len(frags))
@@ -459,7 +352,7 @@ func (s *assembler) seal(ctx context.Context, w int64, aborted bool) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// The assembler owns its fragments (see Submit): the window adopts the
+	// The aggregator owns its fragments (see Submit): the window adopts the
 	// first one's index and absorbs the rest into it, copying none.
 	var merged *trace.Index
 	var hops []wire.Hop
@@ -478,51 +371,57 @@ func (s *assembler) seal(ctx context.Context, w int64, aborted bool) {
 	}
 	sealedAt := time.Now()
 
-	start := WindowStart(w, s.cfg.stride)
-	if s.tr != nil {
-		s.tr.Window(seq, start, start.Add(s.cfg.window))
-		s.tr.Record(seq, "merge", sealStart, sealedAt.Sub(sealStart),
+	start := WindowStart(w, a.cfg.Stride)
+	if a.cfg.Tracer != nil {
+		a.cfg.Tracer.Window(seq, start, start.Add(a.cfg.Window))
+		a.cfg.Tracer.Record(seq, "merge", sealStart, sealedAt.Sub(sealStart),
 			"nodes", strconv.Itoa(len(names)), "requests", strconv.Itoa(merged.RequestCount))
 	}
-	s.recordHops(seq, frags, names)
-	if s.cfg.mE2E != nil && !replayed && !aborted {
-		s.cfg.mE2E.Observe(max(sealedAt.Sub(start.Add(s.cfg.window)).Seconds(), 0))
+	a.recordHops(seq, frags, names)
+	if a.mE2E != nil && !replayed && !aborted {
+		a.mE2E.Observe(max(sealedAt.Sub(start.Add(a.cfg.Window)).Seconds(), 0))
 	}
-	if s.cfg.flog != nil && s.cfg.exactlyOnce {
-		if err := s.cfg.flog.Commit(w+1, s.emitted+1); err != nil {
-			s.setErr(err)
-			s.log.Error("frontier commit failed", "windowID", w, "err", err)
-		}
+	if !a.cfg.IndexOnly {
+		a.commitFrontier(w)
 	}
-	s.cfg.onSeal(ctx, w, s.emitted, start, merged, hops, aborted)
-	if s.cfg.flog != nil {
-		if !s.cfg.exactlyOnce {
-			if err := s.cfg.flog.Commit(w+1, s.emitted+1); err != nil {
-				s.setErr(err)
-				s.log.Error("frontier commit failed", "windowID", w, "err", err)
-			}
-		}
-		s.cfg.flog.Remove(w)
+	a.sealWindow(ctx, a.emitted, start, merged, hops, aborted)
+	if a.cfg.IndexOnly {
+		a.commitFrontier(w)
 	}
-	s.cfg.mSealCommit.ObserveSince(sealedAt)
+	if a.flog != nil {
+		a.flog.Remove(w)
+	}
+	a.mSealCommit.ObserveSince(sealedAt)
 	if merged.RequestCount == 0 {
-		s.ctrEmpty.Add(1)
+		a.ctrEmpty.Add(1)
 	}
-	s.ctrWindows.Add(1)
-	s.ctrRequests.Add(int64(merged.RequestCount))
-	s.log.Debug("window committed",
-		"window", s.emitted, "windowID", w, "nodes", len(names), "requests", merged.RequestCount)
-	s.emitted++
-	s.sealedAny = true
+	a.ctrWindows.Add(1)
+	a.ctrRequests.Add(int64(merged.RequestCount))
+	a.log.Debug("window committed",
+		"window", a.emitted, "windowID", w, "nodes", len(names), "requests", merged.RequestCount)
+	a.emitted++
+	a.sealedAny = true
+}
+
+// commitFrontier durably records window w as sealed, if there is a
+// fragment log.
+func (a *Aggregator) commitFrontier(w int64) {
+	if a.flog == nil {
+		return
+	}
+	if err := a.flog.Commit(w+1, a.emitted+1); err != nil {
+		a.setErr(err)
+		a.log.Error("frontier commit failed", "windowID", w, "err", err)
+	}
 }
 
 // recordHops folds the sealed window's hop trails into stitched spans
 // ("hop:<node>", starting at the sender's send stamp, lasting until the
 // receive stamp) and the hop-transit histogram. Replayed fragments are
 // span-marked replay="true"; their stamps are the original transit times
-// restored from the fragment log, not the replay's.
-func (s *assembler) recordHops(seq int64, frags map[string]*pendingFrag, names []string) {
-	if s.tr == nil && s.cfg.mHop == nil {
+// restored from the fragment log, not the replay'a.
+func (a *Aggregator) recordHops(seq int64, frags map[string]*pendingFrag, names []string) {
+	if a.cfg.Tracer == nil && a.mHop == nil {
 		return
 	}
 	for _, n := range names {
@@ -534,7 +433,7 @@ func (s *assembler) recordHops(seq int64, frags map[string]*pendingFrag, names [
 			var transit time.Duration
 			if !h.Recv.IsZero() {
 				transit = max(h.Recv.Sub(h.Send), 0)
-				s.cfg.mHop.Observe(transit.Seconds())
+				a.mHop.Observe(transit.Seconds())
 			}
 			attrs := []string{"from", n}
 			if h.Role != "" {
@@ -549,25 +448,25 @@ func (s *assembler) recordHops(seq int64, frags map[string]*pendingFrag, names [
 			if pf.replayed {
 				attrs = append(attrs, "replay", "true")
 			}
-			s.tr.Record(seq, "hop:"+h.Node, h.Send, transit, attrs...)
+			a.cfg.Tracer.Record(seq, "hop:"+h.Node, h.Send, transit, attrs...)
 		}
 	}
 }
 
 // flush seals every remaining window in order, report-less when the
-// context has been cancelled. A cancelled assembler with a fragment log
+// context has been cancelled. A cancelled aggregator with a fragment log
 // instead stops crash-consistent: pending windows stay on disk and the
 // next run resumes them, which is the durable tier's shutdown semantics.
-func (s *assembler) flush(ctx context.Context) {
-	if ctx.Err() != nil && s.cfg.flog != nil {
+func (a *Aggregator) flush(ctx context.Context) {
+	if ctx.Err() != nil && a.flog != nil {
 		return
 	}
-	for ; s.sealedAny && s.nextSeal <= s.maxSeen; s.nextSeal++ {
-		s.seal(ctx, s.nextSeal, ctx.Err() != nil)
+	for ; a.sealedAny && a.nextSeal <= a.maxSeen; a.nextSeal++ {
+		a.seal(ctx, a.nextSeal, ctx.Err() != nil)
 	}
-	if !s.sealedAny && s.maxSeen != noWindow {
-		for s.nextSeal = s.minSeen; s.nextSeal <= s.maxSeen; s.nextSeal++ {
-			s.seal(ctx, s.nextSeal, ctx.Err() != nil)
+	if !a.sealedAny && a.maxSeen != noWindow {
+		for a.nextSeal = a.minSeen; a.nextSeal <= a.maxSeen; a.nextSeal++ {
+			a.seal(ctx, a.nextSeal, ctx.Err() != nil)
 		}
 	}
 }
@@ -575,26 +474,26 @@ func (s *assembler) flush(ctx context.Context) {
 // evaluate runs the watermark/straggler sealing policy after new
 // fragments arrived; it reports whether every expected node has finished
 // (after flushing).
-func (s *assembler) evaluate(ctx context.Context) (finished bool) {
-	wm, allDone := s.watermark()
+func (a *Aggregator) evaluate(ctx context.Context) (finished bool) {
+	wm, allDone := a.watermark()
 	if allDone {
-		s.flush(ctx)
+		a.flush(ctx)
 		return true
 	}
-	if s.maxSeen == noWindow {
+	if a.maxSeen == noWindow {
 		return false
 	}
-	if !s.sealedAny {
-		s.nextSeal = s.minSeen
+	if !a.sealedAny {
+		a.nextSeal = a.minSeen
 	}
-	for s.nextSeal <= s.maxSeen {
-		ready := s.nextSeal <= wm ||
-			(s.cfg.straggler > 0 && s.maxSeen-s.nextSeal >= int64(s.cfg.straggler))
+	for a.nextSeal <= a.maxSeen {
+		ready := a.nextSeal <= wm ||
+			(a.cfg.Straggler > 0 && a.maxSeen-a.nextSeal >= int64(a.cfg.Straggler))
 		if !ready {
 			break
 		}
-		s.seal(ctx, s.nextSeal, false)
-		s.nextSeal++
+		a.seal(ctx, a.nextSeal, false)
+		a.nextSeal++
 	}
 	return false
 }
@@ -609,37 +508,37 @@ func (s *assembler) evaluate(ctx context.Context) (finished bool) {
 // already late-dropped and are excluded from the log by the frontier
 // floor). Anything else means the state dir and the sink belong to
 // different runs, which is fatal.
-func (s *assembler) resume(ctx context.Context) error {
-	flog := s.cfg.flog
+func (a *Aggregator) resume(ctx context.Context) error {
+	flog := a.flog
 	if fr, ok := flog.Frontier(); ok {
 		emitted, nextSeal := fr.Emitted, fr.NextSeal
 		switch {
-		case s.cfg.applied < 0 || s.cfg.applied == emitted:
+		case a.cfg.AppliedWindows < 0 || a.cfg.AppliedWindows == emitted:
 			// The interrupted run's last seal fully committed.
-		case s.cfg.applied == emitted-1:
+		case a.cfg.AppliedWindows == emitted-1:
 			emitted--
 			nextSeal--
-			s.log.Warn("seal interrupted by crash; redoing window",
+			a.log.Warn("seal interrupted by crash; redoing window",
 				"windowID", nextSeal, "window", emitted)
 		default:
 			return fmt.Errorf("cluster: fragment log frontier says %d windows emitted but the sink applied %d; state dir from a different run?",
-				emitted, s.cfg.applied)
+				emitted, a.cfg.AppliedWindows)
 		}
-		s.emitted, s.nextSeal, s.sealedAny = emitted, nextSeal, emitted > 0
+		a.emitted, a.nextSeal, a.sealedAny = emitted, nextSeal, emitted > 0
 	}
-	flog.RemoveBelow(s.nextSeal)
-	s.replaying = true
+	flog.RemoveBelow(a.nextSeal)
+	a.replaying = true
 	err := flog.Replay(func(frag *wire.Fragment) error {
-		s.accept(frag)
+		a.accept(frag)
 		return nil
 	})
-	s.replaying = false
+	a.replaying = false
 	if err != nil {
 		return err
 	}
-	if n := flog.Stats().Replayed; n > 0 || s.emitted > 0 {
-		s.log.Info("resumed from fragment log",
-			"replayed", n, "windows", s.emitted, "nextSeal", s.nextSeal)
+	if n := flog.Stats().Replayed; n > 0 || a.emitted > 0 {
+		a.log.Info("resumed from fragment log",
+			"replayed", n, "windows", a.emitted, "nextSeal", a.nextSeal)
 	}
 	return nil
 }
@@ -647,79 +546,79 @@ func (s *assembler) resume(ctx context.Context) error {
 // finish disposes of the fragment log at loop exit: a clean completion
 // leaves an empty directory; a cancelled one keeps the pending state for
 // the next run.
-func (s *assembler) finish(ctx context.Context) {
-	if s.cfg.flog == nil {
+func (a *Aggregator) finish(ctx context.Context) {
+	if a.flog == nil {
 		return
 	}
 	if ctx.Err() == nil {
-		if err := s.cfg.flog.Clean(); err != nil {
-			s.log.Warn("fragment log cleanup failed", "err", err)
+		if err := a.flog.Clean(); err != nil {
+			a.log.Warn("fragment log cleanup failed", "err", err)
 		}
 	} else {
-		s.cfg.flog.Close()
+		a.flog.Close()
 	}
 }
 
 // run is the single assembly goroutine: it owns all window bookkeeping
 // and seals in window order, so worker-free sequencing is the
 // determinism guarantee (fragment arrival order never changes output).
-func (s *assembler) run(ctx context.Context) {
+func (a *Aggregator) run(ctx context.Context) {
 	// done closes when the loop exits, so a caller that has seen the
 	// output side complete can rely on Submit failing from then on.
-	defer close(s.done)
-	s.log.Info("assembler starting",
-		"window", s.cfg.window, "stride", s.cfg.stride,
-		"expect", s.cfg.expect, "straggler", s.cfg.straggler,
-		"recovery", s.cfg.flog != nil)
-	defer func() { s.log.Info("assembler stopped", "windows", s.emitted) }()
+	defer close(a.done)
+	a.log.Info("aggregator starting",
+		"window", a.cfg.Window, "stride", a.cfg.Stride,
+		"expect", a.cfg.Expect, "straggler", a.cfg.Straggler,
+		"recovery", a.flog != nil)
+	defer func() { a.log.Info("aggregator stopped", "windows", a.emitted) }()
 
-	if s.cfg.flog != nil {
-		if err := s.resume(ctx); err != nil {
-			s.setErr(err)
-			s.log.Error("fragment log recovery failed", "err", err)
-			s.cfg.flog.Close()
+	if a.flog != nil {
+		if err := a.resume(ctx); err != nil {
+			a.setErr(err)
+			a.log.Error("fragment log recovery failed", "err", err)
+			a.flog.Close()
 			return
 		}
 		// Replay may already complete the run (every final marker was
 		// logged before the crash).
-		if s.evaluate(ctx) {
-			s.finish(ctx)
+		if a.evaluate(ctx) {
+			a.finish(ctx)
 			return
 		}
 	}
 
 	for {
 		select {
-		case frag := <-s.in:
-			s.accept(frag)
-		case <-s.quit:
+		case frag := <-a.in:
+			a.accept(frag)
+		case <-a.quit:
 			// Drain fragments already accepted into the inbox before
 			// flushing, so Stop never discards a buffered submission.
 		drain:
 			for {
 				select {
-				case frag := <-s.in:
-					s.accept(frag)
+				case frag := <-a.in:
+					a.accept(frag)
 				default:
 					break drain
 				}
 			}
-			s.flush(ctx)
-			s.finish(ctx)
+			a.flush(ctx)
+			a.finish(ctx)
 			return
-		case <-s.abnd:
-			if s.cfg.flog != nil {
-				s.cfg.flog.Close()
+		case <-a.abnd:
+			if a.flog != nil {
+				a.flog.Close()
 			}
 			return
 		case <-ctx.Done():
-			s.setErr(ctx.Err())
-			s.flush(ctx)
-			s.finish(ctx)
+			a.setErr(ctx.Err())
+			a.flush(ctx)
+			a.finish(ctx)
 			return
 		}
-		if s.evaluate(ctx) {
-			s.finish(ctx)
+		if a.evaluate(ctx) {
+			a.finish(ctx)
 			return
 		}
 	}

@@ -63,7 +63,7 @@ type FragLog struct {
 // Frontier records seal progress: the next window id to seal and the
 // number of windows emitted so far. It is written before a window's
 // effects reach the sinks, so after a crash it may run at most one window
-// ahead of the durable sink — the reconcile rule assemblers apply at open.
+// ahead of the durable sink — the reconcile rule aggregators apply at open.
 type Frontier struct {
 	NextSeal int64 `json:"nextSeal"`
 	Emitted  int   `json:"emitted"`

@@ -415,3 +415,66 @@ func TestBackoffJitterBounds(t *testing.T) {
 		}
 	}
 }
+
+// frontierProbe is a sink that reads the fragment log's durable frontier
+// while each window is being consumed.
+type frontierProbe struct {
+	dir     string
+	emitted []int // frontier's emitted count seen by window Seq i
+}
+
+func (p *frontierProbe) Consume(w *stream.WindowResult) error {
+	var fr Frontier // a missing file reads as emitted 0
+	if data, err := os.ReadFile(filepath.Join(p.dir, "frontier.json")); err == nil {
+		if err := json.Unmarshal(data, &fr); err != nil {
+			return err
+		}
+	}
+	p.emitted = append(p.emitted, fr.Emitted)
+	return nil
+}
+
+// A detecting root commits a window to the frontier before its sinks see
+// it (they must never see it twice; their applied count reconciles a
+// crash in between), an IndexOnly merge tier only after (its parent
+// dedupes the one window a crash can repeat).
+func TestFrontierCommitOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		indexOnly bool
+		ahead     int // emitted - Seq while the sinks consume
+	}{
+		{"root", false, 1},
+		{"merge", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			probe := &frontierProbe{dir: dir}
+			agg, results := startedAggregator(t, AggregatorConfig{
+				Window: 24 * time.Hour, Expect: 1, IndexOnly: tc.indexOnly,
+				Detector: []core.Option{core.WithSeed(1)},
+				Sinks:    []stream.Sink{probe}, FragDir: dir,
+			})
+			got := drainResults(results)
+			for _, f := range []*wire.Fragment{fragFor("a", 0, "c"), fragFor("a", 1, "c"), {Node: "a", Final: true, Window: 1}} {
+				if err := agg.Submit(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := len(got()); n != 2 {
+				t.Fatalf("%d windows, want 2", n)
+			}
+			if err := agg.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(probe.emitted) != 2 {
+				t.Fatalf("probe saw %d windows, want 2", len(probe.emitted))
+			}
+			for seq, emitted := range probe.emitted {
+				if emitted != seq+tc.ahead {
+					t.Errorf("window %d consumed with frontier emitted=%d, want %d", seq, emitted, seq+tc.ahead)
+				}
+			}
+		})
+	}
+}

@@ -48,20 +48,20 @@ type TreeNode struct {
 	Children []TreeNode `json:"children,omitempty"`
 }
 
-// Topology returns the assembler's subtree: one TreeNode per known
+// Topology returns the aggregator's subtree: one TreeNode per known
 // sender, sorted by name, each carrying the deeper senders its hop
 // trails revealed.
-func (s *assembler) Topology() []TreeNode {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
+func (a *Aggregator) Topology() []TreeNode {
+	a.nodeMu.Lock()
+	defer a.nodeMu.Unlock()
 	anyFinished := false
-	for _, n := range s.nodes {
+	for _, n := range a.nodes {
 		if n.finished {
 			anyFinished = true
 			break
 		}
 	}
-	return treeNodes(s.nodes, time.Now(), anyFinished)
+	return treeNodes(a.nodes, time.Now(), anyFinished)
 }
 
 func treeNodes(nodes map[string]*nodeState, now time.Time, anyFinished bool) []TreeNode {

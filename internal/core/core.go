@@ -8,9 +8,9 @@
 //	report, err := pipe.RunTrace(ctx, dayTrace)
 //	for _, c := range report.Campaigns { ... }
 //
-// A Pipeline is five first-class stages with typed State artifacts,
-// context cancellation end-to-end, parallel dimension mining, and Observer
-// hooks around every stage (see pipeline.go and DESIGN.md).
+// A Pipeline runs the five stages as one fixed sequence, with context
+// cancellation end-to-end, parallel dimension mining, and Observer hooks
+// around every stage (see pipeline.go and DESIGN.md).
 //
 // The pipeline is deterministic for a fixed option set and input trace;
 // mining-worker count changes wall-clock time, never output.
@@ -179,9 +179,9 @@ type Report struct {
 	// reproduction) — the caller's index itself, not a copy, and
 	// read-only for the same reason.
 	RawIndex *trace.Index `json:"-"`
-	// Mined keeps the per-dimension herds and their similarity graphs for
-	// diagnostics/ablations. The report owns the graphs: they are built
-	// fresh per run, never pooled.
+	// Mined keeps the per-dimension herds for diagnostics/ablations. Its
+	// Graphs are nil: mining hands each similarity graph's pooled storage
+	// back once the dimension's herds are extracted.
 	Mined *herd.Result `json:"-"`
 }
 

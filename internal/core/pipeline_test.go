@@ -16,72 +16,6 @@ import (
 	"smash/internal/trace"
 )
 
-// TestPipelineStagesRunIndividually drives the five stages by hand through
-// Pipeline.Stages and checks the assembled report matches a plain Run —
-// the first-class-stage contract partial reruns build on.
-func TestPipelineStagesRunIndividually(t *testing.T) {
-	w := testWorld(t)
-	opts := []Option{WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober)}
-	p := NewPipeline(opts...)
-	tr := w.Trace()
-
-	st := &State{Raw: trace.BuildIndex(tr), Stats: tr.ComputeStats()}
-	for i, s := range p.Stages() {
-		if want := StageNames()[i]; s.Name != want {
-			t.Fatalf("stage %d = %q, want %q", i, s.Name, want)
-		}
-		if err := s.Run(context.Background(), st); err != nil {
-			t.Fatalf("stage %s: %v", s.Name, err)
-		}
-	}
-	if st.Report == nil || st.Mined == nil || st.Correlation == nil {
-		t.Fatal("state artifacts missing after manual stage run")
-	}
-
-	want, err := NewPipeline(opts...).RunTrace(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Report.Summarize(), want.Summarize()) {
-		t.Error("manually staged run diverges from Pipeline.RunTrace")
-	}
-}
-
-// TestPipelineRunFrom reruns only the downstream stages after correlation
-// with a fresh state seeded from a prior full run.
-func TestPipelineRunFrom(t *testing.T) {
-	w := testWorld(t)
-	p := NewPipeline(WithSeed(7), WithWhois(w.Whois), WithProber(w.Prober))
-	tr := w.Trace()
-
-	st := &State{Raw: trace.BuildIndex(tr), Stats: tr.ComputeStats()}
-	full, err := p.RunFrom(context.Background(), st, StagePreprocess)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rerun from correlation only: upstream artifacts stay, downstream is
-	// recomputed into a fresh report.
-	st2 := &State{Raw: st.Raw, Stats: st.Stats, Index: st.Index, Preprocess: st.Preprocess, Mined: st.Mined}
-	partial, err := p.RunFrom(context.Background(), st2, StageCorrelate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial.Campaigns) != len(full.Campaigns) {
-		t.Errorf("partial rerun: %d campaigns, full run: %d", len(partial.Campaigns), len(full.Campaigns))
-	}
-	if _, err := p.RunFrom(context.Background(), &State{}, "bogus"); err == nil {
-		t.Error("unknown stage name accepted")
-	}
-	// A state missing the starting stage's upstream artifacts must be
-	// rejected with an error, not a nil dereference mid-stage.
-	for _, from := range []string{StageMine, StageCorrelate, StagePrune, StageInfer} {
-		if _, err := p.RunFrom(context.Background(), &State{Raw: st.Raw}, from); err == nil {
-			t.Errorf("incomplete state accepted for rerun from %s", from)
-		}
-	}
-}
-
 // stageRecorder captures observer callbacks.
 type stageRecorder struct {
 	mu     sync.Mutex
@@ -101,8 +35,7 @@ func (r *stageRecorder) StageEnd(res StageResult) {
 	r.ends = append(r.ends, res)
 }
 
-// TestObserverSeesEveryStage checks hook ordering, durations and
-// artifacts.
+// TestObserverSeesEveryStage checks hook ordering and durations.
 func TestObserverSeesEveryStage(t *testing.T) {
 	w := testWorld(t)
 	rec := &stageRecorder{}
@@ -125,9 +58,6 @@ func TestObserverSeesEveryStage(t *testing.T) {
 		}
 		if res.Duration < 0 {
 			t.Errorf("stage %s has negative duration", res.Stage)
-		}
-		if res.Artifact == nil {
-			t.Errorf("stage %s exposed no artifact", res.Stage)
 		}
 	}
 }

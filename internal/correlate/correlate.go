@@ -171,32 +171,3 @@ func Correlate(mined *herd.Result, opts Options) *Result {
 	})
 	return res
 }
-
-// DimensionDecomposition counts, for each distinct combination of
-// contributing secondary dimensions, how many servers above the threshold
-// were inferred through exactly that combination (Fig. 8). Keys are
-// "+"-joined sorted dimension names.
-func (r *Result) DimensionDecomposition(threshold float64) map[string]int {
-	out := make(map[string]int)
-	for _, h := range r.Herds {
-		for _, server := range h.Servers {
-			sc := r.Scores[server]
-			if sc == nil || sc.Score < threshold {
-				continue
-			}
-			out[comboKey(sc.Dimensions)]++
-		}
-	}
-	return out
-}
-
-func comboKey(dims []string) string {
-	key := ""
-	for i, d := range dims {
-		if i > 0 {
-			key += "+"
-		}
-		key += d
-	}
-	return key
-}

@@ -158,12 +158,19 @@ func TestDimensionDecomposition(t *testing.T) {
 			similarity.DimIP:   {mkHerd(similarity.DimIP, 0, servers[:4]...)},
 		})
 	res := Correlate(mined, Options{Threshold: 0.3})
-	decomp := res.DimensionDecomposition(0.3)
-	if decomp["ipset+urifile"] != 4 {
-		t.Errorf("ipset+urifile = %d, want 4; decomp=%v", decomp["ipset+urifile"], decomp)
-	}
-	if decomp["urifile"] != 2 {
-		t.Errorf("urifile = %d, want 2; decomp=%v", decomp["urifile"], decomp)
+	for i, s := range servers {
+		want := []string{similarity.DimIP, similarity.DimFile}
+		if i >= 4 {
+			want = []string{similarity.DimFile}
+		}
+		sc := res.Scores[s]
+		if sc == nil || sc.Score < 0.3 {
+			t.Errorf("%s: score %+v, want >= 0.3", s, sc)
+			continue
+		}
+		if !slices.Equal(sc.Dimensions, want) {
+			t.Errorf("%s: dimensions %v, want %v", s, sc.Dimensions, want)
+		}
 	}
 }
 

@@ -506,6 +506,7 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 		return sg
 	}
 	records := make(map[int]whois.Record)
+	tokens := make(map[string]uint64) // field-signature token -> feature key, first-seen order
 	inc := sparse.Get(len(nodes.Infos))
 	defer inc.Release()
 	for id, name := range nodes.Names {
@@ -515,7 +516,12 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 		}
 		records[id] = rec
 		for _, token := range whois.FieldSignature(rec) {
-			inc.SetString(id, token)
+			key, ok := tokens[token]
+			if !ok {
+				key = uint64(len(tokens))
+				tokens[token] = key
+			}
+			inc.Set(id, key)
 		}
 	}
 	sg.G = pairGraph(inc, opts.MaxFanout, 0, func(a int, partners, _ []int32, w []float64) {

@@ -11,8 +11,7 @@
 //
 // Rows are the caller's dense node ids (0..n-1); features are opaque
 // uint64 keys — interned symbol ids from the trace data plane, or composed
-// ids such as (client<<32|timebucket). A legacy SetString path interns
-// string features locally for callers without interned ids (whois tokens).
+// ids such as (client<<32|timebucket).
 //
 // A per-feature fan-out cap skips extremely popular features: a feature
 // shared by f rows contributes f(f-1)/2 pairs, so an unbounded hub feature
@@ -36,9 +35,8 @@ import (
 type Incidence struct {
 	nRows     int
 	featIDs   map[uint64]int32
-	strIDs    map[string]int32 // SetString feature keys; lazily allocated
-	featRows  [][]int32        // feature id -> row ids (unsorted until finalize)
-	rowFeats  [][]int32        // row id -> feature ids (built by Finalize)
+	featRows  [][]int32 // feature id -> row ids (unsorted until finalize)
+	rowFeats  [][]int32 // row id -> feature ids (built by Finalize)
 	finalized bool
 
 	// CoOccurrence's scratch, pooled with the incidence.
@@ -60,7 +58,6 @@ func NewIncidence(nRows int) *Incidence {
 func (m *Incidence) Reset(nRows int) {
 	m.nRows = nRows
 	clear(m.featIDs)
-	clear(m.strIDs)
 	m.featRows = m.featRows[:0]
 	m.finalized = false
 }
@@ -91,22 +88,6 @@ func (m *Incidence) Set(row int, feature uint64) {
 	if !ok {
 		f = m.newFeature()
 		m.featIDs[feature] = f
-	}
-	m.featRows[f] = append(m.featRows[f], int32(row))
-	m.finalized = false
-}
-
-// SetString is Set for callers whose features are strings without interned
-// ids (e.g. whois field-signature tokens). String and uint64 features live
-// in separate key spaces; mixing both in one Incidence is allowed.
-func (m *Incidence) SetString(row int, feature string) {
-	if m.strIDs == nil {
-		m.strIDs = make(map[string]int32)
-	}
-	f, ok := m.strIDs[feature]
-	if !ok {
-		f = m.newFeature()
-		m.strIDs[feature] = f
 	}
 	m.featRows[f] = append(m.featRows[f], int32(row))
 	m.finalized = false

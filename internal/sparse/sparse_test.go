@@ -224,32 +224,13 @@ func TestEmptyIncidence(t *testing.T) {
 	}
 }
 
-func TestSetStringFeatures(t *testing.T) {
-	m := NewIncidence(3)
-	m.SetString(0, "tok-a")
-	m.SetString(1, "tok-a")
-	m.Set(1, 7)
-	m.Set(2, 7)
-	pairs := pairsOf(m, 0)
-	byPair := make(map[[2]int32]int32)
-	for _, p := range pairs {
-		byPair[[2]int32{p.A, p.B}] = p.Count
-	}
-	if byPair[[2]int32{0, 1}] != 1 || byPair[[2]int32{1, 2}] != 1 {
-		t.Fatalf("mixed string/id features miscounted: %+v", pairs)
-	}
-	if m.Features() != 2 {
-		t.Errorf("Features = %d, want 2", m.Features())
-	}
-}
-
 // A pooled incidence must behave like a fresh one after Reset, with no
 // state bleeding between uses.
 func TestPoolReuse(t *testing.T) {
 	m := Get(3)
 	m.Set(0, 1)
 	m.Set(1, 1)
-	m.SetString(2, "x")
+	m.Set(2, 2)
 	if got := len(pairsOf(m, 0)); got != 1 {
 		t.Fatalf("first use pairs = %d, want 1", got)
 	}

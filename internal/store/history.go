@@ -26,7 +26,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -365,7 +364,3 @@ func (s *Store) closeSubs() {
 		s.removeSub(d)
 	}
 }
-
-// ErrNoHistory distinguishes "window not retained" from other lookup
-// failures on history queries.
-var ErrNoHistory = errors.New("store: window not in retained history")

@@ -82,12 +82,13 @@ func (m *MultiSource) ReadBatch(dst []trace.Request) (int, error) {
 
 // PacedSource throttles replay so event spacing approximates recorded time
 // divided by Speedup: Speedup 86400 replays a day per second, Speedup 1 in
-// real time. Speedup <= 0 disables pacing. Gaps are measured between
-// consecutive event timestamps, so out-of-order events never sleep.
+// real time. Speedup <= 0 disables pacing. Gaps are measured from the
+// newest event time seen so far, so an out-of-order event neither sleeps
+// nor makes the next in-order one sleep its gap again.
 type PacedSource struct {
 	Src     Source
 	Speedup float64
-	prev    time.Time
+	newest  time.Time
 }
 
 // ReadBatch returns one request, after the paced delay: each event is due
@@ -99,12 +100,14 @@ func (p *PacedSource) ReadBatch(dst []trace.Request) (int, error) {
 	}
 	if p.Speedup > 0 {
 		t := dst[0].Time
-		if !p.prev.IsZero() {
-			if gap := t.Sub(p.prev); gap > 0 {
+		if !p.newest.IsZero() {
+			if gap := t.Sub(p.newest); gap > 0 {
 				time.Sleep(time.Duration(float64(gap) / p.Speedup))
 			}
 		}
-		p.prev = t
+		if t.After(p.newest) {
+			p.newest = t
+		}
 	}
 	return 1, nil
 }

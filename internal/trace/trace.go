@@ -284,10 +284,6 @@ func (s *ServerInfo) IPList() []string {
 	return out
 }
 
-// ClientIDSet returns the client-id set as-is; resolve names through
-// Syms().Clients when needed.
-func (s *ServerInfo) ClientIDSet() Counts { return s.Clients }
-
 // has reports counted membership of name in m under table t without
 // interning name.
 func has(t *intern.Table, m Counts, name string) bool {
@@ -304,26 +300,10 @@ func (s *ServerInfo) HasFile(name string) bool { return has(s.syms.Files, s.File
 // HasUserAgent reports whether the server saw the named User-Agent.
 func (s *ServerInfo) HasUserAgent(name string) bool { return has(s.syms.Agents, s.UserAgents, name) }
 
-// FileCount returns how many requests hit the named URI file.
-func (s *ServerInfo) FileCount(name string) int {
-	if id, ok := s.syms.Files.Lookup(name); ok {
-		return int(s.Files[id])
-	}
-	return 0
-}
-
 // QueryCount returns how many requests carried the named query pattern.
 func (s *ServerInfo) QueryCount(pattern string) int {
 	if id, ok := s.syms.Queries.Lookup(pattern); ok {
 		return int(s.Queries[id])
-	}
-	return 0
-}
-
-// ReferrerCount returns how many requests were referred by the named server.
-func (s *ServerInfo) ReferrerCount(server string) int {
-	if id, ok := s.syms.Servers.Lookup(server); ok {
-		return int(s.Referrers[id])
 	}
 	return 0
 }
