@@ -79,7 +79,7 @@
 // windows, scratch reuse), the Sources section (format grammars and the
 // projection laws, rotation/checkpoint semantics, push backpressure),
 // the Cluster section (fragment lifecycle, window alignment, straggler
-// policy, remap-merge invariants, and the fault-tolerance protocol:
+// policy, canonical byte-merge invariants, and the fault-tolerance protocol:
 // fragment log, frontier reconcile, spool, merge tier), the
 // Observability section (metric catalog, span model, logging
 // conventions) and the Analytics plane section (history log format,

@@ -12,7 +12,6 @@ import (
 	"smash/internal/core"
 	"smash/internal/obs"
 	"smash/internal/stream"
-	"smash/internal/trace"
 	"smash/internal/tracker"
 	"smash/internal/wire"
 )
@@ -37,9 +36,10 @@ type AggregatorConfig struct {
 	// indefinitely — exact, but a dead node stalls the cluster.
 	Straggler int
 	// IndexOnly makes this a merge tier — the twin of
-	// stream.Config.IndexOnly: no detection and no tracking, every window
-	// (empty and aborted ones too — the parent needs this tier's
-	// watermark) goes straight to Sinks with the children's hop trail on
+	// stream.Config.IndexOnly: no decoding, detection or tracking, every
+	// window (empty and aborted ones too — the parent needs this tier's
+	// watermark) goes straight to Sinks as merged bytes on
+	// WindowResult.Payload with the children's hop trail on
 	// WindowResult.Hops, and a Forwarder sink ships it upstream. The
 	// parent dedupes per (node, window), so the fragment-log frontier
 	// commits after the sinks ran and a crash in between re-forwards one
@@ -86,17 +86,17 @@ type AggregatorConfig struct {
 
 // Aggregator receives window fragments from its child nodes, aligns them
 // on epoch-derived window ids with per-(node, window) dedupe and
-// straggler-policy late drops, merges each window's fragments in sorted
-// node order (remap-merge across foreign symbol tables) and commits the
-// merged index through the same stream.Committer a standalone stream
-// engine drives — detection, tracker and sinks at the tree's root, sinks
-// alone on an IndexOnly merge tier. Create with NewAggregator, feed with
-// Submit (typically via internal/serve's /v1/ingest), consume the Start
-// channel — always: it has capacity 1, so an undrained aggregator blocks
-// at its second seal. With FragDir set it survives kill -9: Submit makes
-// every fragment durable before acking, and a restart replays the log
-// through the same accept path (see AggregatorConfig.FragDir and the
-// package comment's merge tiers section).
+// straggler-policy late drops, merges each window's fragment payloads in
+// sorted node order (wire.MergeIndexes) and commits the merged window
+// through the same stream.Committer a standalone stream engine drives —
+// decoded for detection, tracker and sinks at the tree's root, as bytes
+// to the sinks alone on an IndexOnly merge tier. Create with
+// NewAggregator, feed with Submit (typically via internal/serve's
+// /v1/ingest), consume the Start channel — always: it has capacity 1, so
+// an undrained aggregator blocks at its second seal. With FragDir set it
+// survives kill -9: Submit makes every fragment durable before acking, and
+// a restart replays the log through the same accept path (see
+// AggregatorConfig.FragDir and the package comment's merge tiers section).
 type Aggregator struct {
 	cfg    AggregatorConfig
 	commit *stream.Committer
@@ -237,35 +237,28 @@ func (a *Aggregator) Start(ctx context.Context) <-chan stream.WindowResult {
 // summaries). Valid once the output channel has closed.
 func (a *Aggregator) Tracker() *tracker.Tracker { return a.cfg.Tracker }
 
-// sealWindow commits a sealed window's merged index, emitted as sequence
-// seq — detection unless the window is empty or the run is aborting, then
-// tracker, deltas and sinks — and publishes the result. hops is the
-// window's combined hop trail (fragments in sorted node order), already
-// folded into spans by seal: the tree's root forwards it nowhere, an
-// IndexOnly tier hands it to its sinks instead of detecting, so the root
-// sees the whole path.
-func (a *Aggregator) sealWindow(ctx context.Context, seq int, start time.Time, merged *trace.Index, hops []wire.Hop, aborted bool) {
-	res := stream.WindowResult{
-		Seq:      seq,
-		Start:    start,
-		End:      start.Add(a.cfg.Window),
-		Requests: merged.RequestCount,
-		Index:    merged,
-	}
+// sealWindow commits a sealed window — merged, its Index or Payload
+// set — through detection unless the window is empty or the run is
+// aborting, then tracker, deltas and sinks, and publishes the result.
+// hops is the window's combined hop trail (fragments in sorted node
+// order), already folded into spans by seal: the tree's root forwards it
+// nowhere, an IndexOnly tier hands it to its sinks instead of detecting,
+// so the root sees the whole path.
+func (a *Aggregator) sealWindow(ctx context.Context, res *stream.WindowResult, hops []wire.Hop, aborted bool) {
 	if a.cfg.IndexOnly {
 		res.Hops = hops
 	} else {
-		if merged.RequestCount > 0 && !aborted && ctx.Err() == nil {
-			report, err := a.commit.Detect(ctx, seq, merged)
+		if res.Requests > 0 && !aborted && ctx.Err() == nil {
+			report, err := a.commit.Detect(ctx, res.Seq, res.Index)
 			if err != nil {
 				a.setErr(err)
 			}
 			res.Report = report
 		}
-		a.commit.Track(&res)
+		a.commit.Track(res)
 	}
-	if err := a.commit.Sink(&res); err != nil {
+	if err := a.commit.Sink(res); err != nil {
 		a.setErr(err)
 	}
-	a.out <- res
+	a.out <- *res
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"smash/internal/obs"
-	"smash/internal/trace"
+	"smash/internal/stream"
 	"smash/internal/wire"
 )
 
@@ -107,28 +107,28 @@ func (n *nodeState) skewSeconds() (*float64, bool) {
 
 // pendingFrag is one accepted fragment awaiting its window's seal.
 type pendingFrag struct {
-	idx      *trace.Index
+	payload  []byte
+	requests int
 	hops     []wire.Hop
 	replayed bool
 }
 
-// Submit hands one decoded fragment to the assembly loop, blocking while
-// the inbox is full (that blocking is the cluster's backpressure). From the
-// call on the aggregator owns frag and its Index: a sealed window adopts one
-// fragment's index and absorbs the others into it, so the caller must not
-// touch either again. With a
-// fragment log the fragment is durable before Submit returns, so an ack
-// survives kill -9. It fails with ErrStopped once the loop has stopped;
-// an ErrUnavailable-wrapped error means the fragment could not be made
-// durable and should be retried; any other error marks the fragment
-// itself as invalid and will not heal on retry.
+// Submit hands one decoded fragment (wire.DecodeFragment output: its index
+// is a validated Payload) to the assembly loop, blocking while the inbox
+// is full (that blocking is the cluster's backpressure). From the call on
+// the aggregator owns frag and its Payload; the caller must not touch
+// either again. With a fragment log the fragment is durable before Submit
+// returns, so an ack survives kill -9. It fails with ErrStopped once the
+// loop has stopped; an ErrUnavailable-wrapped error means the fragment
+// could not be made durable and should be retried; any other error marks
+// the fragment itself as invalid and will not heal on retry.
 func (a *Aggregator) Submit(frag *wire.Fragment) error {
 	if frag.Node == "" {
 		return errors.New("cluster: fragment without a node name")
 	}
 	if !frag.Final {
-		if frag.Index == nil {
-			return errors.New("cluster: non-final fragment without an index")
+		if frag.Payload == nil {
+			return errors.New("cluster: non-final fragment without an index payload")
 		}
 		// A child started with another -window/-stride derives ids on a
 		// different grid; merged by id it would land in an unrelated slot.
@@ -271,11 +271,12 @@ func (a *Aggregator) accept(frag *wire.Fragment) {
 	}
 	sealed := a.sealedAny && frag.Window < a.nextSeal
 	dup := !sealed && a.pending[frag.Window][frag.Node] != nil
+	requests := wire.IndexRequests(frag.Payload)
 	if sealed {
 		node.late++
 	} else if !dup {
 		node.fragments++
-		node.requests += frag.Index.RequestCount
+		node.requests += requests
 	}
 	a.nodeMu.Unlock()
 	switch {
@@ -297,7 +298,7 @@ func (a *Aggregator) accept(frag *wire.Fragment) {
 			a.firstFrag[frag.Window] = time.Now()
 		}
 	}
-	w[frag.Node] = &pendingFrag{idx: frag.Index, hops: frag.Hops, replayed: a.replaying}
+	w[frag.Node] = &pendingFrag{payload: frag.Payload, requests: requests, hops: frag.Hops, replayed: a.replaying}
 	if frag.Window < a.minSeen {
 		a.minSeen = frag.Window
 	}
@@ -352,30 +353,30 @@ func (a *Aggregator) seal(ctx context.Context, w int64, aborted bool) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// The aggregator owns its fragments (see Submit): the window adopts the
-	// first one's index and absorbs the rest into it, copying none.
-	var merged *trace.Index
+	// Payloads merge as bytes; only a detecting root decodes the result.
+	payloads := make([][]byte, 0, len(names))
 	var hops []wire.Hop
 	replayed := false
+	start := WindowStart(w, a.cfg.Stride)
+	res := stream.WindowResult{Seq: a.emitted, Start: start, End: start.Add(a.cfg.Window)}
 	for _, n := range names {
-		if merged == nil {
-			merged = frags[n].idx
-		} else {
-			merged.Absorb(frags[n].idx)
-		}
+		payloads = append(payloads, frags[n].payload)
+		res.Requests += frags[n].requests
 		hops = append(hops, frags[n].hops...)
 		replayed = replayed || frags[n].replayed
 	}
-	if merged == nil {
-		merged = trace.NewIndex()
+	if err := a.mergeWindow(&res, payloads); err != nil {
+		a.setErr(fmt.Errorf("cluster: window %d: %w", w, err))
+		a.log.Error("window merge failed; sealing it empty", "windowID", w, "err", err)
+		res.Requests, aborted = 0, true
+		_ = a.mergeWindow(&res, nil) // the empty index cannot fail
 	}
 	sealedAt := time.Now()
 
-	start := WindowStart(w, a.cfg.Stride)
 	if a.cfg.Tracer != nil {
 		a.cfg.Tracer.Window(seq, start, start.Add(a.cfg.Window))
 		a.cfg.Tracer.Record(seq, "merge", sealStart, sealedAt.Sub(sealStart),
-			"nodes", strconv.Itoa(len(names)), "requests", strconv.Itoa(merged.RequestCount))
+			"nodes", strconv.Itoa(len(names)), "requests", strconv.Itoa(res.Requests))
 	}
 	a.recordHops(seq, frags, names)
 	if a.mE2E != nil && !replayed && !aborted {
@@ -384,7 +385,7 @@ func (a *Aggregator) seal(ctx context.Context, w int64, aborted bool) {
 	if !a.cfg.IndexOnly {
 		a.commitFrontier(w)
 	}
-	a.sealWindow(ctx, a.emitted, start, merged, hops, aborted)
+	a.sealWindow(ctx, &res, hops, aborted)
 	if a.cfg.IndexOnly {
 		a.commitFrontier(w)
 	}
@@ -392,15 +393,31 @@ func (a *Aggregator) seal(ctx context.Context, w int64, aborted bool) {
 		a.flog.Remove(w)
 	}
 	a.mSealCommit.ObserveSince(sealedAt)
-	if merged.RequestCount == 0 {
+	if res.Requests == 0 {
 		a.ctrEmpty.Add(1)
 	}
 	a.ctrWindows.Add(1)
-	a.ctrRequests.Add(int64(merged.RequestCount))
+	a.ctrRequests.Add(int64(res.Requests))
 	a.log.Debug("window committed",
-		"window", a.emitted, "windowID", w, "nodes", len(names), "requests", merged.RequestCount)
+		"window", a.emitted, "windowID", w, "nodes", len(names), "requests", res.Requests)
 	a.emitted++
 	a.sealedAny = true
+}
+
+// mergeWindow sets res's index from a window's fragment payloads: the
+// merged bytes on a merge tier, which forwards them as they are, and
+// their decoding at a detecting root, the one place a window decodes.
+func (a *Aggregator) mergeWindow(res *stream.WindowResult, payloads [][]byte) (err error) {
+	if len(payloads) == 1 {
+		res.Payload = payloads[0]
+	} else if res.Payload, err = wire.MergeIndexes(payloads); err != nil {
+		return err
+	}
+	if !a.cfg.IndexOnly {
+		res.Index, err = wire.DecodeIndex(res.Payload)
+		res.Payload = nil
+	}
+	return err
 }
 
 // commitFrontier durably records window w as sealed, if there is a

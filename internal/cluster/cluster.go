@@ -9,14 +9,17 @@
 //
 // The split leans on two earlier invariants: trace.Index aggregation
 // commutes (any partition of the requests merges back to the exact index a
-// sequential build would produce), and Merge's name-remap path makes
-// fragments from foreign symbol tables safe to fold in. An ingest node is
+// sequential build would produce), and the wire encoding is canonical, so
+// fragments built under foreign symbol tables merge as bytes
+// (wire.MergeIndexes) into exactly the encoding of their merged index. An
+// ingest node is
 // a stream.Engine in IndexOnly mode — full windowing, watermark and
 // backpressure semantics, no detection — whose sink is a Forwarder that
 // encodes each sealed fragment (internal/wire) and POSTs it to the
 // aggregator with bounded retry. The aggregator aligns fragments from all
-// nodes onto epoch-derived window ids, merges them in sorted node order,
-// and drives the same core.Pipeline → tracker → sink path a standalone
+// nodes onto epoch-derived window ids, merges their payloads in sorted
+// node order, decodes the merged window once, and drives the same
+// core.Pipeline → tracker → sink path a standalone
 // engine drives, so a partitioned run reproduces a single-node run's
 // output byte-for-byte (TestClusterMatchesStandalone).
 //
@@ -25,12 +28,13 @@
 // When one aggregator cannot absorb the fan-in, trees replace the star.
 // The tier in between is no type of its own: AggregatorConfig.IndexOnly —
 // the twin of stream.Config.IndexOnly — gives an Aggregator that aligns,
-// dedupes and merges exactly like the root but skips detection and
-// tracking and hands every window (empty ones too: the parent needs the
-// tier's watermark) to its sinks, and a Forwarder in Sinks ships it
-// upstream under the tier's node name. Index merging is associative and
-// every tier merges in sorted node order, so any tree shape produces
-// byte-identical output (TestMergeTierMatchesDirect). With FragDir both
+// dedupes and merges exactly like the root but never decodes: it skips
+// detection and tracking and hands every window's merged bytes
+// (stream.WindowResult.Payload; empty windows too: the parent needs the
+// tier's watermark) to its sinks, and a Forwarder in Sinks ships them
+// upstream unchanged under the tier's node name. Index merging is
+// associative and every tier merges in sorted node order, so any tree
+// shape produces byte-identical output (TestMergeTierMatchesDirect). With FragDir both
 // kinds survive kill -9, differently: a detecting aggregator commits its
 // frontier before the sinks run and reconciles the one window a crash can
 // interrupt against the sink's applied count (exactly-once into the
@@ -271,8 +275,9 @@ func (f *Forwarder) SinkName() string { return "forward" }
 
 // Consume implements stream.Sink: it ships the window's index to the
 // aggregator. The engine must run with Config.IndexOnly (or KeepIndex);
-// behind an IndexOnly Aggregator — a merge tier — the children's hop
-// trails ride w.Hops onto the fragment, so the root sees the whole path.
+// behind an IndexOnly Aggregator — a merge tier — the window's merged
+// bytes (w.Payload) go out as they are and the children's hop trails ride
+// w.Hops onto the fragment, so the root sees the whole path.
 // The encoded bytes stay hop-free for this transit; each delivery attempt
 // appends its own freshly-stamped hop record via hopBody, and spooled
 // fragments get theirs at drain time so dwell and attempt counts are
@@ -285,17 +290,18 @@ func (f *Forwarder) SinkName() string { return "forward" }
 // after which Consume opportunistically drains. Only a 4xx rejection —
 // which resending cannot heal — still errors.
 func (f *Forwarder) Consume(w *stream.WindowResult) error {
-	if w.Index == nil {
+	if w.Index == nil && w.Payload == nil {
 		return fmt.Errorf("cluster: window %d has no index; run the engine with Config.IndexOnly", w.Seq)
 	}
 	id := WindowID(w.Start, f.cfg.Stride)
 	body := wire.EncodeFragment(&wire.Fragment{
-		Node:   f.cfg.Node,
-		Window: id,
-		Start:  w.Start,
-		End:    w.End,
-		Index:  w.Index,
-		Hops:   w.Hops,
+		Node:    f.cfg.Node,
+		Window:  id,
+		Start:   w.Start,
+		End:     w.End,
+		Index:   w.Index,
+		Payload: w.Payload,
+		Hops:    w.Hops,
 	})
 	if f.sp != nil && f.sp.pending() > 0 {
 		if err := f.sp.put(body); err != nil {

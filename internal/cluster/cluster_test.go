@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -258,7 +261,8 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	}
 }
 
-// fragFor builds a one-request fragment for direct Submit tests.
+// fragFor builds a one-request fragment, as DecodeFragment yields it, for
+// direct Submit tests.
 func fragFor(node string, window int64, client string) *wire.Fragment {
 	idx := trace.NewIndex()
 	r := trace.Request{
@@ -271,7 +275,7 @@ func fragFor(node string, window int64, client string) *wire.Fragment {
 	return &wire.Fragment{
 		Node: node, Window: window,
 		Start: start, End: start.Add(24 * time.Hour),
-		Index: idx,
+		Payload: wire.EncodeIndex(idx),
 	}
 }
 
@@ -284,46 +288,109 @@ func startedAggregator(t *testing.T, cfg AggregatorConfig) (*Aggregator, <-chan 
 	return agg, agg.Start(context.Background())
 }
 
-// A sealed window copies no fragment: it adopts the first one's index (in
-// node order) and absorbs the rest, so a one-child window is the child's
-// index itself and a two-child one equals a merge into a fresh index.
-func TestSealAdoptsFirstFragment(t *testing.T) {
+// A merge tier merges its children's payloads as bytes and never builds
+// an index: the body it forwards carries exactly EncodeIndex of the
+// directly merged index, and its WindowResult has no Index.
+func TestMergeTierForwardsMergedBytes(t *testing.T) {
 	window := 24 * time.Hour
-	one, oneResults := startedAggregator(t, AggregatorConfig{Window: window, Expect: 1})
-	oneGot := drainResults(oneResults)
-	frag := fragFor("a", 0, "c-a")
-	for _, f := range []*wire.Fragment{frag, {Node: "a", Final: true, Window: 0}} {
-		if err := one.Submit(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := oneGot()
-	if len(got) != 1 {
-		t.Fatalf("Expect 1: got %d windows, want 1", len(got))
-	}
-	if got[0].Index != frag.Index {
-		t.Error("Expect 1: the window copied its only fragment instead of adopting its index")
-	}
-
-	two, twoResults := startedAggregator(t, AggregatorConfig{Window: window, Expect: 2})
-	twoGot := drainResults(twoResults)
-	for _, f := range []*wire.Fragment{
-		fragFor("b", 0, "c-b"), fragFor("a", 0, "c-a"),
-		{Node: "a", Final: true, Window: 0}, {Node: "b", Final: true, Window: 0},
-	} {
-		if err := two.Submit(f); err != nil {
-			t.Fatal(err)
-		}
+	children := map[string][][2]string{ // node -> (client, host) requests
+		"a": {{"c1", "s1.example.com"}, {"c2", "s2.example.com"}, {"c1", "s2.example.com"}},
+		"b": {{"c2", "s2.example.com"}, {"c3", "s3.example.com"}, {"c2", "s1.example.com"}},
+		"c": {{"c1", "s1.example.com"}, {"c3", "s3.example.com"}, {"c4", "s2.example.com"}},
 	}
 	want := trace.NewIndex()
-	want.Merge(fragFor("a", 0, "c-a").Index)
-	want.Merge(fragFor("b", 0, "c-b").Index)
-	got = twoGot()
-	if len(got) != 1 {
-		t.Fatalf("Expect 2: got %d windows, want 1", len(got))
+	var frags []*wire.Fragment
+	for i, node := range []string{"c", "a", "b"} {
+		idx := trace.NewIndex()
+		for j, cr := range children[node] {
+			r := trace.Request{
+				Time: Epoch.Add(time.Hour), Client: cr[0], Host: cr[1],
+				ServerIP: fmt.Sprintf("10.0.0.%d", j), Path: fmt.Sprintf("/f%d", i),
+				Referrer: "http://s1.example.com/", UserAgent: "ua-" + node, Status: 200 + 300*(j%2),
+			}
+			idx.Add(&r)
+		}
+		want.Merge(idx)
+		frags = append(frags, &wire.Fragment{
+			Node: node, Window: 0, Start: Epoch, End: Epoch.Add(window), Payload: wire.EncodeIndex(idx),
+		})
 	}
-	if g, w := got[0].Index.Fingerprint(), want.Fingerprint(); g != w {
-		t.Errorf("Expect 2 window diverged from a fresh-index merge:\ngot:\n%s\nwant:\n%s", g, w)
+
+	var mu sync.Mutex
+	var bodies [][]byte
+	parent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, body)
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer parent.Close()
+	tier, _ := newMergeTier(t, AggregatorConfig{Window: window, Expect: 3},
+		ForwarderConfig{URL: parent.URL, Node: "m0"})
+	got := drainResults(tier.Start(context.Background()))
+	for _, f := range append(frags,
+		&wire.Fragment{Node: "a", Final: true}, &wire.Fragment{Node: "b", Final: true}, &wire.Fragment{Node: "c", Final: true}) {
+		if err := tier.Submit(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := got()
+	if err := tier.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Index != nil || results[0].Requests != want.RequestCount {
+		t.Fatalf("merge tier results: %+v, want one window of %d requests and no Index", results, want.RequestCount)
+	}
+	if len(bodies) != 1 {
+		t.Fatalf("parent received %d bodies, want 1", len(bodies))
+	}
+	fwd, err := wire.DecodeFragment(bodies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fwd.Payload) != string(wire.EncodeIndex(want)) {
+		t.Error("forwarded index section differs from EncodeIndex of the directly merged index")
+	}
+}
+
+// The fragment log stores what the aggregator received: appending a
+// decoded fragment writes its payload bytes as they arrived, from a copy
+// that no later reuse of the input buffer can change.
+func TestFragLogStoresReceivedBytes(t *testing.T) {
+	frag := fragFor("a", 3, "c1")
+	frag.Hops = []wire.Hop{{Node: "a", Role: "ingest", Send: Epoch.Add(time.Hour), Attempts: 1}}
+	received := wire.EncodeFragment(frag)
+	want := append([]byte(nil), received...)
+	dec, err := wire.DecodeFragment(received)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range received {
+		received[i] = 0
+	}
+	dir := t.TempDir()
+	flog, err := OpenFragLog(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flog.Append(dec); err != nil {
+		t.Fatal(err)
+	}
+	flog.Close()
+	data, err := os.ReadFile(filepath.Join(dir, fragFileName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	if _, err := wire.ReadFrames(bytes.NewReader(data), func(p []byte) error {
+		frames = append(frames, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 || string(frames[0]) != string(want) {
+		t.Errorf("logged %d frames; the fragment's bytes differ from what was received", len(frames))
 	}
 }
 

@@ -32,6 +32,10 @@ type WindowResult struct {
 	// Config.KeepIndex or Config.IndexOnly. Read-only: it is shared with
 	// every sink and may alias engine-internal state.
 	Index *trace.Index
+	// Payload is the window's merged index in canonical wire form, set
+	// instead of Index by an IndexOnly cluster aggregator (a merge tier),
+	// which never decodes: its Forwarder sink ships the bytes as they are.
+	Payload []byte
 	// Hops is the combined hop trail of the child fragments merged into
 	// this window, set only by an IndexOnly cluster aggregator (a merge
 	// tier): its Forwarder sink carries the trail upstream so the root

@@ -106,7 +106,10 @@ func FuzzIndexRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeIndex feeds arbitrary bytes to the decoder: it must return an
-// error or a valid index, never panic or over-allocate.
+// error or an index that encodes back to exactly the input, never panic
+// or over-allocate. The seed corpus holds one file per non-canonical
+// shape the decoder refuses: unsorted servers, unsorted client rows and
+// a dictionary name nothing references.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SMWF"))
@@ -125,12 +128,79 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeIndex(data)
 		if err == nil {
-			// Whatever decoded must re-encode cleanly (canonical form).
-			if _, err := DecodeIndex(EncodeIndex(dec)); err != nil {
-				t.Errorf("re-decode of accepted input failed: %v", err)
+			if enc := EncodeIndex(dec); string(enc) != string(data) {
+				t.Errorf("accepted a non-canonical encoding:\n in  %q\n out %q", data, enc)
 			}
 		}
 		DecodeFragment(data)
+	})
+}
+
+// FuzzMergeIndexes checks the byte merge against the map merge: two or
+// three indexes, each built from its own slice of the fuzz bytes under
+// its own Symbols, must merge — in every argument order — to exactly
+// EncodeIndex of their direct Merge. Flipping one byte of one input must
+// make MergeIndexes refuse exactly when DecodeIndex refuses that input.
+func FuzzMergeIndexes(f *testing.F) {
+	f.Add([]byte{}, uint8(2), uint16(0), uint8(0))
+	f.Add(bytesSeq(96), uint8(2), uint16(40), uint8(0x80))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint16(7), uint8(1))
+	f.Add(bytesSeq(256), uint8(3), uint16(300), uint8(0x10))
+	f.Fuzz(func(t *testing.T, data []byte, parts uint8, at uint16, flip uint8) {
+		n := 2 + int(parts%2)
+		idxs := make([]*trace.Index, n)
+		for i := range idxs {
+			idxs[i] = trace.NewIndex()
+			// Interleaved chunks, so the parts share servers and clients.
+			for j, r := range fuzzRequests(data) {
+				if j%(n+1) == i || j%(n+1) == n {
+					idxs[i].Add(&r)
+				}
+			}
+		}
+		want := trace.NewIndex()
+		encs := make([][]byte, n)
+		for i, idx := range idxs {
+			want.Merge(idx)
+			encs[i] = EncodeIndex(idx)
+		}
+		wantEnc := EncodeIndex(want)
+		orders := [][]int{{0, 1}, {1, 0}}
+		if n == 3 {
+			orders = [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+		}
+		for _, order := range orders {
+			in := make([][]byte, n)
+			for i, j := range order {
+				in[i] = encs[j]
+			}
+			got, err := MergeIndexes(in)
+			if err != nil {
+				t.Fatalf("order %v: %v", order, err)
+			}
+			if string(got) != string(wantEnc) {
+				t.Fatalf("order %v: merged bytes differ from EncodeIndex of the merged index", order)
+			}
+		}
+
+		if flip == 0 {
+			return
+		}
+		bad := append([]byte(nil), encs[0]...)
+		bad[int(at)%len(bad)] ^= flip
+		dec, decErr := DecodeIndex(bad)
+		got, err := MergeIndexes([][]byte{encs[1], bad})
+		switch {
+		case (err != nil) != (decErr != nil):
+			t.Fatalf("corrupted input: MergeIndexes error %v, DecodeIndex error %v", err, decErr)
+		case err == nil:
+			direct := trace.NewIndex()
+			direct.Merge(idxs[1])
+			direct.Merge(dec)
+			if string(got) != string(EncodeIndex(direct)) {
+				t.Fatal("corrupted but canonical input: merged bytes differ from EncodeIndex of the merged index")
+			}
+		}
 	})
 }
 
@@ -193,8 +263,11 @@ func FuzzFragmentRoundTrip(f *testing.F) {
 				t.Fatalf("hop %d diverged:\ngot  %+v\nwant %+v", i, h, w)
 			}
 		}
-		if frag.Index != nil && dec.Index.Fingerprint() != frag.Index.Fingerprint() {
-			t.Error("fragment index fingerprint diverged")
+		if frag.Index != nil {
+			idx, err := DecodeIndex(dec.Payload)
+			if err != nil || idx.Fingerprint() != frag.Index.Fingerprint() {
+				t.Errorf("fragment index diverged (decode error %v)", err)
+			}
 		}
 		if string(EncodeFragment(dec)) != string(enc) {
 			t.Error("encode(decode(b)) != b")

@@ -10,15 +10,18 @@
 // dictionary: for every namespace it collects exactly the names the
 // fragment references, sorts them, and encodes counts keyed by position in
 // that sorted dictionary. Decoding interns the dictionary into a fresh
-// trace.Symbols (dense ids in dictionary order) and rebuilds the index;
-// the aggregator then folds the decoded fragment in through
-// trace.Index.Merge's name-remap path.
+// trace.Symbols (dense ids in dictionary order) and rebuilds the index.
 //
-// Because dictionaries and count maps are sorted by name, encoding is
+// Because dictionaries, servers, client rows and count lists are sorted,
+// and a dictionary holds only names something references, encoding is
 // canonical: two indexes describing the same traffic aggregate encode to
 // identical bytes regardless of how their symbol tables assigned ids, and
-// encode(decode(b)) == b. Round-trips preserve trace.Index.Fingerprint
-// exactly (fuzz-tested, including foreign symbol tables).
+// encode(decode(b)) == b for every b a decoder accepts (fuzz-tested). So
+// encodings merge without decoding: MergeIndexes unions the sorted
+// dictionaries and merges records in one ordered walk into exactly
+// EncodeIndex of the merged index. A decoded Fragment keeps its index as
+// validated bytes (Payload); cluster tiers merge those, and only the
+// detecting root decodes, once per window.
 //
 // Layout (all integers unsigned LEB128 varints unless noted):
 //
@@ -40,10 +43,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -278,190 +283,371 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// counts decodes one count map, translating dictionary positions into the
-// decoder's local ids through ids (ids[pos] = local id). Positions must
-// be strictly increasing — the canonical form the encoder emits — so
-// duplicate entries fail as corruption instead of silently overwriting.
-// total is the sum of the map's counts.
-func (r *reader) counts(ids []uint32) (m trace.Counts, total uint64, err error) {
-	n, err := r.length(2)
+// entry is one count-list element: a dictionary position and its count.
+type entry struct{ pos, n uint32 }
+
+// fields is the namespace of each of a server record's eight count lists,
+// in wire order.
+var fields = [8]int{nsClients, nsIPs, nsFiles, nsServers, nsAgents, nsQueries, nsPayloads, nsHosts}
+
+// scanner walks one index encoding record by record and refuses every
+// shape EncodeIndex cannot produce: unsorted or repeated names, records or
+// list entries, positions out of range, zero or over-wide counts, totals
+// that disagree, and a dictionary name nothing references. DecodeIndex,
+// DecodeFragment and MergeIndexes all read through it.
+type scanner struct {
+	reader
+	requests int
+	dicts    [nsCount][][]byte // sorted names, aliasing the input
+	used     [nsCount][]bool
+	section  int    // nsServers, then nsClients: the records being read
+	left     int    // records left in the section
+	last     int64  // the section's previous record position
+	total    uint64 // requests summed over the servers read
+
+	// The record next read: its position and, for a server, its request
+	// and error counts and eight lists; a client row's list is lists[0].
+	pos        uint32
+	reqs, errs int
+	lists      [len(fields)][]entry
+}
+
+// header reads the magic, version, request count, dictionaries and server
+// count.
+func (s *scanner) header() (err error) {
+	if !bytes.HasPrefix(s.b[s.off:], magic[:]) {
+		return fmt.Errorf("bad magic: %w", ErrCorrupt)
+	}
+	s.off += len(magic)
+	v, err := s.uvarint()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	m = make(trace.Counts, n)
-	prev := int64(-1)
-	for i := 0; i < n; i++ {
-		pos, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if pos >= uint64(len(ids)) {
-			return nil, 0, fmt.Errorf("dictionary position %d out of range: %w", pos, ErrCorrupt)
-		}
-		if int64(pos) <= prev {
-			return nil, 0, fmt.Errorf("count map not sorted at position %d: %w", pos, ErrCorrupt)
-		}
-		prev = int64(pos)
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if c == 0 || c > 1<<32-1 {
-			return nil, 0, fmt.Errorf("count %d out of range: %w", c, ErrCorrupt)
-		}
-		m[ids[pos]] = uint32(c)
-		total += c
+	if v == 0 || v > Version {
+		return fmt.Errorf("wire: unsupported version %d (max %d)", v, Version)
 	}
-	return m, total, nil
+	if s.requests, err = s.scalar(); err != nil {
+		return err
+	}
+	for ns := range s.dicts {
+		n, err := s.length(1)
+		if err != nil {
+			return err
+		}
+		d := make([][]byte, n)
+		for i := range d {
+			l, err := s.length(1)
+			if err != nil {
+				return err
+			}
+			d[i], s.off = s.b[s.off:s.off+l], s.off+l
+			if i > 0 && string(d[i]) <= string(d[i-1]) {
+				return fmt.Errorf("dictionary not sorted: %w", ErrCorrupt)
+			}
+		}
+		s.dicts[ns], s.used[ns] = d, make([]bool, n)
+	}
+	s.section, s.last = nsServers, -1
+	s.left, err = s.length(3)
+	return err
+}
+
+// list reads one count list of namespace ns into dst and sums its counts.
+func (s *scanner) list(ns int, dst []entry) ([]entry, uint64, error) {
+	n, err := s.length(2)
+	dst, used, sum := dst[:0], s.used[ns], uint64(0)
+	for i := 0; i < n && err == nil; i++ {
+		var pos, c uint64
+		if pos, err = s.uvarint(); err == nil {
+			c, err = s.uvarint()
+		}
+		switch {
+		case err != nil:
+		case pos >= uint64(len(used)) || i > 0 && uint32(pos) <= dst[i-1].pos:
+			err = fmt.Errorf("count list position %d out of range or order: %w", pos, ErrCorrupt)
+		case c == 0 || c > math.MaxUint32:
+			err = fmt.Errorf("count %d out of range: %w", c, ErrCorrupt)
+		default:
+			used[pos] = true
+			dst, sum = append(dst, entry{uint32(pos), uint32(c)}), sum+c
+		}
+	}
+	return dst, sum, err
+}
+
+// next reads the next record, every server and then every client row,
+// and reports false once the index has ended.
+func (s *scanner) next() (bool, error) {
+	var err error
+	if s.section == nsServers && s.left == 0 {
+		// Every index Add/Merge builds keeps its totals consistent — the
+		// header count is the servers' sum, a server's count its clients'
+		// sum — and the receiver gates detection on the header, so a
+		// fragment that breaks either is refused rather than silently
+		// skipped as an empty window.
+		if s.total != uint64(s.requests) {
+			return false, fmt.Errorf("header counts %d requests, servers sum to %d: %w", s.requests, s.total, ErrCorrupt)
+		}
+		s.section, s.last = nsClients, -1
+		if s.left, err = s.length(2); err != nil {
+			return false, err
+		}
+	}
+	if s.left == 0 {
+		for ns, used := range s.used {
+			if i := slices.Index(used, false); i >= 0 {
+				return false, fmt.Errorf("dictionary name %q unreferenced: %w", s.dicts[ns][i], ErrCorrupt)
+			}
+		}
+		return false, nil
+	}
+	s.left--
+	pos, err := s.uvarint()
+	if err != nil {
+		return false, err
+	}
+	if pos >= uint64(len(s.dicts[s.section])) || int64(pos) <= s.last {
+		return false, fmt.Errorf("record position %d out of range or order: %w", pos, ErrCorrupt)
+	}
+	s.last, s.pos, s.used[s.section][pos] = int64(pos), uint32(pos), true
+	if s.section == nsClients {
+		s.lists[0], _, err = s.list(nsServers, s.lists[0])
+		return err == nil, err
+	}
+	if s.reqs, err = s.scalar(); err == nil {
+		s.errs, err = s.scalar()
+	}
+	var byClient, sum uint64
+	for f := 0; f < len(fields) && err == nil; f++ {
+		if s.lists[f], sum, err = s.list(fields[f], s.lists[f]); f == 0 {
+			byClient = sum
+		}
+	}
+	if err != nil {
+		return false, err
+	}
+	if byClient != uint64(s.reqs) || s.errs > s.reqs {
+		return false, fmt.Errorf("server %q: %d requests, %d by client, %d errors: %w", s.dicts[nsServers][pos], s.reqs, byClient, s.errs, ErrCorrupt)
+	}
+	s.total += uint64(s.reqs)
+	return true, nil
 }
 
 // DecodeIndex rebuilds an index (with fresh Symbols) from EncodeIndex
 // output. The result is safe to Merge into any other index — ids remap
 // through their names.
 func DecodeIndex(data []byte) (*trace.Index, error) {
-	idx, n, err := decodeIndex(&reader{b: data})
-	if err != nil {
+	s := &scanner{reader: reader{b: data}}
+	if err := s.header(); err != nil {
 		return nil, err
 	}
-	if n != len(data) {
-		return nil, fmt.Errorf("%d trailing bytes: %w", len(data)-n, ErrCorrupt)
-	}
-	return idx, nil
-}
-
-func decodeIndex(r *reader) (*trace.Index, int, error) {
-	if len(r.b)-r.off < len(magic) || string(r.b[r.off:r.off+len(magic)]) != string(magic[:]) {
-		return nil, 0, fmt.Errorf("bad magic: %w", ErrCorrupt)
-	}
-	r.off += len(magic)
-	v, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if v == 0 || v > Version {
-		return nil, 0, fmt.Errorf("wire: unsupported version %d (max %d)", v, Version)
-	}
-	requests, err := r.scalar()
-	if err != nil {
-		return nil, 0, err
-	}
-
 	sy := trace.NewSymbols()
-	tables := [nsCount]*intern.Table{
-		nsServers: sy.Servers, nsClients: sy.Clients, nsIPs: sy.IPs,
-		nsFiles: sy.Files, nsAgents: sy.Agents, nsQueries: sy.Queries,
-		nsPayloads: sy.Payloads, nsHosts: sy.Hosts,
-	}
 	// ids[ns][pos] is the local id of dictionary entry pos. Fresh tables
 	// assign dense ids in intern order, so ids[ns][pos] == pos — but going
 	// through the table keeps the decoder honest about that invariant.
 	var ids [nsCount][]uint32
-	var names [nsCount][]string
-	for ns := 0; ns < nsCount; ns++ {
-		n, err := r.length(1)
-		if err != nil {
-			return nil, 0, err
+	for ns, t := range [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads, sy.Hosts} {
+		ids[ns] = make([]uint32, len(s.dicts[ns]))
+		for i, name := range s.dicts[ns] {
+			ids[ns][i] = t.ID(string(name))
 		}
-		ids[ns] = make([]uint32, n)
-		names[ns] = make([]string, n)
-		prev := ""
-		for i := 0; i < n; i++ {
-			s, err := r.str()
-			if err != nil {
-				return nil, 0, err
+	}
+	counts := func(l []entry, ids []uint32) trace.Counts {
+		m := make(trace.Counts, len(l))
+		for _, e := range l {
+			m[ids[e.pos]] = e.n
+		}
+		return m
+	}
+	idx := trace.NewIndexWith(sy)
+	ok, err := s.next()
+	for ; ok; ok, err = s.next() {
+		if s.section == nsClients {
+			idx.ClientServers[ids[nsClients][s.pos]] = counts(s.lists[0], ids[nsServers])
+			continue
+		}
+		info := idx.EnsureServer(sy.Servers.Name(ids[nsServers][s.pos]))
+		info.Requests, info.ErrorRequests = s.reqs, s.errs
+		for f, dst := range [len(fields)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
+			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads, &info.Hosts} {
+			*dst = counts(s.lists[f], ids[fields[f]])
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.off != len(data) {
+		return nil, fmt.Errorf("%d trailing bytes: %w", len(data)-s.off, ErrCorrupt)
+	}
+	idx.RequestCount = s.requests
+	return idx, nil
+}
+
+// IndexRequests returns the request count in a validated index encoding's
+// header, such as a decoded Fragment's Payload, or 0 if it has none.
+func IndexRequests(enc []byte) int {
+	r := &reader{b: enc, off: min(len(magic), len(enc))}
+	if _, err := r.uvarint(); err != nil {
+		return 0
+	}
+	n, _ := r.scalar() // 0 on error
+	return n
+}
+
+// MergeIndexes returns EncodeIndex of the index that decoding every
+// encoding and merging them would build, without building it: the
+// dictionaries are unioned into monotone position maps, then server
+// records, their count lists and client rows merge in one ordered walk.
+// Every input is validated as DecodeIndex validates it, and a merged
+// count too wide for the wire is an error, never a wrapped value. No
+// inputs encode the empty index.
+func MergeIndexes(encs [][]byte) ([]byte, error) {
+	scs := make([]scanner, len(encs))
+	size, requests := 64, 0
+	for i := range scs {
+		scs[i].b = encs[i]
+		if err := scs[i].header(); err != nil {
+			return nil, err
+		}
+		size, requests = size+len(encs[i]), requests+scs[i].requests
+	}
+	if requests > math.MaxInt32 {
+		return nil, fmt.Errorf("wire: merged request count %d out of range", requests)
+	}
+	out := append(make([]byte, 0, size), magic[:]...)
+	out = binary.AppendUvarint(binary.AppendUvarint(out, Version), uint64(requests))
+
+	// remap[i][ns][pos] is input i's name pos in the union; both are
+	// sorted, so the map is monotone and a remapped section stays sorted.
+	// (Names alias the inputs, so none is nil.)
+	remap := make([][nsCount][]uint32, len(scs))
+	cur := make([]int, len(scs))
+	var names [][]byte
+	for ns := 0; ns < nsCount; ns++ {
+		for i := range scs {
+			remap[i][ns], cur[i] = make([]uint32, len(scs[i].dicts[ns])), 0
+		}
+		for names = names[:0]; ; {
+			var least []byte
+			for i := range scs {
+				if d := scs[i].dicts[ns]; cur[i] < len(d) && (least == nil || string(d[cur[i]]) < string(least)) {
+					least = d[cur[i]]
+				}
 			}
-			if i > 0 && s <= prev {
-				return nil, 0, fmt.Errorf("dictionary not sorted: %w", ErrCorrupt)
+			if least == nil {
+				break
 			}
-			prev = s
-			ids[ns][i] = tables[ns].ID(s)
-			names[ns][i] = s
+			for i := range scs {
+				if d := scs[i].dicts[ns]; cur[i] < len(d) && string(d[cur[i]]) == string(least) {
+					remap[i][ns][cur[i]] = uint32(len(names))
+					cur[i]++
+				}
+			}
+			names = append(names, least)
+		}
+		out = binary.AppendUvarint(out, uint64(len(names)))
+		for _, n := range names {
+			out = append(binary.AppendUvarint(out, uint64(len(n))), n...)
 		}
 	}
 
-	idx := trace.NewIndexWith(sy)
-	nServers, err := r.length(3)
-	if err != nil {
-		return nil, 0, err
+	live := make([]bool, len(scs))
+	for i := range scs {
+		var err error
+		if live[i], err = scs[i].next(); err != nil {
+			return nil, err
+		}
 	}
-	// Every index Add/Merge builds keeps its totals consistent — the header
-	// count is the servers' sum, a server's count its clients' sum — and
-	// the receiver gates detection on the header, so a fragment that breaks
-	// either is refused rather than silently skipped as an empty window.
-	var total uint64
-	for i := 0; i < nServers; i++ {
-		pos, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if pos >= uint64(len(names[nsServers])) {
-			return nil, 0, fmt.Errorf("server position %d out of range: %w", pos, ErrCorrupt)
-		}
-		key := names[nsServers][pos]
-		if _, dup := idx.Servers[key]; dup {
-			return nil, 0, fmt.Errorf("duplicate server %q: %w", key, ErrCorrupt)
-		}
-		info := idx.EnsureServer(key)
-		reqs, err := r.scalar()
-		if err != nil {
-			return nil, 0, err
-		}
-		errs, err := r.scalar()
-		if err != nil {
-			return nil, 0, err
-		}
-		info.Requests, info.ErrorRequests = reqs, errs
-		var byClient uint64
-		for _, field := range []struct {
-			dst *trace.Counts
-			ns  int
-		}{
-			{&info.Clients, nsClients}, {&info.IPs, nsIPs},
-			{&info.Files, nsFiles}, {&info.Referrers, nsServers},
-			{&info.UserAgents, nsAgents}, {&info.Queries, nsQueries},
-			{&info.Payloads, nsPayloads}, {&info.Hosts, nsHosts},
-		} {
-			m, sum, err := r.counts(ids[field.ns])
-			if err != nil {
-				return nil, 0, err
+	var from []int
+	var acc, tmp []entry
+	for section := nsServers; section <= nsClients; section++ {
+		start, records := len(out), 0
+		for ; ; records++ {
+			// The inputs whose current record is the least in the union.
+			from = from[:0]
+			var least uint32
+			for i := range scs {
+				if !live[i] || scs[i].section != section {
+					continue
+				}
+				if pos := remap[i][section][scs[i].pos]; len(from) == 0 || pos < least {
+					from, least = append(from[:0], i), pos
+				} else if pos == least {
+					from = append(from, i)
+				}
 			}
-			*field.dst = m
-			if field.ns == nsClients {
-				byClient = sum
+			if len(from) == 0 {
+				break
+			}
+			out = binary.AppendUvarint(out, uint64(least))
+			lists := 1
+			if section == nsServers {
+				reqs, errs := 0, 0
+				for _, i := range from {
+					reqs, errs = reqs+scs[i].reqs, errs+scs[i].errs
+				}
+				if reqs > math.MaxInt32 {
+					return nil, fmt.Errorf("wire: merged request count %d of server %d out of range", reqs, least)
+				}
+				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(reqs)), uint64(errs))
+				lists = len(fields)
+			}
+			for f := range lists {
+				ns := nsServers
+				if section == nsServers {
+					ns = fields[f]
+				}
+				acc = acc[:0]
+				for _, i := range from {
+					l, m := scs[i].lists[f], remap[i][ns]
+					for j := range l {
+						l[j].pos = m[l[j].pos]
+					}
+					var err error
+					if tmp, err = mergeEntries(tmp, acc, l); err != nil {
+						return nil, err
+					}
+					acc, tmp = tmp, acc
+				}
+				out = binary.AppendUvarint(out, uint64(len(acc)))
+				for _, e := range acc {
+					out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(e.pos)), uint64(e.n))
+				}
+			}
+			for _, i := range from {
+				var err error
+				if live[i], err = scs[i].next(); err != nil {
+					return nil, err
+				}
 			}
 		}
-		if byClient != uint64(reqs) || errs > reqs {
-			return nil, 0, fmt.Errorf("server %q: %d requests, %d by client, %d errors: %w", key, reqs, byClient, errs, ErrCorrupt)
-		}
-		total += uint64(reqs)
+		out = slices.Insert(out, start, binary.AppendUvarint(nil, uint64(records))...)
 	}
-	if total != uint64(requests) {
-		return nil, 0, fmt.Errorf("header counts %d requests, servers sum to %d: %w", requests, total, ErrCorrupt)
+	for i := range scs {
+		if scs[i].off != len(encs[i]) {
+			return nil, fmt.Errorf("%d trailing bytes: %w", len(encs[i])-scs[i].off, ErrCorrupt)
+		}
 	}
-	nClients, err := r.length(2)
-	if err != nil {
-		return nil, 0, err
+	return out, nil
+}
+
+// mergeEntries writes the sorted union of two sorted count lists to dst,
+// summing the counts of a position both hold.
+func mergeEntries(dst, a, b []entry) ([]entry, error) {
+	dst = dst[:0]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].pos < b[0].pos:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0].pos > b[0].pos:
+			dst, b = append(dst, b[0]), b[1:]
+		case uint64(a[0].n)+uint64(b[0].n) > math.MaxUint32:
+			return nil, fmt.Errorf("wire: merged count %d out of range", uint64(a[0].n)+uint64(b[0].n))
+		default:
+			dst, a, b = append(dst, entry{a[0].pos, a[0].n + b[0].n}), a[1:], b[1:]
+		}
 	}
-	for i := 0; i < nClients; i++ {
-		pos, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if pos >= uint64(len(ids[nsClients])) {
-			return nil, 0, fmt.Errorf("client position %d out of range: %w", pos, ErrCorrupt)
-		}
-		cid := ids[nsClients][pos]
-		if _, dup := idx.ClientServers[cid]; dup {
-			return nil, 0, fmt.Errorf("duplicate client entry: %w", ErrCorrupt)
-		}
-		m, _, err := r.counts(ids[nsServers])
-		if err != nil {
-			return nil, 0, err
-		}
-		idx.ClientServers[cid] = m
-	}
-	idx.RequestCount = requests
-	return idx, r.off, nil
+	return append(append(dst, a...), b...), nil
 }
 
 // Fragment is one window fragment in flight from an ingest node to the
@@ -479,9 +665,13 @@ type Fragment struct {
 	// Final marks the node's end-of-stream: no fragment with a higher
 	// Window will follow. Final fragments carry no index.
 	Final bool
-	// Index is the node's partial traffic aggregate for the window; nil
-	// on Final markers.
+	// Index is the node's partial traffic aggregate for the window, as a
+	// sender builds it; nil on Final markers.
 	Index *trace.Index
+	// Payload is the same aggregate in canonical wire form. DecodeFragment
+	// sets it, validated and copied out of its input, instead of Index;
+	// EncodeFragment writes it verbatim when set.
+	Payload []byte
 	// Hops is the append-only provenance trail: one record per transit,
 	// written by the sender just before each delivery attempt and stamped
 	// with the receive time on arrival. A fan-in merger copies its
@@ -516,7 +706,7 @@ const (
 // EncodeFragment serializes the fragment envelope plus its index and hop
 // trail.
 func EncodeFragment(f *Fragment) []byte {
-	b := make([]byte, 0, 1<<12)
+	b := make([]byte, 0, 1<<12+len(f.Payload))
 	b = append(b, magic[:]...)
 	b = binary.AppendUvarint(b, FragmentVersion)
 	b = binary.AppendUvarint(b, uint64(len(f.Node)))
@@ -528,11 +718,13 @@ func EncodeFragment(f *Fragment) []byte {
 	if f.Final {
 		flags |= flagFinal
 	}
-	if f.Index != nil {
+	if f.Index != nil || f.Payload != nil {
 		flags |= flagHasIndex
 	}
 	b = append(b, flags)
-	if f.Index != nil {
+	if f.Payload != nil {
+		b = append(b, f.Payload...)
+	} else if f.Index != nil {
 		b = appendIndex(b, f.Index)
 	}
 	for i := range f.Hops {
@@ -612,7 +804,9 @@ func decodeHop(r *reader) (Hop, error) {
 	return h, nil
 }
 
-// DecodeFragment parses EncodeFragment output.
+// DecodeFragment parses EncodeFragment output. The index section is
+// validated in full and kept as bytes in Payload, a copy that never
+// aliases data.
 func DecodeFragment(data []byte) (*Fragment, error) {
 	r := &reader{b: data}
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
@@ -655,12 +849,15 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 		Final:  flags&flagFinal != 0,
 	}
 	if flags&flagHasIndex != 0 {
-		idx, n, err := decodeIndex(&reader{b: r.b[r.off:]})
+		s := &scanner{reader: reader{b: r.b[r.off:]}}
+		err := s.header()
+		for ok := err == nil; ok; ok, err = s.next() {
+		}
 		if err != nil {
 			return nil, err
 		}
-		r.off += n
-		f.Index = idx
+		f.Payload = bytes.Clone(s.b[:s.off])
+		r.off += s.off
 	}
 	if v >= 2 {
 		// Hop records run to the end of the buffer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -133,8 +134,8 @@ func TestFragmentRoundTrip(t *testing.T) {
 	if dec.Node != f.Node || dec.Window != f.Window || !dec.Start.Equal(f.Start) || !dec.End.Equal(f.End) || dec.Final {
 		t.Errorf("envelope diverged: %+v", dec)
 	}
-	if dec.Index.Fingerprint() != idx.Fingerprint() {
-		t.Error("fragment index fingerprint diverged")
+	if dec.Index != nil || string(dec.Payload) != string(EncodeIndex(idx)) {
+		t.Error("decoded fragment does not carry its index's canonical bytes")
 	}
 
 	final := &Fragment{Node: "ingest-1", Window: 7, Final: true}
@@ -142,7 +143,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !decF.Final || decF.Index != nil || decF.Node != "ingest-1" {
+	if !decF.Final || decF.Payload != nil || decF.Node != "ingest-1" {
 		t.Errorf("final marker diverged: %+v", decF)
 	}
 }
@@ -188,7 +189,7 @@ func TestHopRoundTrip(t *testing.T) {
 	if string(EncodeFragment(dec)) != string(enc) {
 		t.Error("encode(decode(b)) != b with hops present")
 	}
-	if dec.Index.Fingerprint() != idx.Fingerprint() {
+	if string(dec.Payload) != string(EncodeIndex(idx)) {
 		t.Error("hop trail corrupted the index payload")
 	}
 }
@@ -368,5 +369,33 @@ func TestDecodeRejectsInconsistentTotals(t *testing.T) {
 		if _, err := DecodeIndex(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// MergeIndexes at its edges: no inputs encode the empty index, one input
+// merges to itself, and a count the sum would push past 2^32−1 is refused
+// rather than wrapped.
+func TestMergeIndexesEdges(t *testing.T) {
+	got, err := MergeIndexes(nil)
+	if err != nil || string(got) != string(EncodeIndex(trace.NewIndex())) {
+		t.Errorf("no inputs: %q, %v; want the empty index's encoding", got, err)
+	}
+	one := EncodeIndex(trace.BuildIndex(sampleTrace()))
+	if got, err := MergeIndexes([][]byte{one}); err != nil || string(got) != string(one) {
+		t.Errorf("one input did not merge to itself (err %v)", err)
+	}
+
+	idx := trace.BuildIndex(sampleTrace())
+	for _, info := range idx.Servers {
+		for ip := range info.IPs {
+			info.IPs[ip] = math.MaxUint32
+		}
+	}
+	wide := EncodeIndex(idx)
+	if _, err := DecodeIndex(wide); err != nil {
+		t.Fatalf("a count of 2^32-1 must decode: %v", err)
+	}
+	if _, err := MergeIndexes([][]byte{wide, one}); err == nil {
+		t.Error("merged count above 2^32-1 accepted")
 	}
 }
