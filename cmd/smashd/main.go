@@ -558,6 +558,10 @@ func openSource(o *options, stdin io.Reader) (stream.Source, []io.Closer, error)
 			name := p
 			if p == "-" {
 				rd, name = stdin, "stdin"
+				if f, ok := stdin.(*os.File); ok {
+					pf, restore := pollable(f)
+					rd, closers = pf, append(closers, closerFunc(restore))
+				}
 			} else {
 				file, err := os.Open(p)
 				if err != nil {
@@ -590,6 +594,11 @@ func openSource(o *options, stdin io.Reader) (stream.Source, []io.Closer, error)
 	}
 	return src, closers, nil
 }
+
+// closerFunc adapts a cleanup function to io.Closer.
+type closerFunc func() error
+
+func (f closerFunc) Close() error { return f() }
 
 // detectorOptions builds the core options of a detecting back.
 func (o *options) detectorOptions() []core.Option {

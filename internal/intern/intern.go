@@ -11,6 +11,10 @@
 // first-intern order and are therefore NOT stable across runs or shards —
 // they must never leak into output ordering; anything user-visible sorts by
 // name (see DESIGN.md "Performance").
+//
+// NewTableOf seeds a table with distinct names at ids 0..n-1 in one pass,
+// as the wire decoder does with a validated dictionary; later interns
+// continue at id n.
 package intern
 
 import (
@@ -20,8 +24,9 @@ import (
 
 // Table interns strings to dense uint32 ids.
 type Table struct {
-	ids sync.Map // string -> uint32
-	mu  sync.Mutex
+	seed map[string]uint32 // NewTableOf's names; read-only after construction
+	ids  sync.Map          // string -> uint32, for names past the seed; read first
+	mu   sync.Mutex
 	// names is the id -> string mapping. The slice header is republished
 	// atomically on every append; entries below the published length are
 	// immutable, so readers index the loaded snapshot without locking.
@@ -35,11 +40,26 @@ func NewTable() *Table {
 	return t
 }
 
+// NewTableOf returns a table holding names at ids 0..len(names)-1. The
+// names must be distinct (a wire dictionary is: its scanner refuses
+// repeats); the table keeps the slice, which the caller must not modify.
+func NewTableOf(names []string) *Table {
+	t := &Table{seed: make(map[string]uint32, len(names))}
+	for i, s := range names {
+		t.seed[s] = uint32(i)
+	}
+	t.names.Store(names[:len(names):len(names)])
+	return t
+}
+
 // ID interns s and returns its id. The first call for a given string
 // assigns the next dense id; later calls are lock-free lookups.
 func (t *Table) ID(s string) uint32 {
 	if v, ok := t.ids.Load(s); ok {
 		return v.(uint32)
+	}
+	if id, ok := t.seed[s]; ok {
+		return id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -57,11 +77,11 @@ func (t *Table) ID(s string) uint32 {
 
 // Lookup returns the id of s without interning it.
 func (t *Table) Lookup(s string) (uint32, bool) {
-	v, ok := t.ids.Load(s)
-	if !ok {
-		return 0, false
+	if v, ok := t.ids.Load(s); ok {
+		return v.(uint32), true
 	}
-	return v.(uint32), true
+	id, ok := t.seed[s]
+	return id, ok
 }
 
 // Name returns the string with the given id. It panics if id was never

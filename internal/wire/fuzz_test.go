@@ -3,9 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"smash/internal/intern"
 	"smash/internal/trace"
 )
 
@@ -55,8 +57,9 @@ func fuzzRequests(data []byte) []trace.Request {
 
 // FuzzIndexRoundTrip is the codec's core guarantee: for any index —
 // including one whose symbol table carries foreign ids from unrelated
-// interning — encode→decode preserves the Fingerprint exactly, and the
-// encoding is canonical across symbol tables.
+// interning, and one whose ids run against name order — encode→decode
+// preserves the Fingerprint exactly, the encoding is canonical across
+// symbol tables, and it is byte for byte the reference encoder's.
 func FuzzIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
@@ -88,9 +91,33 @@ func FuzzIndexRoundTrip(f *testing.F) {
 			foreign.Add(&reqs[i])
 		}
 
+		// Reversed symbol table: every name the index uses is interned in
+		// reverse name order, after names it never references.
+		rsy := trace.NewSymbols()
+		for _, pair := range [][2]*intern.Table{{plain.Syms.Servers, rsy.Servers}, {plain.Syms.Clients, rsy.Clients},
+			{plain.Syms.IPs, rsy.IPs}, {plain.Syms.Files, rsy.Files}, {plain.Syms.Agents, rsy.Agents},
+			{plain.Syms.Queries, rsy.Queries}, {plain.Syms.Payloads, rsy.Payloads}, {plain.Syms.Hosts, rsy.Hosts}} {
+			names := slices.Clone(pair[0].Names())
+			slices.Sort(names)
+			slices.Reverse(names)
+			pair[1].ID("\xffunreferenced")
+			for _, n := range names {
+				pair[1].ID(n)
+			}
+		}
+		reversed := trace.NewIndexWith(rsy)
+		for i := range reqs {
+			reversed.Add(&reqs[i])
+		}
+
 		encPlain, encForeign := EncodeIndex(plain), EncodeIndex(foreign)
-		if string(encPlain) != string(encForeign) {
+		if string(encPlain) != string(encForeign) || string(EncodeIndex(reversed)) != string(encPlain) {
 			t.Fatal("encoding not canonical across symbol tables")
+		}
+		for _, idx := range []*trace.Index{plain, foreign, reversed} {
+			if string(EncodeIndex(idx)) != string(referenceEncodeIndex(idx)) {
+				t.Fatal("encoding differs from the reference encoder's")
+			}
 		}
 		dec, err := DecodeIndex(encForeign)
 		if err != nil {

@@ -10,7 +10,9 @@
 // dictionary: for every namespace it collects exactly the names the
 // fragment references, sorts them, and encodes counts keyed by position in
 // that sorted dictionary. Decoding interns the dictionary into a fresh
-// trace.Symbols (dense ids in dictionary order) and rebuilds the index.
+// trace.Symbols by seeding its tables (intern.NewTableOf): a validated
+// dictionary is sorted and distinct, so position p becomes id p, and the
+// index is rebuilt on those ids.
 //
 // Because dictionaries, servers, client rows and count lists are sorted,
 // and a dictionary holds only names something references, encoding is
@@ -44,12 +46,14 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"smash/internal/intern"
@@ -71,45 +75,42 @@ var magic = [4]byte{'S', 'M', 'W', 'F'}
 var ErrCorrupt = errors.New("wire: corrupt data")
 
 // dict is one namespace's compact dictionary: the names the fragment
-// references, sorted, plus the local-id -> dictionary-position mapping
-// used while encoding.
+// references, sorted, and each referenced local id's position in them.
 type dict struct {
 	names []string
-	pos   map[uint32]uint32 // local id -> position in names
+	ids   []uint32 // the referenced local ids, ascending
+	pos   []uint32 // pos[i] is the position of ids[i] in names
 }
 
-// dictBuilder accumulates the local ids a namespace references.
-type dictBuilder struct {
-	table *intern.Table
-	used  map[uint32]struct{}
-}
-
-func (b *dictBuilder) add(m trace.Counts) {
-	for id := range m {
-		b.used[id] = struct{}{}
+// newDict builds table's dictionary from used, a bitset of the local ids
+// the index references. Positions are assigned in sorted-name order,
+// which is what makes the encoding canonical.
+func newDict(table *intern.Table, used []uint64) dict {
+	all, n := table.Names(), 0
+	for _, w := range used {
+		n += bits.OnesCount64(w)
 	}
-}
-
-// build resolves and sorts the used names. Positions are assigned in
-// sorted-name order, which is what makes the encoding canonical.
-func (b *dictBuilder) build() dict {
-	names := b.table.Names()
-	d := dict{
-		names: make([]string, 0, len(b.used)),
-		pos:   make(map[uint32]uint32, len(b.used)),
+	d := dict{ids: make([]uint32, 0, n), names: make([]string, n), pos: make([]uint32, n)}
+	for i, w := range used {
+		for ; w != 0; w &= w - 1 {
+			d.ids = append(d.ids, uint32(i<<6+bits.TrailingZeros64(w)))
+		}
 	}
-	for id := range b.used {
-		d.names = append(d.names, names[id])
+	byName := make([]int32, n) // indexes into ids, in name order
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	sort.Strings(d.names)
-	index := make(map[string]uint32, len(d.names))
-	for i, n := range d.names {
-		index[n] = uint32(i)
-	}
-	for id := range b.used {
-		d.pos[id] = index[names[id]]
+	slices.SortFunc(byName, func(i, j int32) int { return strings.Compare(all[d.ids[i]], all[d.ids[j]]) })
+	for p, i := range byName {
+		d.names[p], d.pos[i] = all[d.ids[i]], uint32(p)
 	}
 	return d
+}
+
+// position returns the dictionary position of a referenced local id.
+func (d *dict) position(id uint32) uint32 {
+	i, _ := slices.BinarySearch(d.ids, id)
+	return d.pos[i]
 }
 
 // namespace indexes into the fixed dictionary array.
@@ -135,36 +136,30 @@ func EncodeIndex(idx *trace.Index) []byte {
 // encodes straight into the envelope buffer without an intermediate copy.
 func appendIndex(b []byte, idx *trace.Index) []byte {
 	sy := idx.Syms
-	builders := [nsCount]dictBuilder{
-		nsServers:  {table: sy.Servers, used: map[uint32]struct{}{}},
-		nsClients:  {table: sy.Clients, used: map[uint32]struct{}{}},
-		nsIPs:      {table: sy.IPs, used: map[uint32]struct{}{}},
-		nsFiles:    {table: sy.Files, used: map[uint32]struct{}{}},
-		nsAgents:   {table: sy.Agents, used: map[uint32]struct{}{}},
-		nsQueries:  {table: sy.Queries, used: map[uint32]struct{}{}},
-		nsPayloads: {table: sy.Payloads, used: map[uint32]struct{}{}},
-		nsHosts:    {table: sy.Hosts, used: map[uint32]struct{}{}},
+	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads, sy.Hosts}
+	var used [nsCount][]uint64
+	for ns, t := range tables {
+		used[ns] = make([]uint64, (t.Len()+63)/64)
 	}
-	keys := idx.ServerKeys()
-	for _, k := range keys {
-		s := idx.Servers[k]
-		builders[nsServers].used[s.SID] = struct{}{}
-		builders[nsClients].add(s.Clients)
-		builders[nsIPs].add(s.IPs)
-		builders[nsFiles].add(s.Files)
-		builders[nsServers].add(s.Referrers)
-		builders[nsAgents].add(s.UserAgents)
-		builders[nsQueries].add(s.Queries)
-		builders[nsPayloads].add(s.Payloads)
-		builders[nsHosts].add(s.Hosts)
+	mark := func(ns int, id uint32) { used[ns][id>>6] |= 1 << (id & 63) }
+	servers := idx.Nodes().Infos
+	for _, s := range servers {
+		mark(nsServers, s.SID)
+		for f, m := range serverLists(s) {
+			for id := range m {
+				mark(fields[f], id)
+			}
+		}
 	}
 	for c, cs := range idx.ClientServers {
-		builders[nsClients].used[c] = struct{}{}
-		builders[nsServers].add(cs)
+		mark(nsClients, c)
+		for id := range cs {
+			mark(nsServers, id)
+		}
 	}
 	var dicts [nsCount]dict
-	for i := range builders {
-		dicts[i] = builders[i].build()
+	for ns, t := range tables {
+		dicts[ns] = newDict(t, used[ns])
 	}
 
 	b = append(b, magic[:]...)
@@ -177,49 +172,51 @@ func appendIndex(b []byte, idx *trace.Index) []byte {
 			b = append(b, n...)
 		}
 	}
+	var buf []entry
 	appendCounts := func(b []byte, d *dict, m trace.Counts) []byte {
-		pairs := make([][2]uint32, 0, len(m))
+		buf = buf[:0]
 		for id, n := range m {
-			pairs = append(pairs, [2]uint32{d.pos[id], n})
+			buf = append(buf, entry{d.position(id), n})
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-		b = binary.AppendUvarint(b, uint64(len(pairs)))
-		for _, p := range pairs {
-			b = binary.AppendUvarint(b, uint64(p[0]))
-			b = binary.AppendUvarint(b, uint64(p[1]))
+		slices.SortFunc(buf, byPos)
+		b = binary.AppendUvarint(b, uint64(len(buf)))
+		for _, e := range buf {
+			b = binary.AppendUvarint(b, uint64(e.pos))
+			b = binary.AppendUvarint(b, uint64(e.n))
 		}
 		return b
 	}
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		s := idx.Servers[k]
-		b = binary.AppendUvarint(b, uint64(dicts[nsServers].pos[s.SID]))
+	// Servers sorted by key == sorted by dictionary position.
+	b = binary.AppendUvarint(b, uint64(len(servers)))
+	for _, s := range servers {
+		b = binary.AppendUvarint(b, uint64(dicts[nsServers].position(s.SID)))
 		b = binary.AppendUvarint(b, uint64(s.Requests))
 		b = binary.AppendUvarint(b, uint64(s.ErrorRequests))
-		b = appendCounts(b, &dicts[nsClients], s.Clients)
-		b = appendCounts(b, &dicts[nsIPs], s.IPs)
-		b = appendCounts(b, &dicts[nsFiles], s.Files)
-		b = appendCounts(b, &dicts[nsServers], s.Referrers)
-		b = appendCounts(b, &dicts[nsAgents], s.UserAgents)
-		b = appendCounts(b, &dicts[nsQueries], s.Queries)
-		b = appendCounts(b, &dicts[nsPayloads], s.Payloads)
-		b = appendCounts(b, &dicts[nsHosts], s.Hosts)
+		for f, m := range serverLists(s) {
+			b = appendCounts(b, &dicts[fields[f]], m)
+		}
 	}
-	// Clients sorted by name == sorted by dictionary position.
-	clients := make([]uint32, 0, len(idx.ClientServers))
+	// Client rows as (position, local id), sorted by position.
+	rows := make([]entry, 0, len(idx.ClientServers))
 	for c := range idx.ClientServers {
-		clients = append(clients, c)
+		rows = append(rows, entry{dicts[nsClients].position(c), c})
 	}
-	sort.Slice(clients, func(i, j int) bool {
-		return dicts[nsClients].pos[clients[i]] < dicts[nsClients].pos[clients[j]]
-	})
-	b = binary.AppendUvarint(b, uint64(len(clients)))
-	for _, c := range clients {
-		b = binary.AppendUvarint(b, uint64(dicts[nsClients].pos[c]))
-		b = appendCounts(b, &dicts[nsServers], idx.ClientServers[c])
+	slices.SortFunc(rows, byPos)
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for _, r := range rows {
+		b = binary.AppendUvarint(b, uint64(r.pos))
+		b = appendCounts(b, &dicts[nsServers], idx.ClientServers[r.n])
 	}
 	return b
 }
+
+// serverLists returns a server's eight count lists in wire order, the
+// namespaces of fields.
+func serverLists(s *trace.ServerInfo) [len(fields)]trace.Counts {
+	return [len(fields)]trace.Counts{s.Clients, s.IPs, s.Files, s.Referrers, s.UserAgents, s.Queries, s.Payloads, s.Hosts}
+}
+
+func byPos(x, y entry) int { return cmp.Compare(x.pos, y.pos) }
 
 // reader walks an encoded buffer with bounds checking.
 type reader struct {
@@ -441,21 +438,22 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 	if err := s.header(); err != nil {
 		return nil, err
 	}
-	sy := trace.NewSymbols()
-	// ids[ns][pos] is the local id of dictionary entry pos. Fresh tables
-	// assign dense ids in intern order, so ids[ns][pos] == pos — but going
-	// through the table keeps the decoder honest about that invariant.
-	var ids [nsCount][]uint32
-	for ns, t := range [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads, sy.Hosts} {
-		ids[ns] = make([]uint32, len(s.dicts[ns]))
-		for i, name := range s.dicts[ns] {
-			ids[ns][i] = t.ID(string(name))
+	// A validated dictionary is sorted and distinct, so its positions are
+	// the dense ids of a table seeded with it.
+	var tables [nsCount]*intern.Table
+	for ns, d := range s.dicts {
+		names := make([]string, len(d))
+		for i, name := range d {
+			names[i] = string(name)
 		}
+		tables[ns] = intern.NewTableOf(names)
 	}
-	counts := func(l []entry, ids []uint32) trace.Counts {
+	sy := &trace.Symbols{Servers: tables[nsServers], Clients: tables[nsClients], IPs: tables[nsIPs], Files: tables[nsFiles],
+		Agents: tables[nsAgents], Queries: tables[nsQueries], Payloads: tables[nsPayloads], Hosts: tables[nsHosts]}
+	counts := func(l []entry) trace.Counts {
 		m := make(trace.Counts, len(l))
 		for _, e := range l {
-			m[ids[e.pos]] = e.n
+			m[e.pos] = e.n
 		}
 		return m
 	}
@@ -463,14 +461,14 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 	ok, err := s.next()
 	for ; ok; ok, err = s.next() {
 		if s.section == nsClients {
-			idx.ClientServers[ids[nsClients][s.pos]] = counts(s.lists[0], ids[nsServers])
+			idx.ClientServers[s.pos] = counts(s.lists[0])
 			continue
 		}
-		info := idx.EnsureServer(sy.Servers.Name(ids[nsServers][s.pos]))
+		info := idx.EnsureServer(sy.Servers.Name(s.pos))
 		info.Requests, info.ErrorRequests = s.reqs, s.errs
 		for f, dst := range [len(fields)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
 			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads, &info.Hosts} {
-			*dst = counts(s.lists[f], ids[fields[f]])
+			*dst = counts(s.lists[f])
 		}
 	}
 	if err != nil {

@@ -90,12 +90,30 @@ func TestEncodingCanonical(t *testing.T) {
 }
 
 // A decoded fragment remap-merges into an aggregate exactly like the
-// original index would.
+// original index would, also after requests added to both intern names
+// past the decoded dictionary.
 func TestDecodedFragmentMerges(t *testing.T) {
 	idx := trace.BuildIndex(sampleTrace())
 	dec, err := DecodeIndex(EncodeIndex(idx))
 	if err != nil {
 		t.Fatal(err)
+	}
+	base := time.Date(2011, 10, 2, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 12; i++ {
+		r := trace.Request{
+			Time:      base.Add(time.Duration(i) * time.Minute),
+			Client:    fmt.Sprintf("10.0.%d.%d", i%2, i%5), // old and new clients
+			Host:      fmt.Sprintf("site-%d.example.com", i%9),
+			ServerIP:  "198.51.100.1",
+			Path:      fmt.Sprintf("/new/f%d.js", i%4),
+			UserAgent: "agent-new",
+			Status:    200,
+		}
+		idx.Add(&r)
+		dec.Add(&r)
+	}
+	if dec.Fingerprint() != idx.Fingerprint() {
+		t.Fatal("requests added after decode diverged from the same requests added to the original")
 	}
 
 	direct := trace.NewIndex()
