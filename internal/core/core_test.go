@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"smash/internal/herd"
 	"smash/internal/similarity"
 	"smash/internal/synth"
 	"smash/internal/trace"
@@ -299,6 +300,26 @@ func TestExtensibilityExtraDimension(t *testing.T) {
 	if _, ok := report.SecondaryHerds["useragent"]; !ok {
 		t.Error("extra dimension not mined")
 	}
+	if got := report.RawIndex.Fields(); got != trace.FieldAgents {
+		t.Errorf("index of a User-Agent dimension keeps fields %03b, want agents", got)
+	}
+
+	// The default detector's index keeps no optional field.
+	lean := runDetector(t, w).RawIndex
+	if lean.Fields() != 0 {
+		t.Errorf("default index keeps fields %03b, want none", lean.Fields())
+	}
+	for key, info := range lean.Servers {
+		if info.UserAgents != nil || info.Queries != nil || info.Payloads != nil {
+			t.Fatalf("default index keeps an optional map for %s", key)
+		}
+	}
+
+	// A dimension whose field the index lacks is an error, not an empty graph.
+	ua := NewPipeline(WithSeed(7), WithExtraDimension(herd.UserAgentDimension(similarity.Options{})))
+	if _, err := ua.Run(context.Background(), lean, w.Trace().ComputeStats()); err == nil {
+		t.Error("Run mined a User-Agent dimension on an index without User-Agents")
+	}
 }
 
 // uaDimension is a toy dimension connecting servers sharing a rare
@@ -306,6 +327,8 @@ func TestExtensibilityExtraDimension(t *testing.T) {
 type uaDimension struct{}
 
 func (uaDimension) Name() string { return "useragent" }
+
+func (uaDimension) Fields() trace.Fields { return trace.FieldAgents }
 
 func (uaDimension) Build(idx *trace.Index) *similarity.ServerGraph {
 	return similarity.BuildUserAgentGraph(idx, similarity.Options{})

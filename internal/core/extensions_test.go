@@ -102,7 +102,7 @@ func TestUserAgentDimensionConstructor(t *testing.T) {
 		t.Errorf("name = %q", d.Name())
 	}
 	tr, _ := parameterCampaignTrace()
-	sg := d.Build(trace.BuildIndex(tr))
+	sg := d.Build(trace.BuildIndexOf(tr, d.Fields()))
 	if sg.G.N() == 0 {
 		t.Error("empty graph")
 	}

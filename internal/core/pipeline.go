@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"smash/internal/campaign"
@@ -69,13 +68,12 @@ type Observer interface {
 type Pipeline struct {
 	cfg config
 
-	// The miner is part of the pipeline's scratch: dimensions
-	// and miner are immutable once built, so one instance serves every run
-	// (the streaming engine runs one detection per window) instead of
-	// being reconstructed per window.
-	mineOnce sync.Once
-	miner    *herd.Miner
-	mineErr  error
+	// The miner is built with the pipeline: dimensions and miner are
+	// immutable, so one instance serves every run (the streaming engine
+	// runs one detection per window). A build error surfaces at mining.
+	miner   *herd.Miner
+	mineErr error
+	fields  trace.Fields // the union of the dimensions'
 }
 
 // NewPipeline builds a Pipeline from options.
@@ -84,7 +82,8 @@ func NewPipeline(opts ...Option) *Pipeline {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Pipeline{cfg: cfg}
+	miner, fields, err := buildMiner(cfg)
+	return &Pipeline{cfg: cfg, miner: miner, mineErr: err, fields: fields}
 }
 
 // Run executes all five stages over a prebuilt raw (pre-filter) index —
@@ -97,10 +96,14 @@ func NewPipeline(opts ...Option) *Pipeline {
 // inside StageMine cancellation is checked per dimension. extra observers,
 // if any, fire for this run only, after the configured ones — the hook
 // that lets a caller running many concurrent windows attribute stage
-// events to one window (see internal/stream's lifecycle tracing).
+// events to one window (see internal/stream's lifecycle tracing). An
+// index lacking an optional field a dimension reads is an error.
 func (p *Pipeline) Run(ctx context.Context, raw *trace.Index, stats trace.Stats, extra ...Observer) (*Report, error) {
 	if raw == nil {
 		return nil, ErrEmptyTrace
+	}
+	if missing := p.Fields() &^ raw.Fields(); missing != 0 {
+		return nil, fmt.Errorf("core: index lacks fields %03b its dimensions read", missing)
 	}
 	st := &state{raw: raw, report: &Report{
 		TraceStats:     stats,
@@ -122,13 +125,16 @@ func (p *Pipeline) Run(ctx context.Context, raw *trace.Index, stats trace.Stats,
 }
 
 // RunTrace indexes a trace (typically one day) and runs all five stages:
-// Run(ctx, trace.BuildIndex(t), t.ComputeStats()).
+// Run(ctx, trace.BuildIndexOf(t, p.Fields()), t.ComputeStats()).
 func (p *Pipeline) RunTrace(ctx context.Context, t *trace.Trace, extra ...Observer) (*Report, error) {
 	if t == nil || len(t.Requests) == 0 {
 		return nil, ErrEmptyTrace
 	}
-	return p.Run(ctx, trace.BuildIndex(t), t.ComputeStats(), extra...)
+	return p.Run(ctx, trace.BuildIndexOf(t, p.Fields()), t.ComputeStats(), extra...)
 }
+
+// Fields returns the optional index fields the pipeline's dimensions read.
+func (p *Pipeline) Fields() trace.Fields { return p.fields }
 
 // runStage executes one stage surrounded by observer notifications: the
 // pipeline's configured observers first, then the run's extra ones.
@@ -162,31 +168,35 @@ func (p *Pipeline) runPreprocess(_ context.Context, st *state) error {
 	return nil
 }
 
-// buildMiner assembles the dimension set and miner from the configuration.
-func (p *Pipeline) buildMiner() (*herd.Miner, error) {
-	cfg := p.cfg
-	secondary := []herd.Dimension{
+// buildMiner assembles the dimension set and miner from the configuration,
+// and the union of the optional index fields the dimensions read.
+func buildMiner(cfg config) (*herd.Miner, trace.Fields, error) {
+	dims := []herd.Dimension{
+		herd.ClientDimension(cfg.simOpts),
 		herd.FileDimension(cfg.simOpts),
 		herd.IPDimension(cfg.simOpts),
 	}
 	if cfg.registry != nil && !cfg.disableWhoisDim {
-		secondary = append(secondary, herd.WhoisDimension(cfg.registry, cfg.simOpts))
+		dims = append(dims, herd.WhoisDimension(cfg.registry, cfg.simOpts))
 	}
-	secondary = append(secondary, cfg.extraDims...)
-	miner, err := herd.NewMiner(herd.ClientDimension(cfg.simOpts), secondary, cfg.seed)
+	dims = append(dims, cfg.extraDims...)
+	var fields trace.Fields
+	for _, d := range dims {
+		fields |= d.Fields()
+	}
+	miner, err := herd.NewMiner(dims[0], dims[1:], cfg.seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: build miner: %w", err)
+		return nil, fields, fmt.Errorf("core: build miner: %w", err)
 	}
 	if cfg.mineFunc != nil {
 		miner.SetMineFunc(cfg.mineFunc)
 	}
-	return miner, nil
+	return miner, fields, nil
 }
 
 // runMine is stage 2: ASH mining over all dimensions, fanned out on a
 // bounded worker pool (WithMiningWorkers) with per-dimension cancellation.
 func (p *Pipeline) runMine(ctx context.Context, st *state) error {
-	p.mineOnce.Do(func() { p.miner, p.mineErr = p.buildMiner() })
 	if p.mineErr != nil {
 		return p.mineErr
 	}

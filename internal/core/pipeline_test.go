@@ -135,6 +135,8 @@ type blockingDimension struct {
 
 func (d *blockingDimension) Name() string { return d.name }
 
+func (d *blockingDimension) Fields() trace.Fields { return trace.FieldAgents }
+
 func (d *blockingDimension) Build(idx *trace.Index) *similarity.ServerGraph {
 	close(d.started)
 	<-d.release

@@ -76,6 +76,10 @@ func NewEnvFromWorld(w *synth.World) *Env {
 	}
 }
 
+// evalFields are the optional index fields verification reads: case-study
+// rows, New Server pattern matches and IDS User-Agent signatures.
+const evalFields = trace.FieldAgents | trace.FieldQueries
+
 // Run executes (with caching) the detector on one day at the given
 // thresholds. singleThresh <= 0 uses the paper's 1.0.
 func (e *Env) Run(day int, thresh, singleThresh float64) (*core.Report, error) {
@@ -89,13 +93,14 @@ func (e *Env) Run(day int, thresh, singleThresh float64) (*core.Report, error) {
 	if day < 0 || day >= len(e.World.Days) {
 		return nil, fmt.Errorf("eval: day %d out of range [0,%d)", day, len(e.World.Days))
 	}
+	tr := e.World.Days[day]
 	report, err := core.NewPipeline(
 		core.WithSeed(e.World.Config.Seed),
 		core.WithWhois(e.World.Whois),
 		core.WithProber(e.World.Prober),
 		core.WithThreshold(thresh),
 		core.WithSingleClientThreshold(singleThresh),
-	).RunTrace(context.Background(), e.World.Days[day])
+	).Run(context.Background(), trace.BuildIndexOf(tr, evalFields), tr.ComputeStats())
 	if err != nil {
 		return nil, fmt.Errorf("eval: run day %d: %w", day, err)
 	}
@@ -108,7 +113,7 @@ func (e *Env) Labels(day int) (ids.Labels, ids.Labels) {
 	if lp, ok := e.labels[day]; ok {
 		return lp.l2012, lp.l2013
 	}
-	idx := trace.BuildIndex(e.World.Days[day])
+	idx := trace.BuildIndexOf(e.World.Days[day], evalFields)
 	lp := labelPair{
 		l2012: e.Oracles.IDS2012.Scan(idx),
 		l2013: e.Oracles.IDS2013.Scan(idx),

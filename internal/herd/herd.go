@@ -110,17 +110,21 @@ func herdsFromGroups(dim string, sg *similarity.ServerGraph, labels []int) []ASH
 type Dimension interface {
 	// Name returns the dimension's unique name.
 	Name() string
+	// Fields returns the optional index fields Build reads.
+	Fields() trace.Fields
 	// Build constructs the server-similarity graph from the index.
 	Build(idx *trace.Index) *similarity.ServerGraph
 }
 
 // builtin adapts a build function to the Dimension interface.
 type builtin struct {
-	name  string
-	build func(idx *trace.Index) *similarity.ServerGraph
+	name   string
+	fields trace.Fields
+	build  func(idx *trace.Index) *similarity.ServerGraph
 }
 
 func (b builtin) Name() string                                   { return b.name }
+func (b builtin) Fields() trace.Fields                           { return b.fields }
 func (b builtin) Build(idx *trace.Index) *similarity.ServerGraph { return b.build(idx) }
 
 // ClientDimension returns the main dimension (client-set similarity). An
@@ -134,28 +138,28 @@ func ClientDimension(opts similarity.Options) Dimension {
 	if opts.MinSimilarity == 0 {
 		opts.MinSimilarity = similarity.DefaultClientMinSimilarity
 	}
-	return builtin{similarity.DimClient, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimClient, 0, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildClientGraph(idx, opts)
 	}}
 }
 
 // FileDimension returns the URI-file secondary dimension.
 func FileDimension(opts similarity.Options) Dimension {
-	return builtin{similarity.DimFile, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimFile, 0, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildFileGraph(idx, opts)
 	}}
 }
 
 // IPDimension returns the IP-address-set secondary dimension.
 func IPDimension(opts similarity.Options) Dimension {
-	return builtin{similarity.DimIP, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimIP, 0, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildIPGraph(idx, opts)
 	}}
 }
 
 // WhoisDimension returns the whois secondary dimension backed by reg.
 func WhoisDimension(reg whois.Registry, opts similarity.Options) Dimension {
-	return builtin{similarity.DimWhois, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimWhois, 0, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildWhoisGraph(idx, reg, opts)
 	}}
 }
@@ -165,7 +169,7 @@ func WhoisDimension(reg whois.Registry, opts similarity.Options) Dimension {
 // campaigns its built-in dimensions miss (§V-A2). Register it with
 // core.WithExtraDimension.
 func QueryDimension(opts similarity.Options) Dimension {
-	return builtin{similarity.DimQuery, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimQuery, trace.FieldQueries, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildQueryGraph(idx, opts)
 	}}
 }
@@ -173,7 +177,7 @@ func QueryDimension(opts similarity.Options) Dimension {
 // UserAgentDimension returns the optional User-Agent secondary dimension
 // (rare malware-specific UA strings shared across a campaign's servers).
 func UserAgentDimension(opts similarity.Options) Dimension {
-	return builtin{similarity.DimUserAgent, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimUserAgent, trace.FieldAgents, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildUserAgentGraph(idx, opts)
 	}}
 }
@@ -182,17 +186,8 @@ func UserAgentDimension(opts similarity.Options) Dimension {
 // dimension (§VI Extensions): servers serving the same captured payload
 // digests are linked.
 func PayloadDimension(opts similarity.Options) Dimension {
-	return builtin{similarity.DimPayload, func(idx *trace.Index) *similarity.ServerGraph {
+	return builtin{similarity.DimPayload, trace.FieldPayloads, func(idx *trace.Index) *similarity.ServerGraph {
 		return similarity.BuildPayloadGraph(idx, opts)
-	}}
-}
-
-// TemporalDimension returns the optional temporal co-occurrence secondary
-// dimension (§VI Extensions): servers one client contacts within the same
-// short window are linked. It closes over the raw trace for timestamps.
-func TemporalDimension(t *trace.Trace, opts similarity.Options) Dimension {
-	return builtin{similarity.DimTemporal, func(idx *trace.Index) *similarity.ServerGraph {
-		return similarity.BuildTemporalGraph(t, idx, opts)
 	}}
 }
 

@@ -16,7 +16,7 @@ func testIndex() *trace.Index {
 		{Time: time.Unix(0, 0), Client: "user", Host: "benign.com", ServerIP: "8.8.8.8",
 			Path: "/news.php", UserAgent: "Mozilla/5.0", Status: 200},
 	}}
-	return trace.BuildIndex(tr)
+	return trace.BuildIndexOf(tr, trace.FieldAgents)
 }
 
 func TestEngineServerSignature(t *testing.T) {

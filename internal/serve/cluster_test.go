@@ -514,10 +514,10 @@ func TestIngestRejectsMisconfiguredChild(t *testing.T) {
 	shifted := windowFragment("n0", 3, "c1")
 	shifted.Start, shifted.End = shifted.Start.Add(time.Hour), shifted.End.Add(time.Hour)
 	// zeroed is a well-placed fragment whose index header claims no
-	// requests (byte 5 of the index encoding) over its one-request server:
+	// requests (byte 6 of the index encoding) over its one-request server:
 	// merged as-is it would skip detection and be counted an empty window.
 	zeroed := wire.EncodeFragment(windowFragment("n0", 3, "c1"))
-	zeroed[bytes.LastIndex(zeroed, []byte("SMWF"))+5] = 0
+	zeroed[bytes.LastIndex(zeroed, []byte("SMWF"))+6] = 0
 
 	for _, role := range []struct {
 		name string

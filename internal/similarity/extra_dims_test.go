@@ -7,7 +7,8 @@ import (
 	"smash/internal/trace"
 )
 
-// indexFromRows builds an index from (client, host, ip, path, query, ua).
+// indexFromRows builds an index from (client, host, ip, path, query, ua)
+// that keeps the query and User-Agent fields.
 func indexFromRows(rows [][6]string) *trace.Index {
 	tr := &trace.Trace{}
 	for _, r := range rows {
@@ -16,7 +17,7 @@ func indexFromRows(rows [][6]string) *trace.Index {
 			Path: r[3], Query: r[4], UserAgent: r[5], Status: 200,
 		})
 	}
-	return trace.BuildIndex(tr)
+	return trace.BuildIndexOf(tr, trace.FieldQueries|trace.FieldAgents)
 }
 
 func TestBuildQueryGraph(t *testing.T) {

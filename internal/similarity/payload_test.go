@@ -20,7 +20,7 @@ func TestBuildPayloadGraph(t *testing.T) {
 	add("bot", "dl2.com", "sha1:payload-A")
 	// A benign server with its own content.
 	add("u", "site.com", "sha1:other")
-	idx := trace.BuildIndex(tr)
+	idx := trace.BuildIndexOf(tr, trace.FieldPayloads)
 	sg := BuildPayloadGraph(idx, Options{})
 	a, b := sg.IDs["dl1.com"], sg.IDs["dl2.com"]
 	connected := false
@@ -43,61 +43,8 @@ func TestBuildPayloadGraphNoDigests(t *testing.T) {
 		{Time: time.Unix(0, 0), Client: "c", Host: "a.com", Path: "/x", Status: 200},
 		{Time: time.Unix(0, 0), Client: "c", Host: "b.com", Path: "/x", Status: 200},
 	}}
-	idx := trace.BuildIndex(tr)
+	idx := trace.BuildIndexOf(tr, trace.FieldPayloads)
 	if sg := BuildPayloadGraph(idx, Options{}); sg.G.EdgeCount() != 0 {
 		t.Error("edges without digests")
-	}
-}
-
-func TestBuildTemporalGraph(t *testing.T) {
-	base := time.Unix(10_000, 0).UTC()
-	tr := &trace.Trace{}
-	add := func(at time.Time, client, host string) {
-		tr.Requests = append(tr.Requests, trace.Request{
-			Time: at, Client: client, Host: host, ServerIP: "1.1.1.1",
-			Path: "/x", Status: 200,
-		})
-	}
-	// A bot bursts through its C&C pool within one minute, twice.
-	for round := 0; round < 2; round++ {
-		at := base.Add(time.Duration(round) * 10 * time.Minute)
-		add(at, "bot", "cc1.com")
-		add(at.Add(2*time.Second), "bot", "cc2.com")
-		add(at.Add(4*time.Second), "bot", "cc3.com")
-	}
-	// The same bot visits a benign site hours later.
-	add(base.Add(5*time.Hour), "bot", "news.com")
-	idx := trace.BuildIndex(tr)
-	sg := BuildTemporalGraph(tr, idx, Options{})
-	a, b := sg.IDs["cc1.com"], sg.IDs["cc2.com"]
-	weight := 0.0
-	sg.G.Neighbors(a, func(v int, w float64) {
-		if v == b {
-			weight = w
-		}
-	})
-	if weight < 0.9 {
-		t.Errorf("burst pair weight = %g, want ~1 (identical window sets)", weight)
-	}
-	news := sg.IDs["news.com"]
-	sg.G.Neighbors(news, func(v int, w float64) {
-		t.Errorf("news.com temporally linked to %s", sg.Names[v])
-	})
-}
-
-func TestBuildTemporalGraphSkipsFilteredServers(t *testing.T) {
-	base := time.Unix(0, 0).UTC()
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Time: base, Client: "c", Host: "kept.com", Path: "/x", Status: 200},
-		{Time: base, Client: "c", Host: "filtered.com", Path: "/x", Status: 200},
-	}}
-	idx := trace.BuildIndex(tr)
-	idx.Remove("filtered.com")
-	sg := BuildTemporalGraph(tr, idx, Options{})
-	if _, ok := sg.IDs["filtered.com"]; ok {
-		t.Error("filtered server present in temporal graph")
-	}
-	if sg.G.EdgeCount() != 0 {
-		t.Error("edge to a filtered server")
 	}
 }

@@ -528,7 +528,7 @@ func (e *Engine) shardLoop(ch <-chan shardMsg) {
 			ev := &events[i]
 			frag := frags[ev.frag]
 			if frag == nil {
-				frag = trace.NewIndexWith(e.symbols())
+				frag = trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
 				frags[ev.frag] = frag
 			}
 			frag.AddKeyed(&ev.req, ev.key, &in)
@@ -591,12 +591,12 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 				continue
 			}
 			if merged == nil {
-				merged = trace.NewIndexWith(e.symbols())
+				merged = trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
 			}
 			merged.Merge(frag)
 		}
 		if merged == nil {
-			merged = trace.NewIndexWith(e.symbols())
+			merged = trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
 		}
 		r.job.idx = merged
 		e.o.finishSeal(&r.job)

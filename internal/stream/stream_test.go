@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"smash/internal/core"
+	"smash/internal/herd"
 	"smash/internal/obs"
 	"smash/internal/similarity"
 	"smash/internal/synth"
@@ -261,83 +262,99 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detOpts := []core.Option{
-		core.WithSeed(1),
-		core.WithWhois(world.Whois),
-		core.WithProber(world.Prober),
-	}
+	// The default detector, and one whose query dimension makes every
+	// index keep the query field.
+	for _, tc := range []struct {
+		name   string
+		extra  []core.Option
+		fields trace.Fields
+	}{
+		{"default", nil, 0},
+		{"query", []core.Option{core.WithExtraDimension(herd.QueryDimension(similarity.Options{}))}, trace.FieldQueries},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			detOpts := append([]core.Option{
+				core.WithSeed(1),
+				core.WithWhois(world.Whois),
+				core.WithProber(world.Prober),
+			}, tc.extra...)
 
-	// Batch reference: one Pipeline run per day trace, tracked across days.
-	batch := tracker.New()
-	det := core.NewPipeline(detOpts...)
-	for _, day := range world.Days {
-		report, err := det.RunTrace(context.Background(), day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch.Observe(report)
-	}
-	want := snapshotLineages(batch)
-	if len(want) == 0 {
-		t.Fatal("batch reference produced no lineages; world too small to test equivalence")
-	}
+			// Batch reference: one Pipeline run per day trace, tracked across days.
+			batch := tracker.New()
+			det := core.NewPipeline(detOpts...)
+			for _, day := range world.Days {
+				report, err := det.RunTrace(context.Background(), day)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch.Observe(report)
+			}
+			want := snapshotLineages(batch)
+			if len(want) == 0 {
+				t.Fatal("batch reference produced no lineages; world too small to test equivalence")
+			}
 
-	var all []trace.Request
-	for _, day := range world.Days {
-		all = append(all, day.Requests...)
-	}
+			var all []trace.Request
+			for _, day := range world.Days {
+				all = append(all, day.Requests...)
+			}
 
-	run := func(workers, shards int) ([]WindowResult, *Engine) {
-		eng, err := New(Config{
-			Window: 24 * time.Hour, Workers: workers, Shards: shards,
-			Detector: detOpts,
+			run := func(workers, shards int) ([]WindowResult, *Engine) {
+				eng, err := New(Config{
+					Window: 24 * time.Hour, Workers: workers, Shards: shards,
+					Detector: detOpts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return collect(t, eng, &SliceSource{Requests: all}), eng
+			}
+
+			windows1, eng1 := run(1, 1)
+			if got := snapshotLineages(eng1.Tracker()); !reflect.DeepEqual(got, want) {
+				t.Errorf("streamed lineages diverge from batch:\n got %+v\nwant %+v", got, want)
+			}
+			if len(windows1) != 4 {
+				t.Errorf("windows = %d, want 4", len(windows1))
+			}
+			for i, w := range windows1 {
+				if w.Empty() {
+					t.Errorf("window %d unexpectedly empty", i)
+				}
+				wantStats := world.Days[i].ComputeStats()
+				if w.Requests != wantStats.Requests {
+					t.Errorf("window %d requests = %d, want %d", i, w.Requests, wantStats.Requests)
+				}
+				if w.Report.TraceStats.Servers != wantStats.Servers {
+					t.Errorf("window %d servers = %d, want %d", i, w.Report.TraceStats.Servers, wantStats.Servers)
+				}
+			}
+
+			// Per-day campaign sets must match the batch reports exactly.
+			batchDet := core.NewPipeline(detOpts...)
+			for i, w := range windows1 {
+				ref, err := batchDet.RunTrace(context.Background(), world.Days[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(campaignKeys(ref), campaignKeys(w.Report)) {
+					t.Errorf("window %d campaigns diverge from batch day %d", i, i)
+				}
+				if w.Report.RawIndex.Fields() != tc.fields || w.Report.RawIndex.Fingerprint() != ref.RawIndex.Fingerprint() {
+					t.Errorf("window %d index (fields %03b) diverges from batch day %d (fields %03b)", i, w.Report.RawIndex.Fields(), i, tc.fields)
+				}
+			}
+
+			// More workers and shards: identical lineages and identical deltas.
+			windows4, eng4 := run(4, 8)
+			if got := snapshotLineages(eng4.Tracker()); !reflect.DeepEqual(got, want) {
+				t.Error("worker pool size changed lineage output")
+			}
+			if !reflect.DeepEqual(deltaSummary(windows1), deltaSummary(windows4)) {
+				t.Errorf("worker pool size changed delta stream:\n 1: %v\n 4: %v",
+					deltaSummary(windows1), deltaSummary(windows4))
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return collect(t, eng, &SliceSource{Requests: all}), eng
-	}
-
-	windows1, eng1 := run(1, 1)
-	if got := snapshotLineages(eng1.Tracker()); !reflect.DeepEqual(got, want) {
-		t.Errorf("streamed lineages diverge from batch:\n got %+v\nwant %+v", got, want)
-	}
-	if len(windows1) != 4 {
-		t.Errorf("windows = %d, want 4", len(windows1))
-	}
-	for i, w := range windows1 {
-		if w.Empty() {
-			t.Errorf("window %d unexpectedly empty", i)
-		}
-		wantStats := world.Days[i].ComputeStats()
-		if w.Requests != wantStats.Requests {
-			t.Errorf("window %d requests = %d, want %d", i, w.Requests, wantStats.Requests)
-		}
-		if w.Report.TraceStats.Servers != wantStats.Servers {
-			t.Errorf("window %d servers = %d, want %d", i, w.Report.TraceStats.Servers, wantStats.Servers)
-		}
-	}
-
-	// Per-day campaign sets must match the batch reports exactly.
-	batchDet := core.NewPipeline(detOpts...)
-	for i, w := range windows1 {
-		ref, err := batchDet.RunTrace(context.Background(), world.Days[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(campaignKeys(ref), campaignKeys(w.Report)) {
-			t.Errorf("window %d campaigns diverge from batch day %d", i, i)
-		}
-	}
-
-	// More workers and shards: identical lineages and identical deltas.
-	windows4, eng4 := run(4, 8)
-	if got := snapshotLineages(eng4.Tracker()); !reflect.DeepEqual(got, want) {
-		t.Error("worker pool size changed lineage output")
-	}
-	if !reflect.DeepEqual(deltaSummary(windows1), deltaSummary(windows4)) {
-		t.Errorf("worker pool size changed delta stream:\n 1: %v\n 4: %v",
-			deltaSummary(windows1), deltaSummary(windows4))
 	}
 }
 
@@ -481,6 +498,8 @@ type slowDim struct {
 }
 
 func (d *slowDim) Name() string { return "slowdim" }
+
+func (d *slowDim) Fields() trace.Fields { return trace.FieldAgents }
 
 func (d *slowDim) Build(idx *trace.Index) *similarity.ServerGraph {
 	d.once.Do(func() { close(d.started) })

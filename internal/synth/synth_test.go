@@ -157,9 +157,10 @@ func TestCampaignTrafficPresent(t *testing.T) {
 	}
 	// All zeus domains share one IP (domain flux).
 	ips := make(map[string]bool)
+	ipNames := idx.Syms.IPs.Names()
 	for _, s := range zeus.Servers {
-		for _, ip := range idx.Servers[s].IPList() {
-			ips[ip] = true
+		for ip := range idx.Servers[s].IPs {
+			ips[ipNames[ip]] = true
 		}
 	}
 	if len(ips) != 1 {

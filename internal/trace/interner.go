@@ -11,7 +11,6 @@ const (
 	nsFiles           // URI file -> Files id
 	nsAgents          // User-Agent -> Agents id
 	nsPayloads        // payload digest -> Payloads id
-	nsHosts           // raw Host header -> Hosts id of its normalized form
 	nsPatterns        // raw query -> Queries id of its parameter pattern
 	nsCount
 )

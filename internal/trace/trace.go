@@ -9,12 +9,13 @@
 //
 // # Interned data plane
 //
-// Every hot key — server, client, IP, URI file, referrer, User-Agent,
-// query pattern, payload digest, hostname — is interned once at ingest
-// into a shared Symbols table and carried as a dense uint32 id from then
-// on. The per-server aggregates (ServerInfo) and the client->server
-// relation are id-keyed counted multisets (Counts): integer map operations
-// replace string re-hashing in every downstream hot loop.
+// Every hot key — server, client, IP, URI file, referrer, and User-Agent,
+// query pattern and payload digest where the index's Fields keep them —
+// is interned once at ingest into a shared Symbols table and carried as a
+// dense uint32 id from then on. The per-server aggregates (ServerInfo) and
+// the client->server relation are id-keyed counted multisets (Counts):
+// integer map operations replace string re-hashing in every downstream
+// hot loop.
 // Strings resurface only at API boundaries (reports, lineages, rendered
 // output), always ordered by name so that the run-dependent id assignment
 // never leaks into output.
@@ -162,7 +163,6 @@ type Symbols struct {
 	Agents   *intern.Table
 	Queries  *intern.Table
 	Payloads *intern.Table
-	Hosts    *intern.Table
 
 	slds     sync.Map // raw host -> SLD string
 	patterns sync.Map // raw query -> query-pattern id (Queries table)
@@ -178,7 +178,6 @@ func NewSymbols() *Symbols {
 		Agents:   intern.NewTable(),
 		Queries:  intern.NewTable(),
 		Payloads: intern.NewTable(),
-		Hosts:    intern.NewTable(),
 	}
 }
 
@@ -213,11 +212,6 @@ func (sy *Symbols) queryPatternID(rawQuery string) uint32 {
 	return id
 }
 
-// hostID interns the normalized form of a raw Host header.
-func (sy *Symbols) hostID(host string) uint32 {
-	return sy.Hosts.ID(domain.Normalize(host))
-}
-
 // ServerInfo aggregates everything SMASH needs to know about one logical
 // server, accumulated over a trace. All aggregates are id-keyed counted
 // multisets over the index's Symbols; use the name-resolving helpers (or
@@ -244,9 +238,6 @@ type ServerInfo struct {
 	// Payloads counts requests per payload-digest id (empty digests are
 	// not recorded).
 	Payloads Counts
-	// Hosts counts requests per raw (normalized) hostname id aggregated
-	// into this server.
-	Hosts Counts
 	// Requests is the total number of requests to this server.
 	Requests int
 	// ErrorRequests counts requests whose status was >= 400.
@@ -254,9 +245,6 @@ type ServerInfo struct {
 
 	syms *Symbols
 }
-
-// Syms exposes the symbol tables the info's ids resolve through.
-func (s *ServerInfo) Syms() *Symbols { return s.syms }
 
 // IDF is the server's popularity measure from Appendix A: the number of
 // distinct clients that contacted it.
@@ -268,17 +256,6 @@ func (s *ServerInfo) FileList() []string {
 	out := make([]string, 0, len(s.Files))
 	for f := range s.Files {
 		out = append(out, names[f])
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IPList returns the server's destination IPs sorted lexicographically.
-func (s *ServerInfo) IPList() []string {
-	names := s.syms.IPs.Names()
-	out := make([]string, 0, len(s.IPs))
-	for ip := range s.IPs {
-		out = append(out, names[ip])
 	}
 	sort.Strings(out)
 	return out
@@ -299,14 +276,6 @@ func (s *ServerInfo) HasFile(name string) bool { return has(s.syms.Files, s.File
 
 // HasUserAgent reports whether the server saw the named User-Agent.
 func (s *ServerInfo) HasUserAgent(name string) bool { return has(s.syms.Agents, s.UserAgents, name) }
-
-// QueryCount returns how many requests carried the named query pattern.
-func (s *ServerInfo) QueryCount(pattern string) int {
-	if id, ok := s.syms.Queries.Lookup(pattern); ok {
-		return int(s.Queries[id])
-	}
-	return 0
-}
 
 // topName returns the name of the most frequent id in m (ties broken
 // lexicographically by name), or "" for an empty multiset.
@@ -371,6 +340,19 @@ type NodeTable struct {
 	Infos []*ServerInfo
 }
 
+// Fields is a set of the optional per-server count maps an index keeps;
+// the others are nil. Clients, IPs, files and referrers are always kept:
+// preprocessing, pruning and campaign inference read them.
+type Fields uint8
+
+const (
+	FieldAgents   Fields = 1 << iota // ServerInfo.UserAgents
+	FieldQueries                     // ServerInfo.Queries
+	FieldPayloads                    // ServerInfo.Payloads
+
+	AllFields = FieldAgents | FieldQueries | FieldPayloads
+)
+
 // Index is the aggregated per-server view of a trace after SLD aggregation.
 type Index struct {
 	// Syms is the symbol table set all ids in the index resolve through.
@@ -384,54 +366,76 @@ type Index struct {
 	// RequestCount is the total number of requests indexed.
 	RequestCount int
 
+	fields  Fields
 	nodesMu sync.Mutex
 	nodes   *NodeTable
 }
 
-// NewIndex returns an empty index with its own fresh Symbols.
+// NewIndex returns an empty index with no optional fields and fresh Symbols.
 func NewIndex() *Index {
 	return NewIndexWith(NewSymbols())
 }
 
-// NewIndexWith returns an empty index sharing the given Symbols. Window
-// fragments that will later be merged must share one Symbols so Merge can
-// take the id fast path.
+// NewIndexWith returns an empty index sharing the given Symbols, with no
+// optional fields. Window fragments that will later be merged must share
+// one Symbols so Merge can take the id fast path.
 func NewIndexWith(syms *Symbols) *Index {
+	return NewIndexOf(syms, 0)
+}
+
+// NewIndexOf returns an empty index sharing the given Symbols that keeps
+// the optional fields f.
+func NewIndexOf(syms *Symbols, f Fields) *Index {
 	return &Index{
 		Syms:          syms,
 		Servers:       make(map[string]*ServerInfo),
 		ClientServers: make(map[uint32]Counts),
+		fields:        f,
 	}
 }
 
-// BuildIndex aggregates a trace into an Index. Hostnames are SLD-aggregated;
-// servers without hostnames are keyed by IP.
+// BuildIndex aggregates a trace into an Index with no optional fields.
+// Hostnames are SLD-aggregated; servers without hostnames are keyed by IP.
 func BuildIndex(t *Trace) *Index {
-	idx := NewIndex()
+	return BuildIndexOf(t, 0)
+}
+
+// BuildIndexOf is BuildIndex for an index that keeps the optional fields f.
+func BuildIndexOf(t *Trace, f Fields) *Index {
+	idx := NewIndexOf(NewSymbols(), f)
 	for i := range t.Requests {
 		idx.Add(&t.Requests[i])
 	}
 	return idx
 }
 
+// Fields returns the optional fields the index keeps.
+func (idx *Index) Fields() Fields { return idx.fields }
+
 // newServerInfo builds an empty ServerInfo for key, whose Servers id is
-// sid — the single place the per-field map set is constructed, shared by
-// Add and Merge so a new field cannot be initialized in one path and
-// forgotten in the other.
-func newServerInfo(syms *Symbols, key string, sid uint32) *ServerInfo {
-	return &ServerInfo{
-		Key:        key,
-		SID:        sid,
-		syms:       syms,
-		Clients:    make(Counts),
-		IPs:        make(Counts),
-		Files:      make(Counts),
-		Referrers:  make(Counts),
-		UserAgents: make(Counts),
-		Queries:    make(Counts),
-		Payloads:   make(Counts),
-		Hosts:      make(Counts),
+// sid, with the maps of the index's fields — the single place the
+// per-field map set is constructed, shared by Add and Merge so a new
+// field cannot be initialized in one path and forgotten in the other.
+func (idx *Index) newServerInfo(key string, sid uint32) *ServerInfo {
+	s := &ServerInfo{
+		Key:       key,
+		SID:       sid,
+		syms:      idx.Syms,
+		Clients:   make(Counts),
+		IPs:       make(Counts),
+		Files:     make(Counts),
+		Referrers: make(Counts),
 	}
+	if idx.fields&FieldAgents != 0 {
+		s.UserAgents = make(Counts)
+	}
+	if idx.fields&FieldQueries != 0 {
+		s.Queries = make(Counts)
+	}
+	if idx.fields&FieldPayloads != 0 {
+		s.Payloads = make(Counts)
+	}
+	return s
 }
 
 // invalidate drops the cached node table after a mutation.
@@ -444,7 +448,7 @@ func (idx *Index) invalidate() { idx.nodes = nil }
 func (idx *Index) EnsureServer(key string) *ServerInfo {
 	info := idx.Servers[key]
 	if info == nil {
-		info = newServerInfo(idx.Syms, key, idx.Syms.Servers.ID(key))
+		info = idx.newServerInfo(key, idx.Syms.Servers.ID(key))
 		idx.Servers[key] = info
 		idx.invalidate()
 	}
@@ -468,7 +472,7 @@ func (idx *Index) AddKeyed(r *Request, key string, in *Interner) {
 	in.bind(sy)
 	info := idx.Servers[key]
 	if info == nil {
-		info = newServerInfo(sy, key, in.id(nsServers, key, sy.Servers.ID))
+		info = idx.newServerInfo(key, in.id(nsServers, key, sy.Servers.ID))
 		idx.Servers[key] = info
 	}
 	cid := in.id(nsClients, r.Client, sy.Clients.ID)
@@ -483,17 +487,14 @@ func (idx *Index) AddKeyed(r *Request, key string, in *Interner) {
 			info.Referrers[in.id(nsServers, refKey, sy.Servers.ID)]++
 		}
 	}
-	if r.UserAgent != "" {
+	if r.UserAgent != "" && info.UserAgents != nil {
 		info.UserAgents[in.id(nsAgents, r.UserAgent, sy.Agents.ID)]++
 	}
-	if r.Query != "" {
+	if r.Query != "" && info.Queries != nil {
 		info.Queries[in.id(nsPatterns, r.Query, sy.queryPatternID)]++
 	}
-	if r.PayloadDigest != "" {
+	if r.PayloadDigest != "" && info.Payloads != nil {
 		info.Payloads[in.id(nsPayloads, r.PayloadDigest, sy.Payloads.ID)]++
-	}
-	if r.Host != "" {
-		info.Hosts[in.id(nsHosts, r.Host, sy.hostID)]++
 	}
 	info.Requests++
 	if r.Status >= 400 {
@@ -541,26 +542,6 @@ func (idx *Index) ServerKeys() []string {
 	return append([]string(nil), idx.Nodes().Names...)
 }
 
-// ServersOfClient returns the sorted server keys the named client
-// contacted, or nil for an unknown client.
-func (idx *Index) ServersOfClient(client string) []string {
-	cid, ok := idx.Syms.Clients.Lookup(client)
-	if !ok {
-		return nil
-	}
-	cs := idx.ClientServers[cid]
-	if len(cs) == 0 {
-		return nil
-	}
-	names := idx.Syms.Servers.Names()
-	out := make([]string, 0, len(cs))
-	for sid := range cs {
-		out = append(out, names[sid])
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Remove deletes a server from the index, including its entries in the
 // client->servers relation. Used by the preprocessing IDF filter.
 func (idx *Index) Remove(key string) {
@@ -581,11 +562,11 @@ func (idx *Index) Remove(key string) {
 	idx.invalidate()
 }
 
-// Clone returns a deep copy of the index sharing the same Symbols. The
-// preprocessing stage filters a clone so the raw index remains available
-// for figure reproduction.
+// Clone returns a deep copy of the index sharing the same Symbols and
+// fields. The preprocessing stage filters a clone so the raw index remains
+// available for figure reproduction.
 func (idx *Index) Clone() *Index {
-	out := NewIndexWith(idx.Syms)
+	out := NewIndexOf(idx.Syms, idx.fields)
 	out.Merge(idx)
 	return out
 }
@@ -603,6 +584,7 @@ func (idx *Index) ShallowClone() *Index {
 		Servers:       maps.Clone(idx.Servers),
 		ClientServers: make(map[uint32]Counts, len(idx.ClientServers)),
 		RequestCount:  idx.RequestCount,
+		fields:        idx.fields,
 	}
 	for c, set := range idx.ClientServers {
 		out.ClientServers[c] = maps.Clone(set)
@@ -626,7 +608,8 @@ func remapCounts(dst Counts, to *intern.Table, src Counts, from *intern.Table) {
 	}
 }
 
-// Merge folds other into idx. Every aggregate in the index is a counted
+// Merge folds other into idx; merging indexes of different Fields is a
+// programming error and panics. Every aggregate in the index is a counted
 // multiset, so merging commutes: shard-built partial indexes merged in any
 // order yield exactly the index a sequential Add of the same requests
 // would have produced. The streaming engine relies on this to maintain its
@@ -650,6 +633,9 @@ func (idx *Index) merge(other *Index, adopt bool) {
 	if other == nil {
 		return
 	}
+	if other.fields != idx.fields {
+		panic(fmt.Sprintf("trace: merge of an index with fields %03b into one with %03b", other.fields, idx.fields))
+	}
 	if other.Syms == idx.Syms {
 		for k, src := range other.Servers {
 			dst := idx.Servers[k]
@@ -658,7 +644,7 @@ func (idx *Index) merge(other *Index, adopt bool) {
 					idx.Servers[k] = src
 					continue
 				}
-				dst = newServerInfo(idx.Syms, k, src.SID)
+				dst = idx.newServerInfo(k, src.SID)
 				idx.Servers[k] = dst
 			}
 			mergeCounts(dst.Clients, src.Clients)
@@ -668,7 +654,6 @@ func (idx *Index) merge(other *Index, adopt bool) {
 			mergeCounts(dst.UserAgents, src.UserAgents)
 			mergeCounts(dst.Queries, src.Queries)
 			mergeCounts(dst.Payloads, src.Payloads)
-			mergeCounts(dst.Hosts, src.Hosts)
 			dst.Requests += src.Requests
 			dst.ErrorRequests += src.ErrorRequests
 		}
@@ -689,7 +674,7 @@ func (idx *Index) merge(other *Index, adopt bool) {
 		for k, src := range other.Servers {
 			dst := idx.Servers[k]
 			if dst == nil {
-				dst = newServerInfo(sy, k, sy.Servers.ID(k))
+				dst = idx.newServerInfo(k, sy.Servers.ID(k))
 				idx.Servers[k] = dst
 			}
 			remapCounts(dst.Clients, sy.Clients, src.Clients, osy.Clients)
@@ -699,7 +684,6 @@ func (idx *Index) merge(other *Index, adopt bool) {
 			remapCounts(dst.UserAgents, sy.Agents, src.UserAgents, osy.Agents)
 			remapCounts(dst.Queries, sy.Queries, src.Queries, osy.Queries)
 			remapCounts(dst.Payloads, sy.Payloads, src.Payloads, osy.Payloads)
-			remapCounts(dst.Hosts, sy.Hosts, src.Hosts, osy.Hosts)
 			dst.Requests += src.Requests
 			dst.ErrorRequests += src.ErrorRequests
 		}
@@ -770,7 +754,6 @@ func (idx *Index) Fingerprint() string {
 		countsByName(&b, "uas", sy.Agents.Names(), s.UserAgents)
 		countsByName(&b, "queries", sy.Queries.Names(), s.Queries)
 		countsByName(&b, "payloads", sy.Payloads.Names(), s.Payloads)
-		countsByName(&b, "hosts", sy.Hosts.Names(), s.Hosts)
 	}
 	clientNames := sy.Clients.Names()
 	clients := make([]string, 0, len(idx.ClientServers))

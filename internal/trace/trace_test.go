@@ -116,13 +116,11 @@ func TestBuildIndexAggregation(t *testing.T) {
 	if len(xyz.IPs) != 2 {
 		t.Errorf("xyz.com IPs = %d, want 2", len(xyz.IPs))
 	}
-	if len(xyz.Hosts) != 2 {
-		t.Errorf("xyz.com hosts = %d, want 2", len(xyz.Hosts))
-	}
 	if xyz.IDF() != 2 {
 		t.Errorf("IDF = %d, want 2", xyz.IDF())
 	}
-	if got := idx.ServersOfClient("c1"); len(got) != 2 {
+	c1, _ := idx.Syms.Clients.Lookup("c1")
+	if got := idx.ClientServers[c1]; len(got) != 2 {
 		t.Errorf("c1 contacted %d servers, want 2", len(got))
 	}
 }
@@ -168,10 +166,12 @@ func TestIndexRemove(t *testing.T) {
 	if idx.RequestCount != 1 {
 		t.Errorf("RequestCount = %d, want 1", idx.RequestCount)
 	}
-	if got := idx.ServersOfClient("c2"); got != nil {
+	c1, _ := idx.Syms.Clients.Lookup("c1")
+	c2, _ := idx.Syms.Clients.Lookup("c2")
+	if got := idx.ClientServers[c2]; got != nil {
 		t.Errorf("c2 should have been dropped (no remaining servers), got %v", got)
 	}
-	if got := idx.ServersOfClient("c1"); len(got) != 1 {
+	if got := idx.ClientServers[c1]; len(got) != 1 {
 		t.Errorf("c1 servers = %d, want 1", len(got))
 	}
 	idx.Remove("missing") // no-op must not panic
@@ -218,8 +218,8 @@ func TestIndexShallowClone(t *testing.T) {
 	if cl.Fingerprint() != want.Fingerprint() {
 		t.Errorf("filtered shallow clone:\n%s\nwant\n%s", cl.Fingerprint(), want.Fingerprint())
 	}
-	if got := cl.ServersOfClient("c2"); got != nil {
-		t.Errorf("c2 contacted only a removed server, got %v", got)
+	if c2, _ := cl.Syms.Clients.Lookup("c2"); cl.ClientServers[c2] != nil {
+		t.Errorf("c2 contacted only a removed server, got %v", cl.ClientServers[c2])
 	}
 	if got := cl.Nodes().Names; len(got) != 1 || got[0] != "c.com" {
 		t.Errorf("nodes = %v, want [c.com]", got)
@@ -294,14 +294,66 @@ func TestQueryPatternValueIndependent(t *testing.T) {
 func TestIndexTracksQueries(t *testing.T) {
 	r := req("c1", "a.com", "1.1.1.1", "/x.php")
 	r.Query = "p=1&id=2"
-	idx := BuildIndex(&Trace{Requests: []Request{r}})
+	idx := BuildIndexOf(&Trace{Requests: []Request{r}}, FieldQueries)
+	pattern, _ := idx.Syms.Queries.Lookup("id&p")
 	info := idx.Servers["a.com"]
-	if info.QueryCount("id&p") != 1 {
+	if info.Queries[pattern] != 1 {
 		t.Errorf("Queries = %v", info.Queries)
 	}
 	cl := idx.Clone()
-	if cl.Servers["a.com"].QueryCount("id&p") != 1 {
+	if cl.Servers["a.com"].Queries[pattern] != 1 || cl.Fields() != FieldQueries {
 		t.Error("Clone dropped queries")
+	}
+}
+
+// An index keeps exactly the optional fields it was built with: the maps
+// of the others are never allocated, and their requests intern nothing.
+func TestIndexKeepsOnlyItsFields(t *testing.T) {
+	reqs := mergeTestRequests()
+	for _, f := range []Fields{0, FieldAgents, FieldQueries, FieldPayloads, AllFields} {
+		idx := BuildIndexOf(&Trace{Requests: reqs}, f)
+		for key, info := range idx.Servers {
+			for field, m := range map[Fields]Counts{FieldAgents: info.UserAgents, FieldQueries: info.Queries, FieldPayloads: info.Payloads} {
+				if kept := f&field != 0; kept != (len(m) > 0) || !kept && m != nil {
+					t.Errorf("fields %03b: server %s field %03b has map %v", f, key, field, m)
+				}
+			}
+		}
+		if f&FieldAgents == 0 && idx.Syms.Agents.Len() != 0 {
+			t.Errorf("fields %03b: %d User-Agents interned", f, idx.Syms.Agents.Len())
+		}
+		if got := idx.ShallowClone().Fields(); got != f {
+			t.Errorf("ShallowClone keeps fields %03b, want %03b", got, f)
+		}
+	}
+}
+
+// Merging indexes of different field sets is a programming error: it
+// panics rather than silently keeping the union or the intersection.
+func TestMergeMismatchedFieldsPanics(t *testing.T) {
+	reqs := mergeTestRequests()
+	for _, absorb := range []bool{false, true} {
+		for _, shared := range []bool{false, true} {
+			lean := NewIndex()
+			syms := lean.Syms
+			if !shared {
+				syms = NewSymbols()
+			}
+			rich := NewIndexOf(syms, FieldQueries)
+			rich.Add(&reqs[0])
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("absorb=%v shared=%v: merge of mismatched fields did not panic", absorb, shared)
+					}
+				}()
+				if absorb {
+					lean.Absorb(rich)
+				} else {
+					lean.Merge(rich)
+				}
+			}()
+		}
 	}
 }
 
@@ -331,7 +383,7 @@ func mergeTestRequests() []Request {
 // into the empty index and folds the rest.
 func TestIndexMergeEqualsSequentialBuild(t *testing.T) {
 	reqs := mergeTestRequests()
-	want := canonicalIndex(BuildIndex(&Trace{Requests: reqs}))
+	want := canonicalIndex(BuildIndexOf(&Trace{Requests: reqs}, AllFields))
 
 	for _, shared := range []bool{true, false} {
 		for _, absorb := range []bool{false, true} {
@@ -346,9 +398,9 @@ func TestIndexMergeEqualsSequentialBuild(t *testing.T) {
 				syms := NewSymbols()
 				mk := func() *Index {
 					if shared {
-						return NewIndexWith(syms)
+						return NewIndexOf(syms, AllFields)
 					}
-					return NewIndex()
+					return NewIndexOf(NewSymbols(), AllFields)
 				}
 				shards := []*Index{mk(), mk(), mk()}
 				for i := range reqs {
@@ -378,7 +430,7 @@ func TestAddKeyedThroughInterner(t *testing.T) {
 	reqs := mergeTestRequests()
 	var in Interner
 	for _, split := range []int{0, 17, len(reqs)} {
-		parts := []*Index{NewIndex(), NewIndex()}
+		parts := []*Index{NewIndexOf(NewSymbols(), AllFields), NewIndexOf(NewSymbols(), AllFields)}
 		for i := range reqs {
 			idx := parts[0]
 			if i >= split {
@@ -387,7 +439,7 @@ func TestAddKeyedThroughInterner(t *testing.T) {
 			idx.AddKeyed(&reqs[i], in.ServerKey(idx.Syms, &reqs[i]), &in)
 		}
 		parts[0].Merge(parts[1])
-		if got, want := canonicalIndex(parts[0]), canonicalIndex(BuildIndex(&Trace{Requests: reqs})); got != want {
+		if got, want := canonicalIndex(parts[0]), canonicalIndex(BuildIndexOf(&Trace{Requests: reqs}, AllFields)); got != want {
 			t.Errorf("split %d: cached build diverges:\n got: %s\nwant: %s", split, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -56,10 +57,11 @@ func fuzzRequests(data []byte) []trace.Request {
 }
 
 // FuzzIndexRoundTrip is the codec's core guarantee: for any index —
-// including one whose symbol table carries foreign ids from unrelated
-// interning, and one whose ids run against name order — encode→decode
-// preserves the Fingerprint exactly, the encoding is canonical across
-// symbol tables, and it is byte for byte the reference encoder's.
+// of any field set (junk picks it), including one whose symbol table
+// carries foreign ids from unrelated interning, and one whose ids run
+// against name order — encode→decode preserves the Fingerprint and the
+// fields exactly, the encoding is canonical across symbol tables, and it
+// is byte for byte the reference encoder's.
 func FuzzIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
@@ -67,8 +69,9 @@ func FuzzIndexRoundTrip(f *testing.F) {
 	f.Add(bytesSeq(256), uint8(101))
 	f.Fuzz(func(t *testing.T, data []byte, junk uint8) {
 		reqs := fuzzRequests(data)
+		fields := trace.Fields(junk) & trace.AllFields
 
-		plain := trace.NewIndex()
+		plain := trace.NewIndexOf(trace.NewSymbols(), fields)
 		for i := range reqs {
 			plain.Add(&reqs[i])
 		}
@@ -84,9 +87,8 @@ func FuzzIndexRoundTrip(f *testing.F) {
 			sy.Agents.ID(s)
 			sy.Queries.ID(s)
 			sy.Payloads.ID(s)
-			sy.Hosts.ID(s)
 		}
-		foreign := trace.NewIndexWith(sy)
+		foreign := trace.NewIndexOf(sy, fields)
 		for i := range reqs {
 			foreign.Add(&reqs[i])
 		}
@@ -96,7 +98,7 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		rsy := trace.NewSymbols()
 		for _, pair := range [][2]*intern.Table{{plain.Syms.Servers, rsy.Servers}, {plain.Syms.Clients, rsy.Clients},
 			{plain.Syms.IPs, rsy.IPs}, {plain.Syms.Files, rsy.Files}, {plain.Syms.Agents, rsy.Agents},
-			{plain.Syms.Queries, rsy.Queries}, {plain.Syms.Payloads, rsy.Payloads}, {plain.Syms.Hosts, rsy.Hosts}} {
+			{plain.Syms.Queries, rsy.Queries}, {plain.Syms.Payloads, rsy.Payloads}} {
 			names := slices.Clone(pair[0].Names())
 			slices.Sort(names)
 			slices.Reverse(names)
@@ -105,7 +107,7 @@ func FuzzIndexRoundTrip(f *testing.F) {
 				pair[1].ID(n)
 			}
 		}
-		reversed := trace.NewIndexWith(rsy)
+		reversed := trace.NewIndexOf(rsy, fields)
 		for i := range reqs {
 			reversed.Add(&reqs[i])
 		}
@@ -123,8 +125,8 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if got, want := dec.Fingerprint(), plain.Fingerprint(); got != want {
-			t.Errorf("fingerprint diverged:\ngot:\n%s\nwant:\n%s", got, want)
+		if got, want := dec.Fingerprint(), plain.Fingerprint(); got != want || dec.Fields() != fields {
+			t.Errorf("fingerprint or fields %03b diverged:\ngot:\n%s\nwant:\n%s", dec.Fields(), got, want)
 		}
 		if string(EncodeIndex(dec)) != string(encPlain) {
 			t.Error("encode(decode(b)) != b")
@@ -135,8 +137,9 @@ func FuzzIndexRoundTrip(f *testing.F) {
 // FuzzDecodeIndex feeds arbitrary bytes to the decoder: it must return an
 // error or an index that encodes back to exactly the input, never panic
 // or over-allocate. The seed corpus holds one file per non-canonical
-// shape the decoder refuses: unsorted servers, unsorted client rows and
-// a dictionary name nothing references.
+// shape the decoder refuses — unsorted servers, unsorted client rows and
+// a dictionary name nothing references — and one valid index that keeps
+// every optional field.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SMWF"))
@@ -148,7 +151,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	f.Add(EncodeIndex(idx))
 	// Seed a huge claimed length.
-	huge := append([]byte("SMWF"), 1)
+	huge := append([]byte("SMWF"), Version, 0)
 	huge = binary.AppendUvarint(huge, 10)
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(huge)
@@ -164,10 +167,12 @@ func FuzzDecodeIndex(f *testing.F) {
 }
 
 // FuzzMergeIndexes checks the byte merge against the map merge: two or
-// three indexes, each built from its own slice of the fuzz bytes under
-// its own Symbols, must merge — in every argument order — to exactly
-// EncodeIndex of their direct Merge. Flipping one byte of one input must
-// make MergeIndexes refuse exactly when DecodeIndex refuses that input.
+// three indexes of one field set (at picks it), each built from its own
+// slice of the fuzz bytes under its own Symbols, must merge — in every
+// argument order — to exactly EncodeIndex of their direct Merge, and an
+// input of another field set must be refused. Flipping one byte of one
+// input must make MergeIndexes refuse exactly when DecodeIndex refuses
+// that input.
 func FuzzMergeIndexes(f *testing.F) {
 	f.Add([]byte{}, uint8(2), uint16(0), uint8(0))
 	f.Add(bytesSeq(96), uint8(2), uint16(40), uint8(0x80))
@@ -175,9 +180,10 @@ func FuzzMergeIndexes(f *testing.F) {
 	f.Add(bytesSeq(256), uint8(3), uint16(300), uint8(0x10))
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8, at uint16, flip uint8) {
 		n := 2 + int(parts%2)
+		fields := trace.Fields(at) & trace.AllFields
 		idxs := make([]*trace.Index, n)
 		for i := range idxs {
-			idxs[i] = trace.NewIndex()
+			idxs[i] = trace.NewIndexOf(trace.NewSymbols(), fields)
 			// Interleaved chunks, so the parts share servers and clients.
 			for j, r := range fuzzRequests(data) {
 				if j%(n+1) == i || j%(n+1) == n {
@@ -185,7 +191,7 @@ func FuzzMergeIndexes(f *testing.F) {
 				}
 			}
 		}
-		want := trace.NewIndex()
+		want := trace.NewIndexOf(trace.NewSymbols(), fields)
 		encs := make([][]byte, n)
 		for i, idx := range idxs {
 			want.Merge(idx)
@@ -209,6 +215,13 @@ func FuzzMergeIndexes(f *testing.F) {
 				t.Fatalf("order %v: merged bytes differ from EncodeIndex of the merged index", order)
 			}
 		}
+		other := trace.NewIndexOf(trace.NewSymbols(), fields^trace.FieldQueries)
+		for _, r := range fuzzRequests(data) {
+			other.Add(&r)
+		}
+		if _, err := MergeIndexes([][]byte{encs[0], EncodeIndex(other)}); err == nil {
+			t.Fatal("inputs of different field sets merged")
+		}
 
 		if flip == 0 {
 			return
@@ -216,12 +229,15 @@ func FuzzMergeIndexes(f *testing.F) {
 		bad := append([]byte(nil), encs[0]...)
 		bad[int(at)%len(bad)] ^= flip
 		dec, decErr := DecodeIndex(bad)
+		if decErr == nil && dec.Fields() != fields {
+			decErr = errors.New("flipped into another field set, which the merge refuses")
+		}
 		got, err := MergeIndexes([][]byte{encs[1], bad})
 		switch {
 		case (err != nil) != (decErr != nil):
 			t.Fatalf("corrupted input: MergeIndexes error %v, DecodeIndex error %v", err, decErr)
 		case err == nil:
-			direct := trace.NewIndex()
+			direct := trace.NewIndexOf(trace.NewSymbols(), fields)
 			direct.Merge(idxs[1])
 			direct.Merge(dec)
 			if string(got) != string(EncodeIndex(direct)) {

@@ -13,7 +13,7 @@ import (
 // id -> position map, and every count list sorted by position.
 func referenceEncodeIndex(idx *trace.Index) []byte {
 	sy := idx.Syms
-	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads, sy.Hosts}
+	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads}
 	var used [nsCount]map[uint32]struct{}
 	for ns := range used {
 		used[ns] = map[uint32]struct{}{}
@@ -34,7 +34,6 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 		add(nsAgents, s.UserAgents)
 		add(nsQueries, s.Queries)
 		add(nsPayloads, s.Payloads)
-		add(nsHosts, s.Hosts)
 	}
 	for c, cs := range idx.ClientServers {
 		used[nsClients][c] = struct{}{}
@@ -58,10 +57,16 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 		}
 	}
 
+	mask := idx.Fields()
 	b := append([]byte(nil), magic[:]...)
 	b = binary.AppendUvarint(b, Version)
+	b = binary.AppendUvarint(b, uint64(mask))
 	b = binary.AppendUvarint(b, uint64(idx.RequestCount))
-	for _, d := range dicts {
+	optional := map[int]trace.Fields{nsAgents: trace.FieldAgents, nsQueries: trace.FieldQueries, nsPayloads: trace.FieldPayloads}
+	for ns, d := range dicts {
+		if f, ok := optional[ns]; ok && mask&f == 0 {
+			continue
+		}
 		b = binary.AppendUvarint(b, uint64(len(d)))
 		for _, n := range d {
 			b = binary.AppendUvarint(b, uint64(len(n)))
@@ -91,10 +96,15 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 		b = appendCounts(b, nsIPs, s.IPs)
 		b = appendCounts(b, nsFiles, s.Files)
 		b = appendCounts(b, nsServers, s.Referrers)
-		b = appendCounts(b, nsAgents, s.UserAgents)
-		b = appendCounts(b, nsQueries, s.Queries)
-		b = appendCounts(b, nsPayloads, s.Payloads)
-		b = appendCounts(b, nsHosts, s.Hosts)
+		if mask&trace.FieldAgents != 0 {
+			b = appendCounts(b, nsAgents, s.UserAgents)
+		}
+		if mask&trace.FieldQueries != 0 {
+			b = appendCounts(b, nsQueries, s.Queries)
+		}
+		if mask&trace.FieldPayloads != 0 {
+			b = appendCounts(b, nsPayloads, s.Payloads)
+		}
 	}
 	clients := make([]uint32, 0, len(idx.ClientServers))
 	for c := range idx.ClientServers {

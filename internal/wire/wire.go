@@ -27,12 +27,14 @@
 //
 // Layout (all integers unsigned LEB128 varints unless noted):
 //
-//	magic "SMWF" | version | requestCount
-//	8 × namespace dictionary: count, then count × (len, bytes)
-//	   (order: servers, clients, ips, files, agents, queries, payloads, hosts)
+//	magic "SMWF" | version | fields mask (trace.Fields) | requestCount
+//	4+k × namespace dictionary: count, then count × (len, bytes)
+//	   (order: servers, clients, ips, files, then the k optional fields
+//	   the mask holds, of agents, queries, payloads)
 //	serverCount, then per server (sorted by key):
 //	   serverDictID | requests | errorRequests
-//	   8 × counts map: n, then n × (dictID, count), sorted by dictID
+//	   4+k × counts list: n, then n × (dictID, count), sorted by dictID
+//	   (order: clients, ips, files, referrers, then the k optional ones)
 //	clientCount, then per client (sorted by name):
 //	   clientDictID | n, then n × (serverDictID, count), sorted by dictID
 //
@@ -60,13 +62,12 @@ import (
 	"smash/internal/trace"
 )
 
-// Version is the current index codec version. Decoders reject anything
-// newer.
-const Version = 1
+// Version is the index codec version; decoders accept no other. Version
+// 2 added the fields mask.
+const Version = 2
 
-// FragmentVersion is the current fragment envelope version. Version 2
-// added the trailing hop-provenance section; version-1 fragments (no
-// hops) still decode. Decoders reject anything newer.
+// FragmentVersion is the fragment envelope version; decoders accept no
+// other. Version 2 added the trailing hop-provenance section.
 const FragmentVersion = 2
 
 var magic = [4]byte{'S', 'M', 'W', 'F'}
@@ -113,7 +114,8 @@ func (d *dict) position(id uint32) uint32 {
 	return d.pos[i]
 }
 
-// namespace indexes into the fixed dictionary array.
+// namespace indexes into the fixed dictionary array. The optional ones
+// follow the base four in trace.Fields bit order.
 const (
 	nsServers = iota
 	nsClients
@@ -122,9 +124,20 @@ const (
 	nsAgents
 	nsQueries
 	nsPayloads
-	nsHosts
 	nsCount
 )
+
+// onWire lists the namespaces, and so (see listNS) the server lists, an
+// index of fields mask carries: the base four, then each optional one.
+func onWire(mask trace.Fields) []int {
+	out := []int{nsServers, nsClients, nsIPs, nsFiles}
+	for ns := nsAgents; ns < nsCount; ns++ {
+		if mask&(1<<(ns-nsAgents)) != 0 {
+			out = append(out, ns)
+		}
+	}
+	return out
+}
 
 // EncodeIndex serializes idx into the canonical wire form.
 func EncodeIndex(idx *trace.Index) []byte {
@@ -136,7 +149,7 @@ func EncodeIndex(idx *trace.Index) []byte {
 // encodes straight into the envelope buffer without an intermediate copy.
 func appendIndex(b []byte, idx *trace.Index) []byte {
 	sy := idx.Syms
-	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads, sy.Hosts}
+	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads}
 	var used [nsCount][]uint64
 	for ns, t := range tables {
 		used[ns] = make([]uint64, (t.Len()+63)/64)
@@ -147,7 +160,7 @@ func appendIndex(b []byte, idx *trace.Index) []byte {
 		mark(nsServers, s.SID)
 		for f, m := range serverLists(s) {
 			for id := range m {
-				mark(fields[f], id)
+				mark(listNS[f], id)
 			}
 		}
 	}
@@ -164,8 +177,10 @@ func appendIndex(b []byte, idx *trace.Index) []byte {
 
 	b = append(b, magic[:]...)
 	b = binary.AppendUvarint(b, Version)
+	b = binary.AppendUvarint(b, uint64(idx.Fields()))
 	b = binary.AppendUvarint(b, uint64(idx.RequestCount))
-	for i := range dicts {
+	wired := onWire(idx.Fields())
+	for _, i := range wired {
 		b = binary.AppendUvarint(b, uint64(len(dicts[i].names)))
 		for _, n := range dicts[i].names {
 			b = binary.AppendUvarint(b, uint64(len(n)))
@@ -192,8 +207,9 @@ func appendIndex(b []byte, idx *trace.Index) []byte {
 		b = binary.AppendUvarint(b, uint64(dicts[nsServers].position(s.SID)))
 		b = binary.AppendUvarint(b, uint64(s.Requests))
 		b = binary.AppendUvarint(b, uint64(s.ErrorRequests))
-		for f, m := range serverLists(s) {
-			b = appendCounts(b, &dicts[fields[f]], m)
+		lists := serverLists(s)
+		for _, f := range wired {
+			b = appendCounts(b, &dicts[listNS[f]], lists[f])
 		}
 	}
 	// Client rows as (position, local id), sorted by position.
@@ -210,10 +226,10 @@ func appendIndex(b []byte, idx *trace.Index) []byte {
 	return b
 }
 
-// serverLists returns a server's eight count lists in wire order, the
-// namespaces of fields.
-func serverLists(s *trace.ServerInfo) [len(fields)]trace.Counts {
-	return [len(fields)]trace.Counts{s.Clients, s.IPs, s.Files, s.Referrers, s.UserAgents, s.Queries, s.Payloads, s.Hosts}
+// serverLists returns a server's count lists in wire order, the
+// namespaces of listNS; an absent field's list is nil.
+func serverLists(s *trace.ServerInfo) [len(listNS)]trace.Counts {
+	return [len(listNS)]trace.Counts{s.Clients, s.IPs, s.Files, s.Referrers, s.UserAgents, s.Queries, s.Payloads}
 }
 
 func byPos(x, y entry) int { return cmp.Compare(x.pos, y.pos) }
@@ -283,9 +299,9 @@ func (r *reader) str() (string, error) {
 // entry is one count-list element: a dictionary position and its count.
 type entry struct{ pos, n uint32 }
 
-// fields is the namespace of each of a server record's eight count lists,
-// in wire order.
-var fields = [8]int{nsClients, nsIPs, nsFiles, nsServers, nsAgents, nsQueries, nsPayloads, nsHosts}
+// listNS is the namespace of each of a server record's count lists, in
+// wire order; onWire says which are on the wire.
+var listNS = [7]int{nsClients, nsIPs, nsFiles, nsServers, nsAgents, nsQueries, nsPayloads}
 
 // scanner walks one index encoding record by record and refuses every
 // shape EncodeIndex cannot produce: unsorted or repeated names, records or
@@ -294,6 +310,8 @@ var fields = [8]int{nsClients, nsIPs, nsFiles, nsServers, nsAgents, nsQueries, n
 // DecodeFragment and MergeIndexes all read through it.
 type scanner struct {
 	reader
+	mask     trace.Fields
+	wired    []int // onWire(mask)
 	requests int
 	dicts    [nsCount][][]byte // sorted names, aliasing the input
 	used     [nsCount][]bool
@@ -303,14 +321,14 @@ type scanner struct {
 	total    uint64 // requests summed over the servers read
 
 	// The record next read: its position and, for a server, its request
-	// and error counts and eight lists; a client row's list is lists[0].
+	// and error counts and lists; a client row's list is lists[0].
 	pos        uint32
 	reqs, errs int
-	lists      [len(fields)][]entry
+	lists      [len(listNS)][]entry
 }
 
-// header reads the magic, version, request count, dictionaries and server
-// count.
+// header reads the magic, version, fields mask, request count,
+// dictionaries and server count.
 func (s *scanner) header() (err error) {
 	if !bytes.HasPrefix(s.b[s.off:], magic[:]) {
 		return fmt.Errorf("bad magic: %w", ErrCorrupt)
@@ -320,13 +338,21 @@ func (s *scanner) header() (err error) {
 	if err != nil {
 		return err
 	}
-	if v == 0 || v > Version {
-		return fmt.Errorf("wire: unsupported version %d (max %d)", v, Version)
+	if v != Version {
+		return fmt.Errorf("wire: unsupported index version %d (want %d)", v, Version)
 	}
+	mask, err := s.uvarint()
+	if err != nil {
+		return err
+	}
+	if mask&^uint64(trace.AllFields) != 0 {
+		return fmt.Errorf("unknown fields mask %#x: %w", mask, ErrCorrupt)
+	}
+	s.mask, s.wired = trace.Fields(mask), onWire(trace.Fields(mask))
 	if s.requests, err = s.scalar(); err != nil {
 		return err
 	}
-	for ns := range s.dicts {
+	for _, ns := range s.wired {
 		n, err := s.length(1)
 		if err != nil {
 			return err
@@ -415,8 +441,9 @@ func (s *scanner) next() (bool, error) {
 		s.errs, err = s.scalar()
 	}
 	var byClient, sum uint64
-	for f := 0; f < len(fields) && err == nil; f++ {
-		if s.lists[f], sum, err = s.list(fields[f], s.lists[f]); f == 0 {
+	for i := 0; i < len(s.wired) && err == nil; i++ {
+		f := s.wired[i]
+		if s.lists[f], sum, err = s.list(listNS[f], s.lists[f]); f == 0 {
 			byClient = sum
 		}
 	}
@@ -430,9 +457,9 @@ func (s *scanner) next() (bool, error) {
 	return true, nil
 }
 
-// DecodeIndex rebuilds an index (with fresh Symbols) from EncodeIndex
-// output. The result is safe to Merge into any other index — ids remap
-// through their names.
+// DecodeIndex rebuilds an index (with fresh Symbols and the encoded
+// fields) from EncodeIndex output. The result is safe to Merge into any
+// other index of its fields — ids remap through their names.
 func DecodeIndex(data []byte) (*trace.Index, error) {
 	s := &scanner{reader: reader{b: data}}
 	if err := s.header(); err != nil {
@@ -449,7 +476,7 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 		tables[ns] = intern.NewTableOf(names)
 	}
 	sy := &trace.Symbols{Servers: tables[nsServers], Clients: tables[nsClients], IPs: tables[nsIPs], Files: tables[nsFiles],
-		Agents: tables[nsAgents], Queries: tables[nsQueries], Payloads: tables[nsPayloads], Hosts: tables[nsHosts]}
+		Agents: tables[nsAgents], Queries: tables[nsQueries], Payloads: tables[nsPayloads]}
 	counts := func(l []entry) trace.Counts {
 		m := make(trace.Counts, len(l))
 		for _, e := range l {
@@ -457,7 +484,7 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 		}
 		return m
 	}
-	idx := trace.NewIndexWith(sy)
+	idx := trace.NewIndexOf(sy, s.mask)
 	ok, err := s.next()
 	for ; ok; ok, err = s.next() {
 		if s.section == nsClients {
@@ -466,9 +493,10 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 		}
 		info := idx.EnsureServer(sy.Servers.Name(s.pos))
 		info.Requests, info.ErrorRequests = s.reqs, s.errs
-		for f, dst := range [len(fields)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
-			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads, &info.Hosts} {
-			*dst = counts(s.lists[f])
+		dsts := [len(listNS)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
+			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads}
+		for _, f := range s.wired {
+			*dsts[f] = counts(s.lists[f])
 		}
 	}
 	if err != nil {
@@ -484,10 +512,8 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 // IndexRequests returns the request count in a validated index encoding's
 // header, such as a decoded Fragment's Payload, or 0 if it has none.
 func IndexRequests(enc []byte) int {
-	r := &reader{b: enc, off: min(len(magic), len(enc))}
-	if _, err := r.uvarint(); err != nil {
-		return 0
-	}
+	// A validated header's version and fields mask are one byte each.
+	r := &reader{b: enc, off: min(len(magic)+2, len(enc))}
 	n, _ := r.scalar() // 0 on error
 	return n
 }
@@ -496,24 +522,31 @@ func IndexRequests(enc []byte) int {
 // encoding and merging them would build, without building it: the
 // dictionaries are unioned into monotone position maps, then server
 // records, their count lists and client rows merge in one ordered walk.
-// Every input is validated as DecodeIndex validates it, and a merged
-// count too wide for the wire is an error, never a wrapped value. No
-// inputs encode the empty index.
+// Every input is validated as DecodeIndex validates it; inputs of
+// different fields masks and a merged count too wide for the wire are
+// errors, never a union or a wrapped value. No inputs encode the empty
+// index.
 func MergeIndexes(encs [][]byte) ([]byte, error) {
 	scs := make([]scanner, len(encs))
 	size, requests := 64, 0
+	var mask trace.Fields
 	for i := range scs {
 		scs[i].b = encs[i]
 		if err := scs[i].header(); err != nil {
 			return nil, err
 		}
-		size, requests = size+len(encs[i]), requests+scs[i].requests
+		if i > 0 && scs[i].mask != mask {
+			return nil, fmt.Errorf("wire: merge of fields masks %#x and %#x", mask, scs[i].mask)
+		}
+		mask, size, requests = scs[i].mask, size+len(encs[i]), requests+scs[i].requests
 	}
 	if requests > math.MaxInt32 {
 		return nil, fmt.Errorf("wire: merged request count %d out of range", requests)
 	}
+	wired := onWire(mask)
 	out := append(make([]byte, 0, size), magic[:]...)
-	out = binary.AppendUvarint(binary.AppendUvarint(out, Version), uint64(requests))
+	out = binary.AppendUvarint(binary.AppendUvarint(out, Version), uint64(mask))
+	out = binary.AppendUvarint(out, uint64(requests))
 
 	// remap[i][ns][pos] is input i's name pos in the union; both are
 	// sorted, so the map is monotone and a remapped section stays sorted.
@@ -521,7 +554,7 @@ func MergeIndexes(encs [][]byte) ([]byte, error) {
 	remap := make([][nsCount][]uint32, len(scs))
 	cur := make([]int, len(scs))
 	var names [][]byte
-	for ns := 0; ns < nsCount; ns++ {
+	for _, ns := range wired {
 		for i := range scs {
 			remap[i][ns], cur[i] = make([]uint32, len(scs[i].dicts[ns])), 0
 		}
@@ -558,6 +591,7 @@ func MergeIndexes(encs [][]byte) ([]byte, error) {
 	}
 	var from []int
 	var acc, tmp []entry
+	rowLists := []int{0} // a client row's one list, of servers
 	for section := nsServers; section <= nsClients; section++ {
 		start, records := len(out), 0
 		for ; ; records++ {
@@ -578,7 +612,7 @@ func MergeIndexes(encs [][]byte) ([]byte, error) {
 				break
 			}
 			out = binary.AppendUvarint(out, uint64(least))
-			lists := 1
+			lists := rowLists
 			if section == nsServers {
 				reqs, errs := 0, 0
 				for _, i := range from {
@@ -588,12 +622,12 @@ func MergeIndexes(encs [][]byte) ([]byte, error) {
 					return nil, fmt.Errorf("wire: merged request count %d of server %d out of range", reqs, least)
 				}
 				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(reqs)), uint64(errs))
-				lists = len(fields)
+				lists = wired
 			}
-			for f := range lists {
+			for _, f := range lists {
 				ns := nsServers
 				if section == nsServers {
-					ns = fields[f]
+					ns = listNS[f]
 				}
 				acc = acc[:0]
 				for _, i := range from {
@@ -815,8 +849,8 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v == 0 || v > FragmentVersion {
-		return nil, fmt.Errorf("wire: unsupported version %d (max %d)", v, FragmentVersion)
+	if v != FragmentVersion {
+		return nil, fmt.Errorf("wire: unsupported fragment version %d (want %d)", v, FragmentVersion)
 	}
 	node, err := r.str()
 	if err != nil {
@@ -857,17 +891,13 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 		f.Payload = bytes.Clone(s.b[:s.off])
 		r.off += s.off
 	}
-	if v >= 2 {
-		// Hop records run to the end of the buffer.
-		for r.off < len(r.b) {
-			h, err := decodeHop(r)
-			if err != nil {
-				return nil, err
-			}
-			f.Hops = append(f.Hops, h)
+	// Hop records run to the end of the buffer.
+	for r.off < len(r.b) {
+		h, err := decodeHop(r)
+		if err != nil {
+			return nil, err
 		}
-	} else if r.off != len(r.b) {
-		return nil, fmt.Errorf("%d trailing bytes: %w", len(r.b)-r.off, ErrCorrupt)
+		f.Hops = append(f.Hops, h)
 	}
 	return f, nil
 }

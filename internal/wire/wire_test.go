@@ -45,14 +45,31 @@ func sampleTrace() *trace.Trace {
 }
 
 func TestIndexRoundTrip(t *testing.T) {
-	idx := trace.BuildIndex(sampleTrace())
-	enc := EncodeIndex(idx)
-	dec, err := DecodeIndex(enc)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []trace.Fields{0, trace.FieldQueries, trace.AllFields} {
+		idx := trace.BuildIndexOf(sampleTrace(), f)
+		enc := EncodeIndex(idx)
+		dec, err := DecodeIndex(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dec.Fingerprint(), idx.Fingerprint(); got != want || dec.Fields() != f {
+			t.Errorf("fields %03b: fingerprint or fields (%03b) diverged after round-trip:\ngot:\n%s\nwant:\n%s", f, dec.Fields(), got, want)
+		}
 	}
-	if got, want := dec.Fingerprint(), idx.Fingerprint(); got != want {
-		t.Errorf("fingerprint diverged after round-trip:\ngot:\n%s\nwant:\n%s", got, want)
+}
+
+// An absent optional field costs nothing on the wire: the lean encoding
+// is the rich one without that field's dictionary and lists.
+func TestAbsentFieldsAreNotEncoded(t *testing.T) {
+	lean := EncodeIndex(trace.BuildIndex(sampleTrace()))
+	rich := EncodeIndex(trace.BuildIndexOf(sampleTrace(), trace.AllFields))
+	if len(lean) >= len(rich) {
+		t.Errorf("lean encoding %d B, rich %d B", len(lean), len(rich))
+	}
+	for _, name := range []string{"agent-0", "digest-0", "e&id"} {
+		if bytes.Contains(lean, []byte(name)) || !bytes.Contains(rich, []byte(name)) {
+			t.Errorf("%q: only the rich encoding may carry it", name)
+		}
 	}
 }
 
@@ -61,7 +78,7 @@ func TestIndexRoundTrip(t *testing.T) {
 // encode(decode(b)) == b.
 func TestEncodingCanonical(t *testing.T) {
 	tr := sampleTrace()
-	plain := trace.BuildIndex(tr)
+	plain := trace.BuildIndexOf(tr, trace.AllFields)
 
 	sy := trace.NewSymbols()
 	for i := 0; i < 100; i++ {
@@ -71,7 +88,7 @@ func TestEncodingCanonical(t *testing.T) {
 		sy.Files.ID(junk)
 		sy.Agents.ID(junk)
 	}
-	foreign := trace.NewIndexWith(sy)
+	foreign := trace.NewIndexOf(sy, trace.AllFields)
 	for i := range tr.Requests {
 		foreign.Add(&tr.Requests[i])
 	}
@@ -249,34 +266,6 @@ func TestFinalMarkerCarriesHops(t *testing.T) {
 	}
 }
 
-// Version-1 fragments (no hop section) still decode, and their strict
-// trailing-bytes check still rejects junk.
-func TestFragmentV1Compat(t *testing.T) {
-	f := &Fragment{
-		Node:   "old-node",
-		Window: 3,
-		Start:  time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC),
-		End:    time.Date(2011, 10, 2, 0, 0, 0, 0, time.UTC),
-		Index:  trace.BuildIndex(sampleTrace()),
-	}
-	enc := EncodeFragment(f)
-	if enc[4] != FragmentVersion {
-		t.Fatalf("version byte = %d, want %d", enc[4], FragmentVersion)
-	}
-	v1 := append([]byte{}, enc...)
-	v1[4] = 1 // a hop-free v2 body is byte-identical to the v1 encoding
-	dec, err := DecodeFragment(v1)
-	if err != nil {
-		t.Fatalf("v1 fragment rejected: %v", err)
-	}
-	if dec.Node != f.Node || dec.Window != f.Window || dec.Hops != nil {
-		t.Errorf("v1 fragment diverged: %+v", dec)
-	}
-	if _, err := DecodeFragment(append(v1, 0xFF)); err == nil {
-		t.Error("v1 fragment with trailing junk accepted")
-	}
-}
-
 func TestHopDecodeRejectsCorruption(t *testing.T) {
 	enc := EncodeFragment(&Fragment{Node: "n", Window: 1, Final: true})
 	cases := map[string][]byte{
@@ -312,18 +301,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Error("fragment decode accepted truncated input")
 	}
 	// A huge claimed collection length must fail fast, not allocate.
-	huge := append(append([]byte{}, enc[:5]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
+	huge := append(append([]byte{}, enc[:7]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 	if _, err := DecodeIndex(huge); err == nil {
 		t.Error("decode accepted absurd dictionary length")
 	}
 }
 
+// Only the current versions decode: a newer or an older index or
+// envelope is refused with an error naming both versions, never misread.
 func TestVersionErrorMentionsVersions(t *testing.T) {
-	enc := EncodeIndex(trace.NewIndex())
-	enc[4] = 9 // bump version byte (fits a single-byte uvarint)
-	_, err := DecodeIndex(enc)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 9") {
-		t.Errorf("version error = %v", err)
+	idx := EncodeIndex(trace.BuildIndex(sampleTrace()))
+	frag := EncodeFragment(&Fragment{Node: "n", Window: 1, Index: trace.BuildIndex(sampleTrace())})
+	for _, v := range []byte{1, 9} { // single-byte uvarints
+		badIdx := append([]byte{}, idx...)
+		badIdx[4] = v
+		_, err := DecodeIndex(badIdx)
+		if want := fmt.Sprintf("version %d (want %d)", v, Version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("index version %d: error = %v, want it to name %q", v, err, want)
+		}
+		badFrag := append([]byte{}, frag...)
+		badFrag[4] = v
+		_, err = DecodeFragment(badFrag)
+		if want := fmt.Sprintf("version %d (want %d)", v, FragmentVersion); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("fragment version %d: error = %v, want it to name %q", v, err, want)
+		}
 	}
 }
 
@@ -363,8 +364,8 @@ func TestDecodeRejectsInconsistentTotals(t *testing.T) {
 		{Time: time.Unix(11, 0), Client: "c2", Host: "a.test", ServerIP: "1.1.1.1", Path: "/x", Status: 500},
 	}}
 	enc := EncodeIndex(trace.BuildIndex(tr))
-	if enc[5] != 2 {
-		t.Fatalf("header request total = %d at byte 5, want 2; encoding changed?", enc[5])
+	if enc[6] != 2 {
+		t.Fatalf("header request total = %d at byte 6, want 2; encoding changed?", enc[6])
 	}
 	// Server a.test encodes as requests=2, errors=1, then its two clients
 	// as the pairs (0,1),(1,1).
@@ -376,8 +377,8 @@ func TestDecodeRejectsInconsistentTotals(t *testing.T) {
 		at  int
 		val byte
 	}{
-		"header total zeroed":    {5, 0},
-		"header total inflated":  {5, 100},
+		"header total zeroed":    {6, 0},
+		"header total inflated":  {6, 100},
 		"server total off":       {i, 3},
 		"errors exceed requests": {i + 1, 3},
 		"client count off":       {i + 4, 2},
@@ -415,5 +416,9 @@ func TestMergeIndexesEdges(t *testing.T) {
 	}
 	if _, err := MergeIndexes([][]byte{wide, one}); err == nil {
 		t.Error("merged count above 2^32-1 accepted")
+	}
+	rich := EncodeIndex(trace.BuildIndexOf(sampleTrace(), trace.FieldAgents))
+	if _, err := MergeIndexes([][]byte{one, rich}); err == nil {
+		t.Error("inputs of different field sets merged")
 	}
 }
