@@ -11,11 +11,11 @@
 // commutes (any partition of the requests merges back to the exact index a
 // sequential build would produce), and the wire encoding is canonical, so
 // fragments built under foreign symbol tables merge as bytes
-// (wire.MergeIndexes) into exactly the encoding of their merged index. An
-// ingest node is
-// a stream.Engine in IndexOnly mode — full windowing, watermark and
-// backpressure semantics, no detection — whose sink is a Forwarder that
-// encodes each sealed fragment (internal/wire) and POSTs it to the
+// (wire.MergeIndexes) into exactly the encoding of their merged index.
+// Below the root a window is bytes: an ingest node is a stream.Engine in
+// IndexOnly mode — full windowing, watermark and backpressure semantics,
+// no index and no detection — that seals each window straight to its
+// wire encoding, and its sink is a Forwarder that POSTs it to the
 // aggregator with bounded retry. The aggregator aligns fragments from all
 // nodes onto epoch-derived window ids, merges their payloads in sorted
 // node order, decodes the merged window once, and drives the same
@@ -274,10 +274,10 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 func (f *Forwarder) SinkName() string { return "forward" }
 
 // Consume implements stream.Sink: it ships the window's index to the
-// aggregator. The engine must run with Config.IndexOnly (or KeepIndex);
-// behind an IndexOnly Aggregator — a merge tier — the window's merged
-// bytes (w.Payload) go out as they are and the children's hop trails ride
-// w.Hops onto the fragment, so the root sees the whole path.
+// aggregator. Behind an IndexOnly engine or Aggregator (a merge tier) the
+// window's bytes (w.Payload) go out as they are, and a merge tier's
+// children's hop trails ride w.Hops onto the fragment, so the root sees
+// the whole path; a KeepIndex engine's w.Index is encoded here.
 // The encoded bytes stay hop-free for this transit; each delivery attempt
 // appends its own freshly-stamped hop record via hopBody, and spooled
 // fragments get theirs at drain time so dwell and attempt counts are

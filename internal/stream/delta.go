@@ -28,13 +28,14 @@ type WindowResult struct {
 	Matches []tracker.Match
 	// Deltas describe how each campaign moved its lineage this window.
 	Deltas []Delta
-	// Index is the window's merged traffic index, populated only under
-	// Config.KeepIndex or Config.IndexOnly. Read-only: it is shared with
-	// every sink and may alias engine-internal state.
+	// Index is the window's merged traffic index, populated only by a
+	// detecting engine under Config.KeepIndex. Read-only: it is shared
+	// with every sink and may alias engine-internal state.
 	Index *trace.Index
 	// Payload is the window's merged index in canonical wire form, set
-	// instead of Index by an IndexOnly cluster aggregator (a merge tier),
-	// which never decodes: its Forwarder sink ships the bytes as they are.
+	// instead of Index by every forward-only node — an IndexOnly engine
+	// or cluster aggregator (a merge tier) — whose Forwarder sink ships
+	// the bytes as they are.
 	Payload []byte
 	// Hops is the combined hop trail of the child fragments merged into
 	// this window, set only by an IndexOnly cluster aggregator (a merge

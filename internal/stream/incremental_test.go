@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"smash/internal/trace"
+	"smash/internal/wire"
 )
 
 // randomEvents fabricates a small random event stream: a handful of
@@ -361,5 +362,46 @@ func TestSymbolRotationInvisible(t *testing.T) {
 				t.Errorf("symbol rotation changed delta stream")
 			}
 		})
+	}
+
+	// An IndexOnly engine logs ids and encodes each window to bytes: under
+	// rotation every window or every other, with late events and
+	// fragments handed over in deltas, its payloads are byte for byte the
+	// encodings of a detecting engine's window indexes.
+	events = randomEvents(rng, 260, stride, 10, 90*time.Minute)
+	keepE, err := New(Config{
+		Window: 3 * stride, Stride: stride, Watermark: 20 * time.Minute,
+		Shards: 3, Workers: 2, RotateSymbolsEvery: -1, KeepIndex: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepW := collect(t, keepE, &SliceSource{Requests: events})
+	if keepE.Stats().Late == 0 {
+		t.Fatal("no late events: the IndexOnly cases would not cover them")
+	}
+	for _, rotateEvery := range []int{1, 2} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("IndexOnly rotating every %d, %d shards", rotateEvery, shards), func(t *testing.T) {
+				eng, err := New(Config{
+					Window: 3 * stride, Stride: stride, Watermark: 20 * time.Minute,
+					Shards: shards, Workers: 2, RotateSymbolsEvery: rotateEvery, IndexOnly: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := collect(t, eng, &batchSource{batches: chunked(events, 37)})
+				if eng.Stats() != keepE.Stats() || len(got) != len(keepW) {
+					t.Fatalf("IndexOnly engine: %d windows, stats %+v; detecting engine: %d, %+v",
+						len(got), eng.Stats(), len(keepW), keepE.Stats())
+				}
+				for i, w := range got {
+					if w.Index != nil || w.Requests != keepW[i].Requests ||
+						!bytes.Equal(w.Payload, wire.EncodeIndex(keepW[i].Index)) {
+						t.Errorf("window %d: payload is not the encoding of the detecting engine's index", i)
+					}
+				}
+			})
+		}
 	}
 }

@@ -74,12 +74,12 @@ func (o *engineObs) finishSeal(j *windowJob) {
 	j.sealedAt = time.Now()
 	if o.tr != nil {
 		o.tr.Record(int64(j.seq), "seal", j.sealStart, j.sealedAt.Sub(j.sealStart),
-			"requests", itoa(j.idx.RequestCount))
+			"requests", itoa(j.requests))
 	}
 	if !j.firstEvent.IsZero() {
 		o.ingestSeal.Observe(j.sealedAt.Sub(j.firstEvent).Seconds())
 	}
-	o.log.Debug("window sealed", "window", j.seq, "requests", j.idx.RequestCount, "indexed", j.indexed)
+	o.log.Debug("window sealed", "window", j.seq, "requests", j.requests, "indexed", j.indexed)
 }
 
 // itoa keeps span attribute construction allocation-light.

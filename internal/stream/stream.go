@@ -28,13 +28,16 @@
 // follows it. Each shard indexes its sub-slabs through a private
 // trace.Interner front cache into partial trace.Index fragments;
 // trace.Index aggregation commutes, so the sharded build is bit-identical
-// to a sequential one. When the watermark (max event time minus
-// Config.Watermark) passes a window's end the window is sealed and its
-// merged index is dispatched to a pool of Config.Workers detection
-// workers. A window takes one of Config.Workers admission slots when it
-// is sealed and gives it back only when its detection has finished, so at
-// most Workers windows are ever sealed but not yet detected: a saturated
-// engine stalls its reader instead of queueing windows. Finished windows
+// to a sequential one. An IndexOnly engine, which only ships windows,
+// never builds an index: its shards log interned ids (trace.Log) and its
+// sealer encodes them straight to wire bytes (wire.EncodeLogs). When the
+// watermark (max event time minus Config.Watermark) passes a window's
+// end the window is sealed and its merged index is dispatched to a pool
+// of Config.Workers detection workers. A window takes one of
+// Config.Workers admission slots when it is sealed and gives it back only
+// when its detection has finished, so at most Workers windows are ever
+// sealed but not yet detected: a saturated engine stalls its reader
+// instead of queueing windows. Finished windows
 // are re-sequenced into window order and committed — tracker, deltas,
 // sinks — by the Committer, the same back half internal/cluster's
 // aggregator runs on its merged windows, and emitted on the output channel
@@ -86,6 +89,7 @@ import (
 	"smash/internal/obs"
 	"smash/internal/trace"
 	"smash/internal/tracker"
+	"smash/internal/wire"
 )
 
 // Config parameterizes an Engine.
@@ -137,15 +141,15 @@ type Config struct {
 	// is published on the output channel (see Sink).
 	Sinks []Sink
 	// KeepIndex publishes each window's merged traffic index on
-	// WindowResult.Index (read-only for consumers). Off by default: the
-	// index is normally garbage the moment detection finishes, and keeping
-	// it alive extends its lifetime to the consumer's.
+	// WindowResult.Index (read-only for consumers) on a detecting engine.
+	// Off by default: the index is normally garbage the moment detection
+	// finishes, and keeping it alive extends its lifetime to the consumer's.
 	KeepIndex bool
-	// IndexOnly turns the engine into a pure windowing node: sealed
-	// windows skip detection and the tracker entirely and are emitted with
-	// only their index populated (implies KeepIndex). This is cluster
-	// ingest mode — internal/cluster's Forwarder consumes the indexes and
-	// ships them to an aggregator that runs detection over the merged
+	// IndexOnly turns the engine into a pure windowing node: no index is
+	// built, detection and the tracker are skipped, and every window is
+	// emitted as WindowResult.Payload, its index's wire encoding — never
+	// as Index. This is cluster ingest mode: internal/cluster's Forwarder
+	// ships the bytes to an aggregator that runs detection over the merged
 	// cluster-wide window.
 	IndexOnly bool
 	// Metrics registers the engine's latency histograms (ingest->seal,
@@ -416,6 +420,9 @@ var (
 		s := make([]shardEvent, 0, slabSize)
 		return &s
 	}}
+	// entryPool recycles run log buffers: the sealer gives a log's
+	// entries back once they are encoded, and shards start logs on them.
+	entryPool = sync.Pool{New: func() any { return new([]trace.Entry) }}
 )
 
 // read pumps the source into the bounded slab channel until EOF, error or
@@ -460,6 +467,8 @@ type windowJob struct {
 	seq        int
 	start, end time.Time
 	idx        *trace.Index
+	payload    []byte // instead of idx on an IndexOnly engine
+	requests   int
 	// indexed counts the events first indexed since the previous seal (the
 	// fragments this window's barrier handed over); over a run it sums to
 	// Stats.Events, because every event is indexed exactly once.
@@ -477,7 +486,8 @@ type windowDone struct {
 	start, end time.Time
 	requests   int
 	report     *core.Report // nil for empty windows
-	idx        *trace.Index // set when KeepIndex/IndexOnly
+	idx        *trace.Index // set when KeepIndex
+	payload    []byte       // set when IndexOnly
 	sealedAt   time.Time    // when the merged index was ready
 }
 
@@ -489,6 +499,21 @@ type shardEvent struct {
 	frag int64
 }
 
+// fragment is one shard's share of one time fragment: a trace.Index, or
+// on an IndexOnly engine a trace.Log the sealer encodes to wire bytes.
+type fragment interface {
+	AddKeyed(r *trace.Request, key string, in *trace.Interner)
+}
+
+// newFragment returns an empty fragment in the current symbol epoch.
+func (e *Engine) newFragment() fragment {
+	if e.cfg.IndexOnly {
+		entries := (*entryPool.Get().(*[]trace.Entry))[:0]
+		return &trace.Log{Syms: e.symbols(), Fields: e.commit.pipe.Fields(), Entries: entries}
+	}
+	return trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
+}
+
 // shardMsg is either a sub-slab of events to index (replyAll nil) or a
 // seal barrier asking for every fragment with id <= sealMax. Channel FIFO
 // ordering guarantees a barrier arrives after every event dispatched
@@ -496,7 +521,7 @@ type shardEvent struct {
 type shardMsg struct {
 	events   *[]shardEvent
 	sealMax  int64
-	replyAll chan<- map[int64]*trace.Index
+	replyAll chan<- map[int64]fragment
 }
 
 // shardLoop owns one shard's index fragments, keyed by fragment id. All
@@ -504,7 +529,7 @@ type shardMsg struct {
 // interns through its own front cache, which starts over whenever it is
 // handed a fragment of another epoch.
 func (e *Engine) shardLoop(ch <-chan shardMsg) {
-	frags := make(map[int64]*trace.Index)
+	frags := make(map[int64]fragment)
 	var in trace.Interner
 	for m := range ch {
 		if m.replyAll != nil {
@@ -513,7 +538,7 @@ func (e *Engine) shardLoop(ch <-chan shardMsg) {
 			// handed-over fragment again; a late event for the same
 			// fragment simply starts a fresh one that the next barrier
 			// delivers as a delta.
-			out := make(map[int64]*trace.Index, 4)
+			out := make(map[int64]fragment, 4)
 			for f, frag := range frags {
 				if f <= m.sealMax {
 					out[f] = frag
@@ -528,7 +553,7 @@ func (e *Engine) shardLoop(ch <-chan shardMsg) {
 			ev := &events[i]
 			frag := frags[ev.frag]
 			if frag == nil {
-				frag = trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
+				frag = e.newFragment()
 				frags[ev.frag] = frag
 			}
 			frag.AddKeyed(&ev.req, ev.key, &in)
@@ -544,7 +569,7 @@ func (e *Engine) shardLoop(ch <-chan shardMsg) {
 type sealReq struct {
 	seq     int64 // absolute window seq
 	job     windowJob
-	replies <-chan map[int64]*trace.Index
+	replies <-chan map[int64]fragment
 }
 
 // sealer is the single goroutine that owns the fragment ring. For every
@@ -554,14 +579,22 @@ type sealReq struct {
 // index, zero-copy, the other expiring ones are absorbed and dropped, and
 // the still-live ones are copied in and kept. It iterates the ring's
 // present keys, never the window's fragment id range. It runs strictly in
-// window order, pipelined behind the windower.
+// window order, pipelined behind the windower. An IndexOnly engine's ring
+// holds wire encodings instead (sealBytes).
 func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStride int64, nShards int) {
 	defer close(jobs)
 	ring := make(map[int64]*trace.Index)
+	encs, logs := make(map[int64][][]byte), make(map[epochFrag][]*trace.Log)
 	var live []int64
 	for r := range reqs {
 		for i := 0; i < nShards; i++ {
 			for f, frag := range <-r.replies {
+				if l, ok := frag.(*trace.Log); ok {
+					r.job.indexed += len(l.Entries)
+					logs[epochFrag{f, l.Syms}] = append(logs[epochFrag{f, l.Syms}], l)
+					continue
+				}
+				frag := frag.(*trace.Index)
 				r.job.indexed += frag.RequestCount
 				if cur := ring[f]; cur == nil {
 					ring[f] = frag
@@ -572,6 +605,13 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 		}
 		// Every ring entry belongs to this window: earlier seals dropped
 		// what expired, and a barrier hands over nothing past its window.
+		if e.cfg.IndexOnly {
+			r.job.payload = e.sealBytes(encs, logs, (r.seq+1)*fragsPerStride)
+			r.job.requests = wire.IndexRequests(r.job.payload)
+			e.o.finishSeal(&r.job)
+			jobs <- r.job
+			continue
+		}
 		live = live[:0]
 		for f := range ring {
 			live = append(live, f)
@@ -598,10 +638,46 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, fragsPerStri
 		if merged == nil {
 			merged = trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields())
 		}
-		r.job.idx = merged
+		r.job.idx, r.job.requests = merged, merged.RequestCount
 		e.o.finishSeal(&r.job)
 		jobs <- r.job
 	}
+}
+
+// epochFrag keys the shard logs of one fragment and symbol epoch.
+type epochFrag struct {
+	frag int64
+	syms *trace.Symbols
+}
+
+// sealBytes encodes each handed-over fragment's logs once per epoch into
+// the ring encs, returns the window — the ring merged as bytes, which
+// needs no shared symbols, or its one encoding — and drops fragments
+// below expire.
+func (e *Engine) sealBytes(encs map[int64][][]byte, logs map[epochFrag][]*trace.Log, expire int64) []byte {
+	for k, ls := range logs {
+		encs[k.frag] = append(encs[k.frag], wire.EncodeLogs(ls...))
+		for _, l := range ls {
+			entryPool.Put(&l.Entries)
+		}
+		delete(logs, k)
+	}
+	var parts [][]byte
+	for f, fe := range encs {
+		if parts = append(parts, fe...); f < expire {
+			delete(encs, f)
+		}
+	}
+	if len(parts) == 0 {
+		return wire.EncodeIndex(trace.NewIndexOf(e.symbols(), e.commit.pipe.Fields()))
+	} else if len(parts) == 1 {
+		return parts[0]
+	}
+	b, err := wire.MergeIndexes(parts)
+	if err != nil { // a count too wide for the wire
+		e.setErr(fmt.Errorf("stream: %w", err))
+	}
+	return b
 }
 
 // windower assigns events to windows, advances the watermark, and seals
@@ -693,7 +769,7 @@ func (e *Engine) windower(slabs <-chan *[]trace.Request, drained chan<- struct{}
 			delete(firstSeen, seq)
 		}
 		e.o.beginSeal(&job)
-		replies := make(chan map[int64]*trace.Index, nShards)
+		replies := make(chan map[int64]fragment, nShards)
 		for _, ch := range shardCh {
 			ch <- shardMsg{sealMax: seq*fragsPerStride + fragsPerWindow - 1, replyAll: replies}
 		}
@@ -874,8 +950,8 @@ func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone, slots 
 		if e.cfg.IndexOnly {
 			<-slots
 		}
-		d := windowDone{seq: j.seq, start: j.start, end: j.end, requests: j.idx.RequestCount, sealedAt: j.sealedAt}
-		if e.cfg.KeepIndex || e.cfg.IndexOnly {
+		d := windowDone{seq: j.seq, start: j.start, end: j.end, requests: j.requests, payload: j.payload, sealedAt: j.sealedAt}
+		if e.cfg.KeepIndex {
 			d.idx = j.idx
 		}
 		switch {
@@ -924,7 +1000,7 @@ func (e *Engine) sequence(results <-chan windowDone) {
 // emit commits one in-order window — tracker and deltas (detecting
 // engines only), then every sink — and publishes the result.
 func (e *Engine) emit(d windowDone) {
-	res := WindowResult{Seq: d.seq, Start: d.start, End: d.end, Requests: d.requests, Report: d.report, Index: d.idx}
+	res := WindowResult{Seq: d.seq, Start: d.start, End: d.end, Requests: d.requests, Report: d.report, Index: d.idx, Payload: d.payload}
 	if d.requests == 0 {
 		// Report-less windows WITH requests are aborted, not empty.
 		e.ctrEmpty.Add(1)

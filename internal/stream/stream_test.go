@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"smash/internal/synth"
 	"smash/internal/trace"
 	"smash/internal/tracker"
+	"smash/internal/wire"
 )
 
 // collect drains the engine and returns every window in emission order.
@@ -697,9 +699,10 @@ func TestStatsReadableLive(t *testing.T) {
 	}
 }
 
-// KeepIndex publishes each window's merged index; IndexOnly additionally
-// skips detection and the tracker, and both agree with a scratch build of
-// the window's events.
+// KeepIndex publishes each window's merged index, which agrees with a
+// scratch build of the window's events; IndexOnly additionally skips
+// detection and the tracker and publishes every window as wire bytes
+// only, byte for byte the encoding of the KeepIndex window's index.
 func TestKeepIndexAndIndexOnly(t *testing.T) {
 	events := []trace.Request{
 		evReq(at(0, 10), "c1", "a.com", "/x"),
@@ -708,6 +711,7 @@ func TestKeepIndexAndIndexOnly(t *testing.T) {
 	}
 	want := trace.BuildIndex(&trace.Trace{Requests: events[:2]})
 
+	var kept []WindowResult
 	for _, cfg := range []Config{
 		{Window: time.Hour, KeepIndex: true},
 		{Window: time.Hour, IndexOnly: true},
@@ -720,21 +724,35 @@ func TestKeepIndexAndIndexOnly(t *testing.T) {
 		if len(wins) != 2 {
 			t.Fatalf("windows = %d, want 2", len(wins))
 		}
-		if wins[0].Index == nil {
-			t.Fatal("window emitted without index")
-		}
-		if got := wins[0].Index.Fingerprint(); got != want.Fingerprint() {
-			t.Errorf("window index diverged from scratch build:\n%s", got)
-		}
-		if cfg.IndexOnly {
-			if wins[0].Report != nil || wins[0].Matches != nil {
-				t.Error("IndexOnly window carries detection output")
+		if !cfg.IndexOnly {
+			if wins[0].Index == nil {
+				t.Fatal("window emitted without index")
 			}
-			if len(eng.Tracker().Lineages()) != 0 {
-				t.Error("IndexOnly fed the tracker")
+			if got := wins[0].Index.Fingerprint(); got != want.Fingerprint() {
+				t.Errorf("window index diverged from scratch build:\n%s", got)
 			}
-		} else if wins[0].Report == nil {
-			t.Error("KeepIndex window lost its report")
+			if wins[0].Report == nil {
+				t.Error("KeepIndex window lost its report")
+			}
+			kept = wins
+			continue
+		}
+		for i, w := range wins {
+			if w.Index != nil {
+				t.Errorf("IndexOnly window %d carries an index", i)
+			}
+			if enc := wire.EncodeIndex(kept[i].Index); !bytes.Equal(w.Payload, enc) {
+				t.Errorf("IndexOnly window %d payload differs from the KeepIndex window's encoding", i)
+			}
+		}
+		if dec, err := wire.DecodeIndex(wins[0].Payload); err != nil || dec.Fingerprint() != want.Fingerprint() {
+			t.Errorf("IndexOnly payload diverged from scratch build: %v", err)
+		}
+		if wins[0].Report != nil || wins[0].Matches != nil {
+			t.Error("IndexOnly window carries detection output")
+		}
+		if len(eng.Tracker().Lineages()) != 0 {
+			t.Error("IndexOnly fed the tracker")
 		}
 	}
 }

@@ -441,18 +441,12 @@ func (idx *Index) newServerInfo(key string, sid uint32) *ServerInfo {
 // invalidate drops the cached node table after a mutation.
 func (idx *Index) invalidate() { idx.nodes = nil }
 
-// EnsureServer returns the info for key, registering an empty one in the
-// index if the server was not yet known. It is the constructor decoders
-// (internal/wire) use to rebuild an index field-by-field without going
-// through per-request Add.
-func (idx *Index) EnsureServer(key string) *ServerInfo {
-	info := idx.Servers[key]
-	if info == nil {
-		info = idx.newServerInfo(key, idx.Syms.Servers.ID(key))
-		idx.Servers[key] = info
-		idx.invalidate()
-	}
-	return info
+// PutServer registers s, whose count maps a decoder (internal/wire) built
+// whole, under s.Key. s.SID must be s.Key's id in the index's Symbols.
+func (idx *Index) PutServer(s *ServerInfo) {
+	s.syms = idx.Syms
+	idx.Servers[s.Key] = s
+	idx.invalidate()
 }
 
 // Add incorporates one request into the index.
@@ -475,35 +469,20 @@ func (idx *Index) AddKeyed(r *Request, key string, in *Interner) {
 		info = idx.newServerInfo(key, in.id(nsServers, key, sy.Servers.ID))
 		idx.Servers[key] = info
 	}
-	cid := in.id(nsClients, r.Client, sy.Clients.ID)
-	info.Clients[cid]++
-	if r.ServerIP != "" {
-		info.IPs[in.id(nsIPs, r.ServerIP, sy.IPs.ID)]++
-	}
-	info.Files[in.id(nsFiles, r.URIFile(), sy.Files.ID)]++
-	if r.Referrer != "" {
-		refKey := in.sld(sy, r.Referrer)
-		if refKey != key {
-			info.Referrers[in.id(nsServers, refKey, sy.Servers.ID)]++
+	e := in.entry(sy, idx.fields, r, info.SID)
+	for i, m := range [...]Counts{info.Clients, info.IPs, info.Files, info.Referrers, info.UserAgents, info.Queries, info.Payloads} {
+		if e.IDs[i] != None {
+			m[e.IDs[i]]++
 		}
 	}
-	if r.UserAgent != "" && info.UserAgents != nil {
-		info.UserAgents[in.id(nsAgents, r.UserAgent, sy.Agents.ID)]++
-	}
-	if r.Query != "" && info.Queries != nil {
-		info.Queries[in.id(nsPatterns, r.Query, sy.queryPatternID)]++
-	}
-	if r.PayloadDigest != "" && info.Payloads != nil {
-		info.Payloads[in.id(nsPayloads, r.PayloadDigest, sy.Payloads.ID)]++
-	}
 	info.Requests++
-	if r.Status >= 400 {
+	if e.Error {
 		info.ErrorRequests++
 	}
-	cs := idx.ClientServers[cid]
+	cs := idx.ClientServers[e.IDs[0]]
 	if cs == nil {
 		cs = make(Counts)
-		idx.ClientServers[cid] = cs
+		idx.ClientServers[e.IDs[0]] = cs
 	}
 	cs[info.SID]++
 	idx.RequestCount++

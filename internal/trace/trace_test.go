@@ -228,7 +228,8 @@ func TestIndexShallowClone(t *testing.T) {
 
 func TestFileListSorted(t *testing.T) {
 	sy := NewSymbols()
-	info := NewIndexWith(sy).EnsureServer("a.com")
+	info := &ServerInfo{Key: "a.com", SID: sy.Servers.ID("a.com"), Files: Counts{}}
+	NewIndexWith(sy).PutServer(info)
 	info.Files[sy.Files.ID("z.php")] = 1
 	info.Files[sy.Files.ID("a.php")] = 2
 	info.Files[sy.Files.ID("m.gif")] = 1
@@ -242,7 +243,9 @@ func TestFileListSorted(t *testing.T) {
 }
 
 func TestDominantReferrerEmpty(t *testing.T) {
-	info := NewIndex().EnsureServer("a.com")
+	idx := NewIndex()
+	info := &ServerInfo{Key: "a.com", SID: idx.Syms.Servers.ID("a.com"), Referrers: Counts{}}
+	idx.PutServer(info)
 	info.Requests = 5
 	if ref, share := info.DominantReferrer(); ref != "" || share != 0 {
 		t.Errorf("DominantReferrer on empty = %q %g", ref, share)

@@ -247,6 +247,58 @@ func FuzzMergeIndexes(f *testing.F) {
 	})
 }
 
+// FuzzEncodeLogs checks the run encoder against the map oracle: requests
+// — with absent IPs and referrers, self-referrers and empty server keys
+// mixed in, under every fields mask (fields picks it) — logged round-robin
+// across 1–4 shard logs under two symbol epochs (cut splits them) encode,
+// each epoch's logs at once and the epochs merged as bytes, to exactly
+// the reference encoding of the index built from all of them. Each
+// epoch's encoding alone is the reference encoding of its own requests.
+func FuzzEncodeLogs(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint16(0))
+	f.Add(bytesSeq(96), uint8(2), uint8(7), uint16(9))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(1), uint16(4))
+	f.Add(bytesSeq(256), uint8(1), uint8(6), uint16(300))
+	f.Fuzz(func(t *testing.T, data []byte, shards, fields uint8, cut uint16) {
+		reqs := fuzzRequests(data)
+		for i := range reqs {
+			switch data[4*i+1] % 11 {
+			case 3:
+				reqs[i].Referrer = reqs[i].Host // self-referrer
+			case 7:
+				reqs[i].Host, reqs[i].ServerIP = "", "" // no server key: not indexed
+			}
+		}
+		mask := trace.Fields(fields) & trace.AllFields
+		n, split := 1+int(shards%4), int(cut)%(len(reqs)+1)
+		var encs [][]byte
+		for _, part := range [][]trace.Request{reqs[:split], reqs[split:]} {
+			sy := trace.NewSymbols()
+			sy.Clients.ID("noise") // ids differ between the epochs
+			logs := make([]*trace.Log, n)
+			ins := make([]trace.Interner, n)
+			for i := range logs {
+				logs[i] = &trace.Log{Syms: sy, Fields: mask}
+			}
+			for i := range part {
+				logs[i%n].AddKeyed(&part[i], ins[i%n].ServerKey(sy, &part[i]), &ins[i%n])
+			}
+			enc := EncodeLogs(logs...)
+			if want := referenceEncodeIndex(trace.BuildIndexOf(&trace.Trace{Requests: part}, mask)); string(enc) != string(want) {
+				t.Fatalf("%d shard logs of %d requests: run encoding differs from the reference encoding", n, len(part))
+			}
+			encs = append(encs, enc)
+		}
+		got, err := MergeIndexes(encs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceEncodeIndex(trace.BuildIndexOf(&trace.Trace{Requests: reqs}, mask)); string(got) != string(want) {
+			t.Fatal("two epochs' run encodings merge to other bytes than the reference encoding")
+		}
+	})
+}
+
 // FuzzFragmentRoundTrip proves the envelope guarantee with hop records
 // present: encode→decode preserves every field, encode(decode(b)) == b,
 // and AppendHop on the encoded bytes equals re-encoding with the hop in

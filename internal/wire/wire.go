@@ -14,6 +14,11 @@
 // dictionary is sorted and distinct, so position p becomes id p, and the
 // index is rebuilt on those ids.
 //
+// Both encoders build an index's sorted form — per count list the sorted
+// (record, feature position, count) cells — for one writer: EncodeIndex
+// from a trace.Index's maps, EncodeLogs from run logs (trace.Log), so a
+// node that only ships windows never builds a map.
+//
 // Because dictionaries, servers, client rows and count lists are sorted,
 // and a dictionary holds only names something references, encoding is
 // canonical: two indexes describing the same traffic aggregate encode to
@@ -48,14 +53,11 @@ package wire
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"strings"
 	"time"
 
 	"smash/internal/intern"
@@ -74,45 +76,6 @@ var magic = [4]byte{'S', 'M', 'W', 'F'}
 
 // ErrCorrupt wraps all decode failures caused by malformed input.
 var ErrCorrupt = errors.New("wire: corrupt data")
-
-// dict is one namespace's compact dictionary: the names the fragment
-// references, sorted, and each referenced local id's position in them.
-type dict struct {
-	names []string
-	ids   []uint32 // the referenced local ids, ascending
-	pos   []uint32 // pos[i] is the position of ids[i] in names
-}
-
-// newDict builds table's dictionary from used, a bitset of the local ids
-// the index references. Positions are assigned in sorted-name order,
-// which is what makes the encoding canonical.
-func newDict(table *intern.Table, used []uint64) dict {
-	all, n := table.Names(), 0
-	for _, w := range used {
-		n += bits.OnesCount64(w)
-	}
-	d := dict{ids: make([]uint32, 0, n), names: make([]string, n), pos: make([]uint32, n)}
-	for i, w := range used {
-		for ; w != 0; w &= w - 1 {
-			d.ids = append(d.ids, uint32(i<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	byName := make([]int32, n) // indexes into ids, in name order
-	for i := range byName {
-		byName[i] = int32(i)
-	}
-	slices.SortFunc(byName, func(i, j int32) int { return strings.Compare(all[d.ids[i]], all[d.ids[j]]) })
-	for p, i := range byName {
-		d.names[p], d.pos[i] = all[d.ids[i]], uint32(p)
-	}
-	return d
-}
-
-// position returns the dictionary position of a referenced local id.
-func (d *dict) position(id uint32) uint32 {
-	i, _ := slices.BinarySearch(d.ids, id)
-	return d.pos[i]
-}
 
 // namespace indexes into the fixed dictionary array. The optional ones
 // follow the base four in trace.Fields bit order.
@@ -139,123 +102,28 @@ func onWire(mask trace.Fields) []int {
 	return out
 }
 
-// EncodeIndex serializes idx into the canonical wire form.
-func EncodeIndex(idx *trace.Index) []byte {
-	return appendIndex(make([]byte, 0, 1<<12), idx)
-}
-
-// appendIndex appends the canonical encoding of idx to b — the shared
-// implementation of EncodeIndex and EncodeFragment, so a fragment's index
-// encodes straight into the envelope buffer without an intermediate copy.
-func appendIndex(b []byte, idx *trace.Index) []byte {
-	sy := idx.Syms
-	tables := [nsCount]*intern.Table{sy.Servers, sy.Clients, sy.IPs, sy.Files, sy.Agents, sy.Queries, sy.Payloads}
-	var used [nsCount][]uint64
-	for ns, t := range tables {
-		used[ns] = make([]uint64, (t.Len()+63)/64)
-	}
-	mark := func(ns int, id uint32) { used[ns][id>>6] |= 1 << (id & 63) }
-	servers := idx.Nodes().Infos
-	for _, s := range servers {
-		mark(nsServers, s.SID)
-		for f, m := range serverLists(s) {
-			for id := range m {
-				mark(listNS[f], id)
-			}
-		}
-	}
-	for c, cs := range idx.ClientServers {
-		mark(nsClients, c)
-		for id := range cs {
-			mark(nsServers, id)
-		}
-	}
-	var dicts [nsCount]dict
-	for ns, t := range tables {
-		dicts[ns] = newDict(t, used[ns])
-	}
-
-	b = append(b, magic[:]...)
-	b = binary.AppendUvarint(b, Version)
-	b = binary.AppendUvarint(b, uint64(idx.Fields()))
-	b = binary.AppendUvarint(b, uint64(idx.RequestCount))
-	wired := onWire(idx.Fields())
-	for _, i := range wired {
-		b = binary.AppendUvarint(b, uint64(len(dicts[i].names)))
-		for _, n := range dicts[i].names {
-			b = binary.AppendUvarint(b, uint64(len(n)))
-			b = append(b, n...)
-		}
-	}
-	var buf []entry
-	appendCounts := func(b []byte, d *dict, m trace.Counts) []byte {
-		buf = buf[:0]
-		for id, n := range m {
-			buf = append(buf, entry{d.position(id), n})
-		}
-		slices.SortFunc(buf, byPos)
-		b = binary.AppendUvarint(b, uint64(len(buf)))
-		for _, e := range buf {
-			b = binary.AppendUvarint(b, uint64(e.pos))
-			b = binary.AppendUvarint(b, uint64(e.n))
-		}
-		return b
-	}
-	// Servers sorted by key == sorted by dictionary position.
-	b = binary.AppendUvarint(b, uint64(len(servers)))
-	for _, s := range servers {
-		b = binary.AppendUvarint(b, uint64(dicts[nsServers].position(s.SID)))
-		b = binary.AppendUvarint(b, uint64(s.Requests))
-		b = binary.AppendUvarint(b, uint64(s.ErrorRequests))
-		lists := serverLists(s)
-		for _, f := range wired {
-			b = appendCounts(b, &dicts[listNS[f]], lists[f])
-		}
-	}
-	// Client rows as (position, local id), sorted by position.
-	rows := make([]entry, 0, len(idx.ClientServers))
-	for c := range idx.ClientServers {
-		rows = append(rows, entry{dicts[nsClients].position(c), c})
-	}
-	slices.SortFunc(rows, byPos)
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for _, r := range rows {
-		b = binary.AppendUvarint(b, uint64(r.pos))
-		b = appendCounts(b, &dicts[nsServers], idx.ClientServers[r.n])
-	}
-	return b
-}
-
-// serverLists returns a server's count lists in wire order, the
-// namespaces of listNS; an absent field's list is nil.
-func serverLists(s *trace.ServerInfo) [len(listNS)]trace.Counts {
-	return [len(listNS)]trace.Counts{s.Clients, s.IPs, s.Files, s.Referrers, s.UserAgents, s.Queries, s.Payloads}
-}
-
-func byPos(x, y entry) int { return cmp.Compare(x.pos, y.pos) }
-
 // reader walks an encoded buffer with bounds checking.
 type reader struct {
 	b   []byte
 	off int
 }
 
+// uvarint reads a varint in its one minimal form: an overlong one (a
+// last byte of 0 after the first) would decode to a value that encodes
+// to other bytes, so encode(decode(b)) == b could not hold.
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at %d: %w", r.off, ErrCorrupt)
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
+		return 0, fmt.Errorf("truncated or overlong varint at %d: %w", r.off, ErrCorrupt)
 	}
 	r.off += n
 	return v, nil
 }
 
+// varint reads a zig-zag signed varint (binary.AppendVarint).
 func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at %d: %w", r.off, ErrCorrupt)
-	}
-	r.off += n
-	return v, nil
+	u, err := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1), err
 }
 
 // length reads a collection length and rejects values that could not fit
@@ -491,13 +359,13 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 			idx.ClientServers[s.pos] = counts(s.lists[0])
 			continue
 		}
-		info := idx.EnsureServer(sy.Servers.Name(s.pos))
-		info.Requests, info.ErrorRequests = s.reqs, s.errs
+		info := &trace.ServerInfo{Key: sy.Servers.Name(s.pos), SID: s.pos, Requests: s.reqs, ErrorRequests: s.errs}
 		dsts := [len(listNS)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
 			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads}
 		for _, f := range s.wired {
 			*dsts[f] = counts(s.lists[f])
 		}
+		idx.PutServer(info)
 	}
 	if err != nil {
 		return nil, err
@@ -757,7 +625,7 @@ func EncodeFragment(f *Fragment) []byte {
 	if f.Payload != nil {
 		b = append(b, f.Payload...)
 	} else if f.Index != nil {
-		b = appendIndex(b, f.Index)
+		b = append(b, EncodeIndex(f.Index)...)
 	}
 	for i := range f.Hops {
 		b = appendHop(b, &f.Hops[i])

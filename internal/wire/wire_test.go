@@ -422,3 +422,30 @@ func TestMergeIndexesEdges(t *testing.T) {
 		t.Error("inputs of different field sets merged")
 	}
 }
+
+// TestDecodeIndexBuildsServersOnce pins the decoder's allocations on a
+// fixed index of 40 servers: each server is built once, with only the
+// count maps its encoding carries. A decoder that registers every server
+// with empty maps first and then replaces them pays four to seven more
+// allocations per server (160 to 280 in all), far past the slack allowed here.
+func TestDecodeIndexBuildsServersOnce(t *testing.T) {
+	for _, tc := range []struct {
+		fields trace.Fields
+		max    float64
+	}{{0, 760}, {trace.AllFields, 1040}} {
+		idx := trace.NewIndexOf(trace.NewSymbols(), tc.fields)
+		for i := 0; i < 400; i++ {
+			idx.Add(&trace.Request{
+				Client: fmt.Sprintf("c%d", i%23), Host: fmt.Sprintf("s%d.com", i%40),
+				ServerIP: fmt.Sprintf("10.0.0.%d", i%40), Path: fmt.Sprintf("/f%d.php", i%7),
+				Referrer: fmt.Sprintf("s%d.com", i%3), UserAgent: fmt.Sprintf("ua%d", i%4),
+				Query: "id=1", PayloadDigest: fmt.Sprintf("d%d", i%5), Status: 200,
+			})
+		}
+		enc := EncodeIndex(idx)
+		if got := testing.AllocsPerRun(10, func() { DecodeIndex(enc) }); got > tc.max {
+			t.Errorf("fields %03b: DecodeIndex of %d servers made %.0f allocations, want <= %.0f",
+				tc.fields, len(idx.Servers), got, tc.max)
+		}
+	}
+}
