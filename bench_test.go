@@ -199,7 +199,7 @@ func BenchmarkCaseZeus(b *testing.B)   { benchCase(b, "zeus") }
 // denseClientPairs is the naive O(N²) baseline the paper's overhead section
 // worries about: every server pair's client-set intersection.
 func denseClientPairs(idx *trace.Index, minSim float64) int {
-	keys := idx.ServerKeys()
+	keys := idx.Nodes().Names
 	edges := 0
 	for i := 0; i < len(keys); i++ {
 		ci := idx.Servers[keys[i]].Clients

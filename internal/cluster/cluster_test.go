@@ -220,6 +220,17 @@ func TestClusterMatchesStandalone(t *testing.T) {
 		if g.Index.Fingerprint() != w.Index.Fingerprint() {
 			t.Errorf("window %d index fingerprint diverged", i)
 		}
+		// Table I of the root's decoded window against the traffic itself,
+		// not against the standalone engine's index.
+		var in trace.Trace
+		for _, r := range reqs {
+			if !r.Time.Before(g.Start) && r.Time.Before(g.End) {
+				in.Requests = append(in.Requests, r)
+			}
+		}
+		if got, want := g.Report.TraceStats, in.ComputeStats(); got.Clients != want.Clients || got.Servers != want.Servers {
+			t.Errorf("window %d clients, servers = %d, %d, want %d, %d", i, got.Clients, got.Servers, want.Clients, want.Servers)
+		}
 		wantJSON, _ := json.Marshal(w.Report)
 		gotJSON, _ := json.Marshal(g.Report)
 		if string(gotJSON) != string(wantJSON) {

@@ -327,8 +327,8 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 				if w.Requests != wantStats.Requests {
 					t.Errorf("window %d requests = %d, want %d", i, w.Requests, wantStats.Requests)
 				}
-				if w.Report.TraceStats.Servers != wantStats.Servers {
-					t.Errorf("window %d servers = %d, want %d", i, w.Report.TraceStats.Servers, wantStats.Servers)
+				if got := w.Report.TraceStats; got.Servers != wantStats.Servers || got.Clients != wantStats.Clients {
+					t.Errorf("window %d servers, clients = %d, %d, want %d, %d", i, got.Servers, got.Clients, wantStats.Servers, wantStats.Clients)
 				}
 			}
 

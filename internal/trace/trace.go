@@ -12,10 +12,9 @@
 // Every hot key — server, client, IP, URI file, referrer, and User-Agent,
 // query pattern and payload digest where the index's Fields keep them —
 // is interned once at ingest into a shared Symbols table and carried as a
-// dense uint32 id from then on. The per-server aggregates (ServerInfo) and
-// the client->server relation are id-keyed counted multisets (Counts):
-// integer map operations replace string re-hashing in every downstream
-// hot loop.
+// dense uint32 id from then on. The per-server aggregates (ServerInfo)
+// are id-keyed counted multisets (Counts): integer map operations replace
+// string re-hashing in every downstream hot loop.
 // Strings resurface only at API boundaries (reports, lineages, rendered
 // output), always ordered by name so that the run-dependent id assignment
 // never leaks into output.
@@ -354,15 +353,13 @@ const (
 )
 
 // Index is the aggregated per-server view of a trace after SLD aggregation.
+// It keeps clients per server only: every stage reads a server's client
+// set (eq. (1), the IDF filter), and none the servers of a client.
 type Index struct {
 	// Syms is the symbol table set all ids in the index resolve through.
 	Syms *Symbols
 	// Servers maps server key -> accumulated info.
 	Servers map[string]*ServerInfo
-	// ClientServers counts requests per (client id, server id) pair:
-	// client id -> server id -> requests. len(ClientServers[c]) is the
-	// number of distinct servers the client contacted.
-	ClientServers map[uint32]Counts
 	// RequestCount is the total number of requests indexed.
 	RequestCount int
 
@@ -387,10 +384,9 @@ func NewIndexWith(syms *Symbols) *Index {
 // the optional fields f.
 func NewIndexOf(syms *Symbols, f Fields) *Index {
 	return &Index{
-		Syms:          syms,
-		Servers:       make(map[string]*ServerInfo),
-		ClientServers: make(map[uint32]Counts),
-		fields:        f,
+		Syms:    syms,
+		Servers: make(map[string]*ServerInfo),
+		fields:  f,
 	}
 }
 
@@ -479,12 +475,6 @@ func (idx *Index) AddKeyed(r *Request, key string, in *Interner) {
 	if e.Error {
 		info.ErrorRequests++
 	}
-	cs := idx.ClientServers[e.IDs[0]]
-	if cs == nil {
-		cs = make(Counts)
-		idx.ClientServers[e.IDs[0]] = cs
-	}
-	cs[info.SID]++
 	idx.RequestCount++
 	idx.invalidate()
 }
@@ -515,26 +505,12 @@ func (idx *Index) Nodes() *NodeTable {
 	return idx.nodes
 }
 
-// ServerKeys returns all server keys in sorted order (for deterministic
-// iteration downstream). The result is a copy and may be retained.
-func (idx *Index) ServerKeys() []string {
-	return append([]string(nil), idx.Nodes().Names...)
-}
-
-// Remove deletes a server from the index, including its entries in the
-// client->servers relation. Used by the preprocessing IDF filter.
+// Remove deletes a server from the index. Used by the preprocessing IDF
+// filter.
 func (idx *Index) Remove(key string) {
 	info := idx.Servers[key]
 	if info == nil {
 		return
-	}
-	for c := range info.Clients {
-		if cs := idx.ClientServers[c]; cs != nil {
-			delete(cs, info.SID)
-			if len(cs) == 0 {
-				delete(idx.ClientServers, c)
-			}
-		}
 	}
 	idx.RequestCount -= info.Requests
 	delete(idx.Servers, key)
@@ -550,25 +526,19 @@ func (idx *Index) Clone() *Index {
 	return out
 }
 
-// ShallowClone returns a copy that owns its server map and its
-// client->servers relation but shares idx's Symbols and every server's
-// *ServerInfo — the copy the preprocessing stage filters, at a fraction of
-// Clone's cost. Remove on either index leaves the other alone (it touches
-// only what an index owns); Add or Merge into either would show through
-// the shared aggregates, so after a ShallowClone both are read-only in
-// that respect.
+// ShallowClone returns a copy that owns its server map but shares idx's
+// Symbols and every server's *ServerInfo — the copy the preprocessing
+// stage filters, at a fraction of Clone's cost. Remove on either index
+// leaves the other alone (it touches only the server map); Add or Merge
+// into either would show through the shared aggregates, so after a
+// ShallowClone both are read-only in that respect.
 func (idx *Index) ShallowClone() *Index {
-	out := &Index{
-		Syms:          idx.Syms,
-		Servers:       maps.Clone(idx.Servers),
-		ClientServers: make(map[uint32]Counts, len(idx.ClientServers)),
-		RequestCount:  idx.RequestCount,
-		fields:        idx.fields,
+	return &Index{
+		Syms:         idx.Syms,
+		Servers:      maps.Clone(idx.Servers),
+		RequestCount: idx.RequestCount,
+		fields:       idx.fields,
 	}
-	for c, set := range idx.ClientServers {
-		out.ClientServers[c] = maps.Clone(set)
-	}
-	return out
 }
 
 // mergeCounts folds src into dst (dst[k] += src[k]).
@@ -601,9 +571,9 @@ func remapCounts(dst Counts, to *intern.Table, src Counts, from *intern.Table) {
 func (idx *Index) Merge(other *Index) { idx.merge(other, false) }
 
 // Absorb is Merge for an other that is thrown away afterwards: where the
-// two share Symbols it adopts other's servers and client rows that idx
-// lacks instead of copying them, and folds the rest as Merge does. other
-// must not be used after the call. The streaming sealer absorbs the shard
+// two share Symbols it adopts other's servers that idx lacks instead of
+// copying them, and folds the rest as Merge does. other must not be used
+// after the call. The streaming sealer absorbs the shard
 // fragments it is handed and the ring fragments that expire.
 func (idx *Index) Absorb(other *Index) { idx.merge(other, true) }
 
@@ -636,18 +606,6 @@ func (idx *Index) merge(other *Index, adopt bool) {
 			dst.Requests += src.Requests
 			dst.ErrorRequests += src.ErrorRequests
 		}
-		for c, set := range other.ClientServers {
-			cs := idx.ClientServers[c]
-			if cs == nil {
-				if adopt {
-					idx.ClientServers[c] = set
-					continue
-				}
-				cs = make(Counts, len(set))
-				idx.ClientServers[c] = cs
-			}
-			mergeCounts(cs, set)
-		}
 	} else {
 		sy, osy := idx.Syms, other.Syms
 		for k, src := range other.Servers {
@@ -666,19 +624,6 @@ func (idx *Index) merge(other *Index, adopt bool) {
 			dst.Requests += src.Requests
 			dst.ErrorRequests += src.ErrorRequests
 		}
-		clientNames := osy.Clients.Names()
-		serverNames := osy.Servers.Names()
-		for c, set := range other.ClientServers {
-			cid := sy.Clients.ID(clientNames[c])
-			cs := idx.ClientServers[cid]
-			if cs == nil {
-				cs = make(Counts, len(set))
-				idx.ClientServers[cid] = cs
-			}
-			for sid, n := range set {
-				cs[sy.Servers.ID(serverNames[sid])] += n
-			}
-		}
 	}
 	idx.RequestCount += other.RequestCount
 	idx.invalidate()
@@ -686,15 +631,22 @@ func (idx *Index) merge(other *Index, adopt bool) {
 
 // ComputeStats summarizes the index in the shape of the paper's Table I —
 // the streaming path's equivalent of Trace.ComputeStats. Requests without a
-// server key are not indexed and therefore not counted here.
+// server key are not indexed and therefore not counted here; a client is
+// counted once over every server's client set.
 func (idx *Index) ComputeStats(name string) Stats {
-	files := 0
+	files, clients := 0, 0
+	seen := make([]bool, idx.Syms.Clients.Len())
 	for _, info := range idx.Servers {
 		files += len(info.Files)
+		for c := range info.Clients {
+			if !seen[c] {
+				seen[c], clients = true, clients+1
+			}
+		}
 	}
 	return Stats{
 		Name:     name,
-		Clients:  len(idx.ClientServers),
+		Clients:  clients,
 		Requests: idx.RequestCount,
 		Servers:  len(idx.Servers),
 		URIFiles: files,
@@ -723,7 +675,7 @@ func (idx *Index) Fingerprint() string {
 	sy := idx.Syms
 	var b strings.Builder
 	fmt.Fprintf(&b, "requests=%d\n", idx.RequestCount)
-	for _, k := range idx.ServerKeys() {
+	for _, k := range idx.Nodes().Names {
 		s := idx.Servers[k]
 		fmt.Fprintf(&b, "server %s req=%d err=%d\n", k, s.Requests, s.ErrorRequests)
 		countsByName(&b, "clients", sy.Clients.Names(), s.Clients)
@@ -733,16 +685,6 @@ func (idx *Index) Fingerprint() string {
 		countsByName(&b, "uas", sy.Agents.Names(), s.UserAgents)
 		countsByName(&b, "queries", sy.Queries.Names(), s.Queries)
 		countsByName(&b, "payloads", sy.Payloads.Names(), s.Payloads)
-	}
-	clientNames := sy.Clients.Names()
-	clients := make([]string, 0, len(idx.ClientServers))
-	for c := range idx.ClientServers {
-		clients = append(clients, clientNames[c])
-	}
-	sort.Strings(clients)
-	for _, c := range clients {
-		cid, _ := sy.Clients.Lookup(c)
-		countsByName(&b, "client "+c+" ->", sy.Servers.Names(), idx.ClientServers[cid])
 	}
 	return b.String()
 }

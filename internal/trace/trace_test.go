@@ -119,9 +119,8 @@ func TestBuildIndexAggregation(t *testing.T) {
 	if xyz.IDF() != 2 {
 		t.Errorf("IDF = %d, want 2", xyz.IDF())
 	}
-	c1, _ := idx.Syms.Clients.Lookup("c1")
-	if got := idx.ClientServers[c1]; len(got) != 2 {
-		t.Errorf("c1 contacted %d servers, want 2", len(got))
+	if got := idx.ComputeStats("x").Clients; got != 2 {
+		t.Errorf("clients = %d, want 2", got)
 	}
 }
 
@@ -166,13 +165,9 @@ func TestIndexRemove(t *testing.T) {
 	if idx.RequestCount != 1 {
 		t.Errorf("RequestCount = %d, want 1", idx.RequestCount)
 	}
-	c1, _ := idx.Syms.Clients.Lookup("c1")
-	c2, _ := idx.Syms.Clients.Lookup("c2")
-	if got := idx.ClientServers[c2]; got != nil {
-		t.Errorf("c2 should have been dropped (no remaining servers), got %v", got)
-	}
-	if got := idx.ClientServers[c1]; len(got) != 1 {
-		t.Errorf("c1 servers = %d, want 1", len(got))
+	// c2 contacted only the removed server, so only c1 is left.
+	if got := idx.ComputeStats("x").Clients; got != 1 {
+		t.Errorf("clients = %d, want 1", got)
 	}
 	idx.Remove("missing") // no-op must not panic
 }
@@ -218,8 +213,9 @@ func TestIndexShallowClone(t *testing.T) {
 	if cl.Fingerprint() != want.Fingerprint() {
 		t.Errorf("filtered shallow clone:\n%s\nwant\n%s", cl.Fingerprint(), want.Fingerprint())
 	}
-	if c2, _ := cl.Syms.Clients.Lookup("c2"); cl.ClientServers[c2] != nil {
-		t.Errorf("c2 contacted only a removed server, got %v", cl.ClientServers[c2])
+	// c1 and c2 contacted only removed servers; the source keeps all three.
+	if got, src := cl.ComputeStats("x").Clients, idx.ComputeStats("x").Clients; got != 1 || src != 3 {
+		t.Errorf("clients = %d in the filtered clone and %d in the source, want 1 and 3", got, src)
 	}
 	if got := cl.Nodes().Names; len(got) != 1 || got[0] != "c.com" {
 		t.Errorf("nodes = %v, want [c.com]", got)
@@ -258,9 +254,9 @@ func TestServerKeysSorted(t *testing.T) {
 		req("c1", "aaa.com", "1.1.1.2", "/"),
 	}}
 	idx := BuildIndex(tr)
-	keys := idx.ServerKeys()
+	keys := idx.Nodes().Names
 	if len(keys) != 2 || keys[0] != "aaa.com" || keys[1] != "zzz.com" {
-		t.Errorf("ServerKeys = %v", keys)
+		t.Errorf("Nodes().Names = %v", keys)
 	}
 }
 

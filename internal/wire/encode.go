@@ -36,8 +36,8 @@ func (x *sortedIndex) dicts(sy *trace.Symbols, walk func(mark func(ns int, id ui
 	}
 }
 
-// cell is one count-list element and the position of its server or
-// client record: row, column position, count.
+// cell is one count-list element and the position of its server record:
+// row, column position, count.
 type cell struct{ row, col, n uint32 }
 
 // record is a server record's header.
@@ -47,8 +47,8 @@ type record struct {
 }
 
 // sortedIndex is an index in wire order, what both encoders build for
-// append, the one writer: dictionaries, server records, each list's cells
-// by (server, feature) position, client row positions and their cells.
+// append, the one writer: dictionaries, server records, and each list's
+// cells by (server, feature) position.
 type sortedIndex struct {
 	mask     trace.Fields
 	requests int
@@ -56,8 +56,6 @@ type sortedIndex struct {
 	pos      [nsCount][]uint32
 	servers  []record
 	lists    [len(listNS)][]cell
-	clients  []uint32
-	rows     []cell
 }
 
 // append appends the canonical encoding of x to b.
@@ -72,7 +70,7 @@ func (x *sortedIndex) append(b []byte) []byte {
 			b = append(binary.AppendUvarint(b, uint64(len(n))), n...)
 		}
 	}
-	lists, rows := x.lists, x.rows
+	lists := x.lists
 	b = binary.AppendUvarint(b, uint64(len(x.servers)))
 	for _, s := range x.servers {
 		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(s.pos)), uint64(s.reqs))
@@ -80,10 +78,6 @@ func (x *sortedIndex) append(b []byte) []byte {
 		for _, f := range wired {
 			b, lists[f] = appendCells(b, lists[f], s.pos)
 		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(x.clients)))
-	for _, c := range x.clients {
-		b, rows = appendCells(binary.AppendUvarint(b, uint64(c)), rows, c)
 	}
 	return b
 }
@@ -114,23 +108,13 @@ func EncodeIndex(idx *trace.Index) []byte {
 				}
 			}
 		}
-		for c, cs := range idx.ClientServers {
-			mark(nsClients, c)
-			for id := range cs {
-				mark(nsServers, id)
-			}
-		}
 	})
-	sp, cp := x.pos[nsServers], x.pos[nsClients]
+	sp := x.pos[nsServers]
 	for _, s := range slices.SortedFunc(maps.Values(idx.Servers), func(s, t *trace.ServerInfo) int { return cmp.Compare(sp[s.SID], sp[t.SID]) }) {
 		x.servers = append(x.servers, record{sp[s.SID], s.Requests, s.ErrorRequests})
 		for f, m := range serverLists(s) {
 			x.lists[f] = appendCounts(x.lists[f], sp[s.SID], m, x.pos[listNS[f]])
 		}
-	}
-	for _, c := range slices.SortedFunc(maps.Keys(idx.ClientServers), func(c, d uint32) int { return cmp.Compare(cp[c], cp[d]) }) {
-		x.clients = append(x.clients, cp[c])
-		x.rows = appendCounts(x.rows, cp[c], idx.ClientServers[c], sp)
 	}
 	return x.append(nil)
 }
@@ -154,9 +138,8 @@ func serverLists(s *trace.ServerInfo) [len(listNS)]trace.Counts {
 
 // EncodeLogs returns EncodeIndex of the index the logs describe without
 // building it: each count list's (server, feature) position pairs are
-// packed into integer keys, sorted and run-length counted, and the client
-// rows are the (server, client) cells transposed. The logs, at least one,
-// must share one Symbols epoch and Fields.
+// packed into integer keys, sorted and run-length counted. The logs, at
+// least one, must share one Symbols epoch and Fields.
 func EncodeLogs(logs ...*trace.Log) []byte {
 	sy, mask := logs[0].Syms, logs[0].Fields
 	x := sortedIndex{mask: mask}
@@ -202,12 +185,7 @@ func EncodeLogs(logs ...*trace.Log) []byte {
 		sortKeys(keys, buf, shift+bits.Len(uint(len(x.names[nsServers]))))
 		x.lists[f] = runs(keys, shift)
 	}
-	// Every client the dictionary holds made a request, so has a row.
-	for c := range x.names[nsClients] {
-		x.clients = append(x.clients, uint32(c))
-	}
-	x.rows = transpose(x.lists[0], len(x.clients))
-	return x.append(make([]byte, 0, 64+12*x.requests)) // ~9 B/event on the bench world
+	return x.append(make([]byte, 0, 64+12*x.requests)) // ~8 B/event on the bench world
 }
 
 // sortKeys sorts keys of width bits by least-significant-digit radix
@@ -240,22 +218,4 @@ func runs(keys []uint64, shift int) (cells []cell) {
 		cells = append(cells, cell{uint32(keys[i] >> shift), uint32(keys[i] & (1<<shift - 1)), uint32(j - i)})
 	}
 	return cells
-}
-
-// transpose returns cells sorted by (row, col) as (col, row) cells in
-// that order: a stable counting sort by column over cols columns.
-func transpose(cells []cell, cols int) []cell {
-	at := make([]int, cols+1)
-	for _, c := range cells {
-		at[c.col+1]++
-	}
-	for i := 1; i <= cols; i++ {
-		at[i] += at[i-1]
-	}
-	out := make([]cell, len(cells))
-	for _, c := range cells {
-		out[at[c.col]] = cell{c.col, c.row, c.n}
-		at[c.col]++
-	}
-	return out
 }

@@ -4,7 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,10 +140,9 @@ func FuzzIndexRoundTrip(f *testing.F) {
 
 // FuzzDecodeIndex feeds arbitrary bytes to the decoder: it must return an
 // error or an index that encodes back to exactly the input, never panic
-// or over-allocate. The seed corpus holds one file per non-canonical
-// shape the decoder refuses — unsorted servers, unsorted client rows and
-// a dictionary name nothing references — and one valid index that keeps
-// every optional field.
+// or over-allocate. The seed corpus (TestDecodeIndexSeeds names what
+// each file must hit) holds one file per shape the decoder refuses and
+// one valid index that keeps every optional field.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SMWF"))
@@ -164,6 +167,51 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 		DecodeFragment(data)
 	})
+}
+
+// TestDecodeIndexSeeds decodes every file of FuzzDecodeIndex's seed
+// corpus and checks it reaches the check it is kept for: a seed that an
+// earlier check stops — the version check, after a codec bump — fuzzes
+// nothing past it.
+func TestDecodeIndexSeeds(t *testing.T) {
+	const dir = "testdata/fuzz/FuzzDecodeIndex"
+	want := map[string]string{ // file -> error substring; "" decodes
+		"all-fields":        "",
+		"fb9507163fecca85":  "scalar",
+		"overlong-varint":   "overlong varint",
+		"unreferenced-name": `dictionary name "z" unreferenced`,
+		"unsorted-servers":  "record position 0 out of range or order",
+		"v2-all-fields":     fmt.Sprintf("unsupported index version 2 (want %d)", Version),
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d seed files, want %d: name what each new one must hit", len(files), len(want))
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, _ := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		lit, _ = strings.CutSuffix(lit, ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		w, ok := want[f.Name()]
+		_, err = DecodeIndex([]byte(data))
+		switch {
+		case !ok:
+			t.Errorf("%s: seed not listed here", f.Name())
+		case w == "" && err != nil:
+			t.Errorf("%s: %v, want it to decode", f.Name(), err)
+		case w != "" && (err == nil || !strings.Contains(err.Error(), w)):
+			t.Errorf("%s: error %v, want one naming %q", f.Name(), err, w)
+		}
+	}
 }
 
 // FuzzMergeIndexes checks the byte merge against the map merge: two or

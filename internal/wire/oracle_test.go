@@ -23,7 +23,7 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 			used[ns][id] = struct{}{}
 		}
 	}
-	keys := idx.ServerKeys()
+	keys := idx.Nodes().Names
 	for _, k := range keys {
 		s := idx.Servers[k]
 		used[nsServers][s.SID] = struct{}{}
@@ -34,10 +34,6 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 		add(nsAgents, s.UserAgents)
 		add(nsQueries, s.Queries)
 		add(nsPayloads, s.Payloads)
-	}
-	for c, cs := range idx.ClientServers {
-		used[nsClients][c] = struct{}{}
-		add(nsServers, cs)
 	}
 	var dicts [nsCount][]string
 	var pos [nsCount]map[uint32]uint32
@@ -105,16 +101,6 @@ func referenceEncodeIndex(idx *trace.Index) []byte {
 		if mask&trace.FieldPayloads != 0 {
 			b = appendCounts(b, nsPayloads, s.Payloads)
 		}
-	}
-	clients := make([]uint32, 0, len(idx.ClientServers))
-	for c := range idx.ClientServers {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return pos[nsClients][clients[i]] < pos[nsClients][clients[j]] })
-	b = binary.AppendUvarint(b, uint64(len(clients)))
-	for _, c := range clients {
-		b = binary.AppendUvarint(b, uint64(pos[nsClients][c]))
-		b = appendCounts(b, nsServers, idx.ClientServers[c])
 	}
 	return b
 }

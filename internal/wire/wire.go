@@ -19,13 +19,13 @@
 // from a trace.Index's maps, EncodeLogs from run logs (trace.Log), so a
 // node that only ships windows never builds a map.
 //
-// Because dictionaries, servers, client rows and count lists are sorted,
-// and a dictionary holds only names something references, encoding is
+// Because dictionaries, servers and count lists are sorted, and a
+// dictionary holds only names something references, encoding is
 // canonical: two indexes describing the same traffic aggregate encode to
 // identical bytes regardless of how their symbol tables assigned ids, and
 // encode(decode(b)) == b for every b a decoder accepts (fuzz-tested). So
 // encodings merge without decoding: MergeIndexes unions the sorted
-// dictionaries and merges records in one ordered walk into exactly
+// dictionaries and merges server records in one ordered walk into exactly
 // EncodeIndex of the merged index. A decoded Fragment keeps its index as
 // validated bytes (Payload); cluster tiers merge those, and only the
 // detecting root decodes, once per window.
@@ -40,8 +40,9 @@
 //	   serverDictID | requests | errorRequests
 //	   4+k × counts list: n, then n × (dictID, count), sorted by dictID
 //	   (order: clients, ips, files, referrers, then the k optional ones)
-//	clientCount, then per client (sorted by name):
-//	   clientDictID | n, then n × (serverDictID, count), sorted by dictID
+//
+// The index keeps clients per server only, so the wire does too: a
+// window's distinct clients are its clients dictionary.
 //
 // A Fragment wraps an encoded index with the routing envelope the cluster
 // layer needs: source node, epoch-derived window id, window bounds, and
@@ -65,8 +66,9 @@ import (
 )
 
 // Version is the index codec version; decoders accept no other. Version
-// 2 added the fields mask.
-const Version = 2
+// 2 added the fields mask; version 3 dropped the client rows, the
+// transpose of the servers' client lists.
+const Version = 3
 
 // FragmentVersion is the fragment envelope version; decoders accept no
 // other. Version 2 added the trailing hop-provenance section.
@@ -183,13 +185,12 @@ type scanner struct {
 	requests int
 	dicts    [nsCount][][]byte // sorted names, aliasing the input
 	used     [nsCount][]bool
-	section  int    // nsServers, then nsClients: the records being read
-	left     int    // records left in the section
-	last     int64  // the section's previous record position
+	left     int    // server records left
+	last     int64  // the previous server record's position
 	total    uint64 // requests summed over the servers read
 
-	// The record next read: its position and, for a server, its request
-	// and error counts and lists; a client row's list is lists[0].
+	// The server record next read: its position, request and error
+	// counts, and lists.
 	pos        uint32
 	reqs, errs int
 	lists      [len(listNS)][]entry
@@ -238,7 +239,7 @@ func (s *scanner) header() (err error) {
 		}
 		s.dicts[ns], s.used[ns] = d, make([]bool, n)
 	}
-	s.section, s.last = nsServers, -1
+	s.last = -1
 	s.left, err = s.length(3)
 	return err
 }
@@ -266,11 +267,10 @@ func (s *scanner) list(ns int, dst []entry) ([]entry, uint64, error) {
 	return dst, sum, err
 }
 
-// next reads the next record, every server and then every client row,
-// and reports false once the index has ended.
+// next reads the next server record and reports false once the index
+// has ended.
 func (s *scanner) next() (bool, error) {
-	var err error
-	if s.section == nsServers && s.left == 0 {
+	if s.left == 0 {
 		// Every index Add/Merge builds keeps its totals consistent — the
 		// header count is the servers' sum, a server's count its clients'
 		// sum — and the receiver gates detection on the header, so a
@@ -279,12 +279,6 @@ func (s *scanner) next() (bool, error) {
 		if s.total != uint64(s.requests) {
 			return false, fmt.Errorf("header counts %d requests, servers sum to %d: %w", s.requests, s.total, ErrCorrupt)
 		}
-		s.section, s.last = nsClients, -1
-		if s.left, err = s.length(2); err != nil {
-			return false, err
-		}
-	}
-	if s.left == 0 {
 		for ns, used := range s.used {
 			if i := slices.Index(used, false); i >= 0 {
 				return false, fmt.Errorf("dictionary name %q unreferenced: %w", s.dicts[ns][i], ErrCorrupt)
@@ -297,14 +291,10 @@ func (s *scanner) next() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if pos >= uint64(len(s.dicts[s.section])) || int64(pos) <= s.last {
+	if pos >= uint64(len(s.dicts[nsServers])) || int64(pos) <= s.last {
 		return false, fmt.Errorf("record position %d out of range or order: %w", pos, ErrCorrupt)
 	}
-	s.last, s.pos, s.used[s.section][pos] = int64(pos), uint32(pos), true
-	if s.section == nsClients {
-		s.lists[0], _, err = s.list(nsServers, s.lists[0])
-		return err == nil, err
-	}
+	s.last, s.pos, s.used[nsServers][pos] = int64(pos), uint32(pos), true
 	if s.reqs, err = s.scalar(); err == nil {
 		s.errs, err = s.scalar()
 	}
@@ -355,10 +345,6 @@ func DecodeIndex(data []byte) (*trace.Index, error) {
 	idx := trace.NewIndexOf(sy, s.mask)
 	ok, err := s.next()
 	for ; ok; ok, err = s.next() {
-		if s.section == nsClients {
-			idx.ClientServers[s.pos] = counts(s.lists[0])
-			continue
-		}
 		info := &trace.ServerInfo{Key: sy.Servers.Name(s.pos), SID: s.pos, Requests: s.reqs, ErrorRequests: s.errs}
 		dsts := [len(listNS)]*trace.Counts{&info.Clients, &info.IPs, &info.Files,
 			&info.Referrers, &info.UserAgents, &info.Queries, &info.Payloads}
@@ -389,7 +375,7 @@ func IndexRequests(enc []byte) int {
 // MergeIndexes returns EncodeIndex of the index that decoding every
 // encoding and merging them would build, without building it: the
 // dictionaries are unioned into monotone position maps, then server
-// records, their count lists and client rows merge in one ordered walk.
+// records and their count lists merge in one ordered walk.
 // Every input is validated as DecodeIndex validates it; inputs of
 // different fields masks and a merged count too wide for the wire are
 // errors, never a union or a wrapped value. No inputs encode the empty
@@ -459,70 +445,59 @@ func MergeIndexes(encs [][]byte) ([]byte, error) {
 	}
 	var from []int
 	var acc, tmp []entry
-	rowLists := []int{0} // a client row's one list, of servers
-	for section := nsServers; section <= nsClients; section++ {
-		start, records := len(out), 0
-		for ; ; records++ {
-			// The inputs whose current record is the least in the union.
-			from = from[:0]
-			var least uint32
-			for i := range scs {
-				if !live[i] || scs[i].section != section {
-					continue
-				}
-				if pos := remap[i][section][scs[i].pos]; len(from) == 0 || pos < least {
-					from, least = append(from[:0], i), pos
-				} else if pos == least {
-					from = append(from, i)
-				}
+	start, records := len(out), 0
+	for ; ; records++ {
+		// The inputs whose current server is the least in the union.
+		from = from[:0]
+		var least uint32
+		for i := range scs {
+			if !live[i] {
+				continue
 			}
-			if len(from) == 0 {
-				break
-			}
-			out = binary.AppendUvarint(out, uint64(least))
-			lists := rowLists
-			if section == nsServers {
-				reqs, errs := 0, 0
-				for _, i := range from {
-					reqs, errs = reqs+scs[i].reqs, errs+scs[i].errs
-				}
-				if reqs > math.MaxInt32 {
-					return nil, fmt.Errorf("wire: merged request count %d of server %d out of range", reqs, least)
-				}
-				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(reqs)), uint64(errs))
-				lists = wired
-			}
-			for _, f := range lists {
-				ns := nsServers
-				if section == nsServers {
-					ns = listNS[f]
-				}
-				acc = acc[:0]
-				for _, i := range from {
-					l, m := scs[i].lists[f], remap[i][ns]
-					for j := range l {
-						l[j].pos = m[l[j].pos]
-					}
-					var err error
-					if tmp, err = mergeEntries(tmp, acc, l); err != nil {
-						return nil, err
-					}
-					acc, tmp = tmp, acc
-				}
-				out = binary.AppendUvarint(out, uint64(len(acc)))
-				for _, e := range acc {
-					out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(e.pos)), uint64(e.n))
-				}
-			}
-			for _, i := range from {
-				var err error
-				if live[i], err = scs[i].next(); err != nil {
-					return nil, err
-				}
+			if pos := remap[i][nsServers][scs[i].pos]; len(from) == 0 || pos < least {
+				from, least = append(from[:0], i), pos
+			} else if pos == least {
+				from = append(from, i)
 			}
 		}
-		out = slices.Insert(out, start, binary.AppendUvarint(nil, uint64(records))...)
+		if len(from) == 0 {
+			break
+		}
+		reqs, errs := 0, 0
+		for _, i := range from {
+			reqs, errs = reqs+scs[i].reqs, errs+scs[i].errs
+		}
+		if reqs > math.MaxInt32 {
+			return nil, fmt.Errorf("wire: merged request count %d of server %d out of range", reqs, least)
+		}
+		out = binary.AppendUvarint(out, uint64(least))
+		out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(reqs)), uint64(errs))
+		for _, f := range wired {
+			acc = acc[:0]
+			for _, i := range from {
+				l, m := scs[i].lists[f], remap[i][listNS[f]]
+				for j := range l {
+					l[j].pos = m[l[j].pos]
+				}
+				var err error
+				if tmp, err = mergeEntries(tmp, acc, l); err != nil {
+					return nil, err
+				}
+				acc, tmp = tmp, acc
+			}
+			out = binary.AppendUvarint(out, uint64(len(acc)))
+			for _, e := range acc {
+				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(e.pos)), uint64(e.n))
+			}
+		}
+		for _, i := range from {
+			var err error
+			if live[i], err = scs[i].next(); err != nil {
+				return nil, err
+			}
+		}
 	}
+	out = slices.Insert(out, start, binary.AppendUvarint(nil, uint64(records))...)
 	for i := range scs {
 		if scs[i].off != len(encs[i]) {
 			return nil, fmt.Errorf("%d trailing bytes: %w", len(encs[i])-scs[i].off, ErrCorrupt)
